@@ -40,6 +40,10 @@ STEP_LABELS = (
     "solve-pricing",
 )
 
+# Iterations between full rebuilds of the reduced costs, which cap the
+# floating-point drift of the incremental updates.
+RECOMPUTE_PERIOD = 500
+
 
 class TraceEntry(NamedTuple):
     iteration: int
@@ -53,8 +57,6 @@ class SolveConfig:
     pair_variant: str = "large"  # or "any", "small"
     tol: float = 1e-6
     max_iter: int = 100_000
-    recompute_period: int = 500
-    polish: bool = True
     memory_cap: int = 2_000_000_000  # bytes allowed for combination-sized arrays
 
     def __post_init__(self):
@@ -185,7 +187,7 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         state.sigma = -sigma_dual
 
         t0 = time.perf_counter()
-        if iteration > 0 and iteration % cfg.recompute_period == 0:
+        if iteration > 0 and iteration % RECOMPUTE_PERIOD == 0:
             pricing_mod.recompute_reduced_costs(state, y, partition, strides_p)
         else:
             pricing_mod.update_reduced_costs(state, y_prev, y, partition, strides_p)
@@ -215,13 +217,12 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         timings["setup-RM"] += time.perf_counter() - t0
 
     raw, polished = master_mod.recover_solution(
-        rm, inst_p, partition, strides_p, state.costs, polish=cfg.polish
+        rm, inst_p, partition, strides_p, state.costs
     )
-    final = polished if polished is not None else raw
     timings["total"] = time.perf_counter() - wall_start
     return SolveResult(
-        barycenter=final.points,
-        objective=final.objective,
+        barycenter=polished.points,
+        objective=polished.objective,
         iterations=iteration,
         converged=converged,
         timings=timings,

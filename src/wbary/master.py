@@ -28,21 +28,10 @@ from .pricing import Partition
 
 
 @dataclass
-class DWColumn:
-    """One vertex admitted to the master: its mass vector, cost, and rows."""
-
-    p: SparseMass
-    cost: float
-    master_coeffs: np.ndarray  # aggregated rows outside the pricing pair
-
-
-@dataclass
 class MasterState:
-    columns: list[DWColumn]
+    columns: list[SparseMass]  # admitted vertices; cost and rows in _cost, _A
     rhs: np.ndarray  # master-row masses plus the trailing convexity 1
     mu: np.ndarray | None = None
-    y: np.ndarray | None = None  # duals of the master measure rows
-    sigma: float = 0.0  # dual of the convexity row
     objective: float = np.nan
     basis: simplex.Basis | None = None
     last_pivots: int = 0
@@ -97,11 +86,10 @@ def add_column(
     """Append one vertex; its aggregated rows are built from its support."""
     master_rows = state.rhs.shape[0] - 1
     coeffs = _column_coeffs(p, strides_perm, master_rows)
-    col = DWColumn(p, _column_cost(p, costs), coeffs)
-    state.columns.append(col)
+    state.columns.append(p)
     full = np.concatenate([coeffs, [1.0]])
     state._A = np.hstack([state._A, full[:, None]])
-    state._cost = np.append(state._cost, col.cost)
+    state._cost = np.append(state._cost, _column_cost(p, costs))
 
 
 def solve_rm(state: MasterState) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -113,12 +101,10 @@ def solve_rm(state: MasterState) -> tuple[np.ndarray, np.ndarray, float, float]:
             f"master problem returned {sol.status}; it must stay feasible"
         )
     state.mu = sol.x
-    state.y = sol.duals[:-1]
-    state.sigma = float(sol.duals[-1])
     state.objective = sol.objective
     state.basis = sol.basis
     state.last_pivots = sol.pivots
-    return state.mu, state.y, state.sigma, state.objective
+    return state.mu, sol.duals[:-1], float(sol.duals[-1]), state.objective
 
 
 @dataclass
@@ -138,7 +124,7 @@ def _combine(state: MasterState) -> SparseMass:
     w = SparseMass()
     for weight, col in zip(state.mu, state.columns):
         if weight > 1e-12:
-            for h, q in col.p.entries.items():
+            for h, q in col.entries.items():
                 w.add(h, weight * q)
     return w
 
@@ -148,7 +134,7 @@ def _polish(
     costs: np.ndarray,
 ) -> SparseMass:
     """Re-solve over the union of admitted supports for a basic (sparse) optimum."""
-    support = sorted({h for col in state.columns for h in col.p.entries})
+    support = sorted({h for col in state.columns for h in col.entries})
     rows = sum(inst_perm.sizes)
     A = np.zeros((rows, len(support)))
     for jcol, h in enumerate(support):
@@ -170,17 +156,14 @@ def recover_solution(
     partition: Partition,
     strides_perm: Strides,
     costs: np.ndarray,
-    polish: bool = True,
-) -> tuple[Barycenter, Barycenter | None]:
+) -> tuple[Barycenter, Barycenter]:
     """Accumulated barycenter from the converged weights, plus a polished vertex.
 
-    Returns (raw, polished-or-None). Assignments are reported in the original
-    measure order, undoing the pricing permutation.
+    Returns (raw, polished). Assignments are reported in the original measure
+    order, undoing the pricing permutation.
     """
     raw_mass = _combine(state)
     raw = _to_barycenter(raw_mass, inst_perm, partition, strides_perm)
-    if not polish:
-        return raw, None
     polished_mass = _polish(raw_mass, state, inst_perm, strides_perm, costs)
     return raw, _to_barycenter(polished_mass, inst_perm, partition, strides_perm)
 

@@ -21,6 +21,9 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 PIVOT_TOL = 1e-10
+OPT_TOL = 1e-9  # reduced cost below -OPT_TOL enters
+FEAS_TOL = 1e-9  # basic values and artificial mass within FEAS_TOL of zero
+BLAND_AFTER = 50  # degenerate pivots in a row before Bland's rule
 
 
 class NumericalError(RuntimeError):
@@ -96,16 +99,12 @@ def _order_key(code: int, ncols: int) -> int:
 
 
 class _Kernel:
-    def __init__(self, cols, rhs, opt_tol, feas_tol, bland_after, max_pivots):
+    def __init__(self, cols, rhs):
         self.cols = cols
         self.m = cols.nrows
         self.k = cols.ncols
         self.b = np.asarray(rhs, dtype=float).copy()
         self.signs = np.where(self.b < 0.0, -1.0, 1.0)
-        self.opt_tol = opt_tol
-        self.feas_tol = feas_tol
-        self.bland_after = bland_after
-        self.max_pivots = max_pivots
         self.pivots = 0
         self.basic = None  # (m,) int64 codes
         self.B = None  # (m, m) basis matrix
@@ -153,13 +152,13 @@ class _Kernel:
             r = cost - self.cols.apply_yT(y)
             r[self.basic[self.basic >= 0]] = 0.0
             if bland:
-                candidates = np.flatnonzero(r < -self.opt_tol)
+                candidates = np.flatnonzero(r < -OPT_TOL)
                 if candidates.size == 0:
                     return xB, y
                 enter = int(candidates[0])
             else:
                 enter = int(np.argmin(r))
-                if r[enter] >= -self.opt_tol:
+                if r[enter] >= -OPT_TOL:
                     return xB, y
             col_in = self.cols.column(enter)
             w = np.linalg.solve(self.B, col_in)
@@ -172,7 +171,7 @@ class _Kernel:
             ratios[grow] = xB[grow] / w[grow]
             if art_cost == 0.0:
                 art_block = (self.basic < 0) & (np.abs(w) > PIVOT_TOL)
-                ratios[art_block & (xB <= self.feas_tol)] = 0.0
+                ratios[art_block & (xB <= FEAS_TOL)] = 0.0
             theta = ratios.min()
             if not np.isfinite(theta):
                 return None, None  # unbounded
@@ -192,11 +191,9 @@ class _Kernel:
             self.basic[leave_pos] = enter
             self.B[:, leave_pos] = col_in
             self.pivots += 1
-            if self.max_pivots is not None and self.pivots > self.max_pivots:
-                raise NumericalError(f"pivot limit {self.max_pivots} exceeded")
             if theta <= 1e-12:
                 degen_streak += 1
-                if degen_streak > self.bland_after:
+                if degen_streak > BLAND_AFTER:
                     bland = True
             else:
                 degen_streak = 0
@@ -208,15 +205,10 @@ def solve_columns(
     cost: np.ndarray,
     rhs: np.ndarray,
     warm: Basis | None = None,
-    *,
-    opt_tol: float = 1e-9,
-    feas_tol: float = 1e-9,
-    bland_after: int = 50,
-    max_pivots: int | None = None,
 ) -> LPSolution:
     """Two-phase primal simplex over an abstract column provider."""
     cost = np.asarray(cost, dtype=float)
-    kern = _Kernel(cols, rhs, opt_tol, feas_tol, bland_after, max_pivots)
+    kern = _Kernel(cols, rhs)
     m, k = kern.m, kern.k
 
     started = False
@@ -226,7 +218,7 @@ def solve_columns(
             try:
                 kern.set_basis(wb)
                 xB = kern.basic_values()
-                if xB.min() >= -feas_tol:
+                if xB.min() >= -FEAS_TOL:
                     started = True
             except NumericalError:
                 started = False
@@ -237,7 +229,7 @@ def solve_columns(
         if xB is None:
             raise NumericalError("phase one reported an unbounded direction")
         art_mass = xB[kern.basic < 0].sum() if np.any(kern.basic < 0) else 0.0
-        if art_mass > feas_tol * (1.0 + np.abs(kern.b).sum()):
+        if art_mass > FEAS_TOL * (1.0 + np.abs(kern.b).sum()):
             return LPSolution(None, None, np.inf, None, INFEASIBLE, kern.pivots)
 
     xB, y = kern.run_phase(cost, art_cost=0.0)
@@ -252,6 +244,6 @@ def solve_columns(
     )
 
 
-def solve(lp: DenseLP, warm: Basis | None = None, **opts) -> LPSolution:
+def solve(lp: DenseLP, warm: Basis | None = None) -> LPSolution:
     """Solve a dense equality-form LP."""
-    return solve_columns(DenseColumns(lp.A), lp.cost, lp.rhs, warm, **opts)
+    return solve_columns(DenseColumns(lp.A), lp.cost, lp.rhs, warm)

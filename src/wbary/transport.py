@@ -17,6 +17,8 @@ from .model import ContractError
 
 BALANCE_TOL = 1e-9
 FLOW_TOL = 1e-15
+REDUCED_TOL = 1e-10  # reduced cost below -REDUCED_TOL enters
+BLAND_AFTER = 50  # degenerate pivots in a row before the lex-lowest rule
 
 
 @dataclass
@@ -124,18 +126,8 @@ def _tree_path(by_row, by_col, start_row, target_col):
     return cells_on_path
 
 
-def solve_transportation(
-    tp: TransportationProblem,
-    *,
-    tol: float = 1e-10,
-    bland_after: int = 50,
-    via_lp: bool = False,
-) -> TransportPlan:
-    """Optimal basic flow for a balanced transportation problem.
-
-    ``via_lp`` routes through the general simplex kernel instead of the
-    dedicated tree pivoting; it exists for differential testing.
-    """
+def solve_transportation(tp: TransportationProblem) -> TransportPlan:
+    """Optimal basic flow for a balanced transportation problem."""
     supplies = np.asarray(tp.supplies, dtype=float)
     demands = np.asarray(tp.demands, dtype=float)
     costs = np.asarray(tp.costs, dtype=float)
@@ -148,8 +140,6 @@ def solve_transportation(
         raise ContractError(
             f"unbalanced problem: supply {supplies.sum()!r} vs demand {demands.sum()!r}"
         )
-    if via_lp:
-        return _solve_via_lp(supplies, demands, costs)
 
     cells = _northwest_corner(supplies, demands)
     bland = False
@@ -160,14 +150,14 @@ def solve_transportation(
         for (i, j) in cells:
             red[i, j] = np.inf  # basics never enter
         if bland:
-            neg = np.argwhere(red < -tol)
+            neg = np.argwhere(red < -REDUCED_TOL)
             if neg.size == 0:
                 break
             ei, ej = map(int, neg[0])  # argwhere is row-major, so lex-lowest
         else:
             flat = int(np.argmin(red))
             ei, ej = divmod(flat, k)
-            if red[ei, ej] >= -tol:
+            if red[ei, ej] >= -REDUCED_TOL:
                 break
 
         by_row = {}
@@ -188,7 +178,7 @@ def solve_transportation(
         cells[(ei, ej)] = theta
         if theta <= FLOW_TOL:
             degen_streak += 1
-            if degen_streak > bland_after:
+            if degen_streak > BLAND_AFTER:
                 bland = True
         else:
             degen_streak = 0
@@ -197,23 +187,3 @@ def solve_transportation(
     flows = sorted((i, j, q) for (i, j), q in cells.items() if q > FLOW_TOL)
     objective = float(sum(q * costs[i, j] for i, j, q in flows))
     return TransportPlan(flows, objective)
-
-
-def _solve_via_lp(supplies, demands, costs):
-    from . import simplex
-
-    m, k = costs.shape
-    A = np.zeros((m + k, m * k))
-    for i in range(m):
-        A[i, i * k : (i + 1) * k] = 1.0
-    for j in range(k):
-        A[m + j, j::k] = 1.0
-    rhs = np.concatenate([supplies, demands])
-    sol = simplex.solve(simplex.DenseLP(costs.ravel(), A, rhs))
-    if sol.status != simplex.OPTIMAL:
-        raise ContractError(f"transport LP came back {sol.status}")
-    flows = sorted(
-        (idx // k, idx % k, float(sol.x[idx]))
-        for idx in np.flatnonzero(sol.x > FLOW_TOL)
-    )
-    return TransportPlan(flows, sol.objective)

@@ -123,14 +123,6 @@ class TestLoopBehavior:
         bound = sum(inst.sizes) - inst.n + 1
         assert len(res.barycenter) <= bound  # polished solution is basic
 
-    def test_polish_disabled_returns_raw_combination(self):
-        inst = random_instance(23, [4, 3, 4])
-        ref = solve_direct(inst)
-        res = solve(inst, SolveConfig(polish=False))
-        assert res.raw_support_size == len(res.barycenter)
-        assert abs(res.objective - ref.objective) <= 1e-7 * (1 + ref.objective)
-        assert sum(p.mass for p in res.barycenter) == pytest.approx(1.0, abs=1e-9)
-
     def test_one_dimensional_points(self):
         inst = random_instance(24, [3, 4, 3], dim=1)
         ref = solve_direct(inst)

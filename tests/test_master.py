@@ -37,7 +37,7 @@ class TestInitRM:
         rm = init_rm(p1, inst_p, part, st, state.costs)
         assert rm.mu.shape == (1,)
         assert rm.mu[0] == pytest.approx(1.0)
-        assert rm.objective == pytest.approx(rm.columns[0].cost)
+        assert rm.objective == pytest.approx(rm._cost[0])
 
     def test_infeasible_start_rejected(self):
         rng = np.random.default_rng(1)
@@ -55,7 +55,7 @@ class TestAddColumn:
         rm = init_rm(p1, inst_p, part, st, state.costs)
         single = SparseMass({7: 1.0})
         add_column(rm, single, st, state.costs)
-        coeffs = rm.columns[-1].master_coeffs
+        coeffs = rm._A[:-1, -1]
         pos = 0
         for t in range(2, inst_p.n):
             block = coeffs[pos : pos + inst_p.sizes[t]]
@@ -71,7 +71,7 @@ class TestAddColumn:
         add_column(rm, p1, st, state.costs)
         mu, y, sigma, obj = solve_rm(rm)
         assert mu.sum() == pytest.approx(1.0)
-        assert obj == pytest.approx(rm.columns[0].cost)
+        assert obj == pytest.approx(rm._cost[0])
 
 
 class TestSolveRM:
@@ -142,7 +142,7 @@ class TestRecover:
         state = init_reduced_costs(inst_p, part, st)
         p1 = greedy_vertex(inst_p, st)
         rm = init_rm(p1, inst_p, part, st, state.costs)
-        raw, _ = recover_solution(rm, inst_p, part, st, state.costs, polish=False)
+        raw, _ = recover_solution(rm, inst_p, part, st, state.costs)
         for p in raw.points:
             for orig in range(3):
                 assert 0 <= p.assignment[orig] < sizes[orig]
