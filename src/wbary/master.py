@@ -5,6 +5,12 @@ pricing pair, plus a convexity row. Its columns are never read from a stored
 constraint matrix: each new vertex has few nonzeros, and their rows come
 straight from the index arithmetic. Warm starts reuse the previous basis, so
 a re-solve after one appended column typically takes a handful of pivots.
+
+Every column's entries in one measure's block of rows sum to its convexity
+entry, so each block holds one row implied by the others. The simplex gets
+the master without the last row of each block. A redundant row keeps an
+artificial basic at level zero, and pivoting it out on a noise-sized element
+leaves the basis numerically singular.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ class MasterState:
     last_pivots: int = 0
     _A: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     _cost: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    _rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     @property
     def n_columns(self) -> int:
@@ -72,6 +79,8 @@ def init_rm(
     state = MasterState(columns=[], rhs=rhs)
     state._A = np.zeros((master_rows + 1, 0))
     state._cost = np.zeros(0)
+    block_ends = np.cumsum(inst_perm.sizes[2:]) - 1
+    state._rows = np.delete(np.arange(master_rows + 1), block_ends)
     add_column(state, p1, strides_perm, costs)
     resid = np.abs(state._A[:, 0] - rhs).max()
     if resid > 1e-9:
@@ -92,10 +101,20 @@ def add_column(
     state._cost = np.append(state._cost, _column_cost(p, costs))
 
 
+def master_lp(state: MasterState) -> simplex.DenseLP:
+    """The master as the simplex sees it: without the implied row of each block."""
+    return simplex.DenseLP(state._cost, state._A[state._rows], state.rhs[state._rows])
+
+
 def solve_rm(state: MasterState) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Optimize the current master, warm-starting from the previous basis."""
-    lp = simplex.DenseLP(state._cost, state._A, state.rhs)
-    sol = simplex.solve(lp, warm=state.basis)
+    """Optimize the current master, warm-starting from the previous basis.
+
+    Returns (mu, y, sigma, objective), with y over every master row: the dual
+    of each dropped row is zero. Shifting a block's duals by a constant and
+    sigma by its negative leaves every reduced cost unchanged, so this is a
+    dual optimum of the full master too.
+    """
+    sol = simplex.solve(master_lp(state), warm=state.basis)
     if sol.status != simplex.OPTIMAL:
         raise RuntimeError(
             f"master problem returned {sol.status}; it must stay feasible"
@@ -104,7 +123,9 @@ def solve_rm(state: MasterState) -> tuple[np.ndarray, np.ndarray, float, float]:
     state.objective = sol.objective
     state.basis = sol.basis
     state.last_pivots = sol.pivots
-    return state.mu, sol.duals[:-1], float(sol.duals[-1]), state.objective
+    duals = np.zeros(state.rhs.shape[0])
+    duals[state._rows] = sol.duals
+    return state.mu, duals[:-1], float(duals[-1]), state.objective
 
 
 @dataclass

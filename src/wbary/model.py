@@ -40,6 +40,10 @@ class DiscreteMeasure:
             raise ContractError("points must be a nonempty (size, dim) array")
         if masses.ndim != 1 or masses.shape[0] != points.shape[0]:
             raise ContractError("masses must match the number of points")
+        if not np.isfinite(points).all():
+            raise ContractError("points must be finite")
+        if not np.isfinite(masses).all():
+            raise ContractError("masses must be finite")
         if np.any(masses <= 0.0):
             raise ContractError("all masses must be positive")
         if abs(masses.sum() - 1.0) > MASS_TOL:
@@ -74,6 +78,8 @@ class Instance:
             raise ContractError("an instance needs at least one measure")
         if lambdas.shape != (len(measures),):
             raise ContractError("one weight per measure required")
+        if not np.isfinite(lambdas).all():
+            raise ContractError("weights must be finite")
         if np.any(lambdas < 0.0):
             raise ContractError("weights must be nonnegative")
         if abs(lambdas.sum() - 1.0) > MASS_TOL:

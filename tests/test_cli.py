@@ -108,6 +108,18 @@ class TestSolveCommand:
         assert code == 1
         assert "measures[1]" in err
 
+    def test_nan_literal_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"weights": [0.5, 0.5], "measures": ['
+            '{"points": [[0.0, NaN]], "masses": [1.0]},'
+            '{"points": [[1.0, 1.0]], "masses": [1.0]}]}'
+        )
+        code, out, err = run_cli(capsys, "solve", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert "measures[0]" in err and "finite" in err
+
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"weights": [1.0], "measures": [')

@@ -123,6 +123,25 @@ class TestLoopBehavior:
         bound = sum(inst.sizes) - inst.n + 1
         assert len(res.barycenter) <= bound  # polished solution is basic
 
+    def test_periodic_rebuild_keeps_the_optimum(self, monkeypatch):
+        from wbary import driver, pricing
+
+        calls = []
+        original = pricing.recompute_reduced_costs
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(driver, "RECOMPUTE_PERIOD", 3)
+        monkeypatch.setattr(pricing, "recompute_reduced_costs", counting)
+        inst = random_instance(26, [4, 3, 4, 3])
+        ref = solve_direct(inst)
+        res = solve(inst)
+        assert len(calls) >= 1
+        assert res.converged
+        assert abs(res.objective - ref.objective) <= 1e-9
+
     def test_one_dimensional_points(self):
         inst = random_instance(24, [3, 4, 3], dim=1)
         ref = solve_direct(inst)

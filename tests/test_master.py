@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wbary.initial import greedy_vertex
-from wbary.master import add_column, init_rm, recover_solution, solve_rm
+from wbary.master import add_column, init_rm, master_lp, recover_solution, solve_rm
 from wbary.model import (
     DiscreteMeasure,
     Instance,
@@ -72,6 +72,33 @@ class TestAddColumn:
         mu, y, sigma, obj = solve_rm(rm)
         assert mu.sum() == pytest.approx(1.0)
         assert obj == pytest.approx(rm._cost[0])
+
+
+class TestMasterRows:
+    def test_simplex_rows_have_full_rank(self):
+        # A column's entries in each block sum to its convexity entry; the
+        # simplex must not see the implied rows, or its basis can go singular.
+        rng = np.random.default_rng(9)
+        inst_p, part, st, state = build(rng, [2, 2, 3, 2], uniform=False)
+        rm = init_rm(greedy_vertex(inst_p, st), inst_p, part, st, state.costs)
+        for h in range(st.total):
+            add_column(rm, SparseMass({h: 1.0}), st, state.costs)
+        A = master_lp(rm).A
+        assert A.shape[1] == st.total + 1
+        assert np.linalg.matrix_rank(A) == A.shape[0]
+
+    def test_duals_cover_every_master_row(self):
+        rng = np.random.default_rng(10)
+        inst_p, part, st, state = build(rng, [2, 2, 3, 2], uniform=False)
+        rm = init_rm(greedy_vertex(inst_p, st), inst_p, part, st, state.costs)
+        for h in [3, 8, 17]:
+            add_column(rm, SparseMass({h: 1.0}), st, state.costs)
+        mu, y, sigma, obj = solve_rm(rm)
+        assert y.shape == (sum(inst_p.sizes[2:]),)
+        # every column with positive weight prices to zero against (y, sigma)
+        reduced = rm._cost - y @ rm._A[:-1] - sigma
+        assert np.all(reduced >= -1e-9)
+        assert np.allclose(reduced[mu > 1e-12], 0.0, atol=1e-9)
 
 
 class TestSolveRM:

@@ -214,6 +214,20 @@ class TestValidation:
         with pytest.raises(ContractError):
             Instance((m1, m2), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_points_finite(self, bad):
+        with pytest.raises(ContractError, match="points must be finite"):
+            DiscreteMeasure(np.array([[0.0, bad], [1.0, 1.0]]), np.array([0.5, 0.5]))
+
+    def test_masses_finite(self):
+        with pytest.raises(ContractError, match="masses must be finite"):
+            DiscreteMeasure(np.zeros((2, 2)), np.array([np.nan, 0.5]))
+
+    def test_weights_finite(self):
+        m1 = uniform_measure([[0.0, 0.0]])
+        with pytest.raises(ContractError, match="weights must be finite"):
+            Instance((m1, m1), np.array([np.nan, 1.0]))
+
     def test_lambda_sum(self):
         m1 = uniform_measure([[0.0, 0.0]])
         with pytest.raises(ContractError):
