@@ -43,11 +43,7 @@ class MasterState:
     last_pivots: int = 0
     _A: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     _cost: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    _rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-    @property
-    def n_columns(self) -> int:
-        return len(self.columns)
+    _rows: np.ndarray | None = None  # rows of _A and rhs the simplex sees
 
 
 def _column_coeffs(p: SparseMass, strides_perm: Strides, master_rows: int) -> np.ndarray:
