@@ -2,7 +2,7 @@
 
 Every array whose size scales with the combination count is registered here
 under a label, so tests can verify that the column generation path never
-materializes anything bigger than its two full-length real vectors.
+materializes more than the cost vector plus an n_duplicates-length dual sum.
 """
 
 from __future__ import annotations
@@ -16,10 +16,3 @@ class AllocationLedger:
     def register(self, label: str, nbytes: int):
         self.live[label] = int(nbytes)
         self.peak = max(self.peak, sum(self.live.values()))
-
-    def release(self, label: str):
-        self.live.pop(label, None)
-
-    @property
-    def total_live(self) -> int:
-        return sum(self.live.values())

@@ -40,7 +40,7 @@ STEP_LABELS = (
     "solve-pricing",
 )
 
-# Iterations between full rebuilds of the reduced costs, which cap the
+# Iterations between full rebuilds of the dual sum, which cap the
 # floating-point drift of the incremental updates.
 RECOMPUTE_PERIOD = 500
 
@@ -168,7 +168,7 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
     timings["init"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rm = master_mod.init_rm(p1, inst_p, partition, strides_p, state.costs)
+    rm = master_mod.init_rm(p1, inst_p, strides_p, state.costs)
     ledger.register("master.columns", rm._A.nbytes)
     timings["setup-RM"] += time.perf_counter() - t0
 
@@ -211,7 +211,7 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
             break
 
         t0 = time.perf_counter()
-        p = pricing_mod.expand_column(plan, state, partition, len(demands))
+        p = pricing_mod.expand_column(plan, state, len(demands))
         master_mod.add_column(rm, p, strides_p, state.costs)
         ledger.register("master.columns", rm._A.nbytes)
         timings["setup-RM"] += time.perf_counter() - t0
@@ -264,7 +264,6 @@ def solve_direct(
         rows[i] %= strides.sizes[i]
         rows[i] += strides.row_offsets[i]
     ledger.register("direct.rows", rows.nbytes)
-    ledger.register("direct.workspace", costs.nbytes)  # reduced-cost buffer
 
     provider = simplex.UnitColumns(rows, nrows=strides.row_offsets[-1])
     rhs = np.concatenate([m.masses for m in inst.measures])

@@ -63,7 +63,6 @@ def _column_cost(p: SparseMass, costs: np.ndarray) -> float:
 def init_rm(
     p1: SparseMass,
     inst_perm: Instance,
-    partition: Partition,
     strides_perm: Strides,
     costs: np.ndarray,
 ) -> MasterState:

@@ -16,6 +16,7 @@ import numpy as np
 
 MASS_TOL = 1e-12
 INDEX_LIMIT = 2**63  # flat indices are kept in signed 64-bit arrays
+BLOCK = 1 << 20  # entries per step of a pass over a combination-length vector
 
 
 class CapacityError(RuntimeError):
@@ -205,7 +206,7 @@ def combination_cost(c: Combination, inst: Instance) -> float:
     return cost
 
 
-def cost_vector(inst: Instance, strides: Strides, block: int = 1 << 20) -> np.ndarray:
+def cost_vector(inst: Instance, strides: Strides) -> np.ndarray:
     """Per-unit transport cost of every combination, as one dense vector.
 
     Uses the identity  sum_i l_i |x_i|^2 - |mean|^2  and evaluates in blocks,
@@ -215,8 +216,8 @@ def cost_vector(inst: Instance, strides: Strides, block: int = 1 << 20) -> np.nd
     total = strides.total
     out = np.empty(total)
     sqnorms = [np.einsum("ij,ij->i", m.points, m.points) for m in inst.measures]
-    for lo in range(0, total, block):
-        hi = min(lo + block, total)
+    for lo in range(0, total, BLOCK):
+        hi = min(lo + BLOCK, total)
         h = np.arange(lo, hi, dtype=np.int64)
         acc_sq = np.zeros(hi - lo)
         acc_mean = np.zeros((hi - lo, inst.dim))

@@ -1,16 +1,16 @@
 """Reduced-cost bookkeeping and the transportation-shaped pricing step.
 
 The constraint rows of exactly two measures are delegated to pricing. With
-those two measures permuted to the front of the instance, every distinct
-pair-row pattern ("unique column") owns one contiguous range of duplicate
-flat indices, so compressing the full reduced-cost vector to the per-range
-minimum is a single reshape. The compressed vector, arranged as a matrix
-over the two measures' points, is a balanced transportation problem.
+those two measures permuted to the front, combination h = u * n_duplicates + d
+pairs a distinct pair-row pattern u ("unique column") with a duplicate index
+d. Its reduced cost is costs[h] minus the master duals of d's digits, a sum
+that depends on d alone, so the per-pattern minima take one blockwise pass
+over costs.reshape(n_unique, n_duplicates) - dual_sum. Arranged as a matrix
+over the two measures' points, they form a balanced transportation problem.
 
-The full reduced-cost vector is the only exponentially sized state besides
-the cost vector itself; dual changes touch it through strided views of the
-ranges covered by each changed row, so the constraint matrix itself is never
-stored.
+The only exponentially sized state is the cost vector plus an
+n_duplicates-length dual sum; dual changes touch the dual sum through strided
+views, so the constraint matrix itself is never stored.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .accounting import AllocationLedger
 from .model import CapacityError, Instance, SparseMass, Strides, cost_vector
 from .transport import TransportationProblem, TransportPlan, solve_transportation
@@ -64,7 +65,7 @@ class PricingState:
     """Dense pricing data over the permuted combination space."""
 
     costs: np.ndarray  # (N,) transport cost of every combination
-    reduced: np.ndarray  # (N,) costs minus accumulated master duals
+    dual_sum: np.ndarray  # (n_duplicates,) master duals over each d's digits
     best: np.ndarray  # (n_unique,) minimum reduced cost per unique column
     best_index: np.ndarray  # (n_unique,) flat index attaining each minimum
     sigma: float  # additive pricing offset from the convexity row
@@ -78,23 +79,23 @@ def init_reduced_costs(
     memory_cap: int | None = None,
     ledger: AllocationLedger | None = None,
 ) -> PricingState:
-    """Allocate the cost and reduced-cost vectors (duals start at zero)."""
+    """Allocate the cost vector and the dual sum (duals start at zero)."""
     total = strides_perm.total
-    if memory_cap is not None and 2 * 8 * total > memory_cap:
+    if memory_cap is not None and 8 * total > memory_cap:
         raise CapacityError(
-            f"{total} combinations need {2 * 8 * total} bytes of pricing state, "
+            f"{total} combinations need {8 * total} bytes of pricing state, "
             f"over the cap of {memory_cap}"
         )
     costs = cost_vector(inst_perm, strides_perm)
-    reduced = costs.copy()
+    dual_sum = np.zeros(partition.n_duplicates)
     if ledger is not None:
         ledger.register("pricing.costs", costs.nbytes)
-        ledger.register("pricing.reduced", reduced.nbytes)
+        ledger.register("pricing.dual_sum", dual_sum.nbytes)
         ledger.register("pricing.best", 8 * partition.n_unique)
         ledger.register("pricing.best_index", 8 * partition.n_unique)
     state = PricingState(
         costs=costs,
-        reduced=reduced,
+        dual_sum=dual_sum,
         best=np.empty(partition.n_unique),
         best_index=np.empty(partition.n_unique, dtype=np.int64),
         sigma=0.0,
@@ -104,14 +105,13 @@ def init_reduced_costs(
 
 
 def _master_blocks(partition: Partition, strides_perm: Strides):
-    """(row offset, size, inner stride, outer count) per master measure."""
+    """(row offset, size, inner stride, outer count) per master measure in dual_sum."""
     blocks = []
     offset = 0
-    total = strides_perm.total
     for t in range(2, len(strides_perm.sizes)):
         size = strides_perm.sizes[t]
         inner = strides_perm.suffix_products[t]
-        blocks.append((offset, size, inner, total // (size * inner)))
+        blocks.append((offset, size, inner, partition.n_duplicates // (size * inner)))
         offset += size
     return blocks
 
@@ -123,15 +123,15 @@ def update_reduced_costs(
     partition: Partition,
     strides_perm: Strides,
 ):
-    """Subtract dual deltas from exactly the combinations containing each row."""
+    """Add dual deltas to exactly the duplicate indices containing each row."""
     for offset, size, inner, outer in _master_blocks(partition, strides_perm):
         block_old = y_old[offset : offset + size]
         block_new = y_new[offset : offset + size]
-        view = state.reduced.reshape(outer, size, inner)
+        view = state.dual_sum.reshape(outer, size, inner)
         for j in range(size):
             delta = block_new[j] - block_old[j]
             if delta != 0.0:
-                view[:, j, :] -= delta
+                view[:, j, :] += delta
 
 
 def recompute_reduced_costs(
@@ -140,29 +140,37 @@ def recompute_reduced_costs(
     partition: Partition,
     strides_perm: Strides,
 ):
-    """Rebuild the reduced costs from scratch to cap incremental drift."""
-    np.copyto(state.reduced, state.costs)
+    """Rebuild the dual sum from scratch to cap incremental drift."""
+    state.dual_sum.fill(0.0)
     for offset, size, inner, outer in _master_blocks(partition, strides_perm):
-        view = state.reduced.reshape(outer, size, inner)
-        view -= y[offset : offset + size][None, :, None]
+        view = state.dual_sum.reshape(outer, size, inner)
+        view += y[offset : offset + size][None, :, None]
 
 
 def best_costs(state: PricingState, partition: Partition):
     """Per unique column, the minimum reduced cost among its duplicates.
 
-    With the pair leading the permutation, unique column j owns the
-    contiguous index range [j * n_duplicates, (j+1) * n_duplicates).
+    With the pair leading the permutation, unique column u owns the
+    contiguous index range [u * n_duplicates, (u+1) * n_duplicates). The pass
+    runs over tiles of at most model.BLOCK entries; a later tile replaces a
+    row's minimum only when strictly lower, so ties go to the lowest index.
     """
     n_u, n_d = partition.n_unique, partition.n_duplicates
-    grid = state.reduced.reshape(n_u, n_d)
-    if n_d == 1:
-        np.copyto(state.best, state.reduced)
-        state.best_index[:] = np.arange(n_u, dtype=np.int64)
-        return
-    local = np.argmin(grid, axis=1)  # first minimum, so lowest flat index
-    rows = np.arange(n_u, dtype=np.int64)
-    np.copyto(state.best, grid[rows, local])
-    np.copyto(state.best_index, rows * n_d + local)
+    grid = state.costs.reshape(n_u, n_d)
+    n_rows = max(1, model.BLOCK // n_d)
+    width = min(n_d, model.BLOCK)
+    state.best.fill(np.inf)
+    for r0 in range(0, n_u, n_rows):
+        r1 = min(r0 + n_rows, n_u)
+        best, best_index = state.best[r0:r1], state.best_index[r0:r1]
+        rows = np.arange(r1 - r0, dtype=np.int64)
+        for c0 in range(0, n_d, width):
+            tile = grid[r0:r1, c0 : c0 + width] - state.dual_sum[c0 : c0 + width]
+            local = np.argmin(tile, axis=1)  # first minimum, so lowest index
+            value = tile[rows, local]
+            lower = value < best
+            best[lower] = value[lower]
+            best_index[lower] = ((r0 + rows) * n_d + c0 + local)[lower]
 
 
 def solve_pricing(
@@ -182,9 +190,7 @@ def solve_pricing(
     return plan.objective + state.sigma, plan
 
 
-def expand_column(
-    plan: TransportPlan, state: PricingState, partition: Partition, size_b: int
-) -> SparseMass:
+def expand_column(plan: TransportPlan, state: PricingState, size_b: int) -> SparseMass:
     """Lift a transport plan back to full-space combination indices."""
     p = SparseMass()
     for i, j, q in plan.flows:

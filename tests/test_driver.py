@@ -172,18 +172,30 @@ class TestLoopBehavior:
 
 
 class TestMemoryAccounting:
-    def test_cg_tracks_exactly_the_two_big_vectors(self):
+    def test_cg_tracks_the_cost_vector_and_dual_sum(self):
         inst = random_instance(11, [4, 4, 4, 4])
         res = solve(inst)
         n_comb = res.n_combinations
         assert n_comb == 256
-        # two full-length vectors plus unique-column and master arrays
-        assert res.peak_memory_bytes <= 4 * 8 * n_comb + 8 * 16 * 2 + 200_000
+        # one full-length vector, the 16-entry dual sum, two unique-column
+        # arrays of 16 entries and the master's per-column storage
+        master_bytes = 8 * (4 + 4 + 1) * (res.iterations + 1)
+        assert 8 * n_comb < res.peak_memory_bytes
+        assert res.peak_memory_bytes <= 8 * n_comb + 8 * 16 * 3 + master_bytes
 
     def test_memory_cap_enforced_before_allocation(self):
         inst = random_instance(12, [6] * 8)
         with pytest.raises(CapacityError):
             solve(inst, SolveConfig(memory_cap=1_000_000))
+
+    def test_memory_cap_counts_one_combination_length_vector(self):
+        inst = random_instance(11, [4, 4, 4, 4])
+        ref = solve_direct(inst)
+        res = solve(inst, SolveConfig(memory_cap=12 * 256))  # between 8N and 16N
+        assert res.converged
+        assert abs(res.objective - ref.objective) <= 1e-9
+        with pytest.raises(CapacityError):
+            solve(inst, SolveConfig(memory_cap=8 * 256 - 1))
 
     def test_direct_cap_reports_sizes(self):
         inst = random_instance(13, [6] * 8)

@@ -34,7 +34,7 @@ class TestInitRM:
         rng = np.random.default_rng(0)
         inst_p, part, st, state = build(rng, [2, 3, 2])
         p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, part, st, state.costs)
+        rm = init_rm(p1, inst_p, st, state.costs)
         assert rm.mu.shape == (1,)
         assert rm.mu[0] == pytest.approx(1.0)
         assert rm.objective == pytest.approx(rm._cost[0])
@@ -44,7 +44,7 @@ class TestInitRM:
         inst_p, part, st, state = build(rng, [2, 2, 2])
         bad = SparseMass({0: 1.0})  # ignores most marginals
         with pytest.raises(Exception):
-            init_rm(bad, inst_p, part, st, state.costs)
+            init_rm(bad, inst_p, st, state.costs)
 
 
 class TestAddColumn:
@@ -52,7 +52,7 @@ class TestAddColumn:
         rng = np.random.default_rng(2)
         inst_p, part, st, state = build(rng, [2, 2, 3, 2], uniform=False)
         p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, part, st, state.costs)
+        rm = init_rm(p1, inst_p, st, state.costs)
         single = SparseMass({7: 1.0})
         add_column(rm, single, st, state.costs)
         coeffs = rm._A[:-1, -1]
@@ -67,7 +67,7 @@ class TestAddColumn:
         rng = np.random.default_rng(3)
         inst_p, part, st, state = build(rng, [2, 2, 2])
         p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, part, st, state.costs)
+        rm = init_rm(p1, inst_p, st, state.costs)
         add_column(rm, p1, st, state.costs)
         mu, y, sigma, obj = solve_rm(rm)
         assert mu.sum() == pytest.approx(1.0)
@@ -80,7 +80,7 @@ class TestMasterRows:
         # simplex must not see the implied rows, or its basis can go singular.
         rng = np.random.default_rng(9)
         inst_p, part, st, state = build(rng, [2, 2, 3, 2], uniform=False)
-        rm = init_rm(greedy_vertex(inst_p, st), inst_p, part, st, state.costs)
+        rm = init_rm(greedy_vertex(inst_p, st), inst_p, st, state.costs)
         for h in range(st.total):
             add_column(rm, SparseMass({h: 1.0}), st, state.costs)
         A = master_lp(rm).A
@@ -90,7 +90,7 @@ class TestMasterRows:
     def test_duals_cover_every_master_row(self):
         rng = np.random.default_rng(10)
         inst_p, part, st, state = build(rng, [2, 2, 3, 2], uniform=False)
-        rm = init_rm(greedy_vertex(inst_p, st), inst_p, part, st, state.costs)
+        rm = init_rm(greedy_vertex(inst_p, st), inst_p, st, state.costs)
         for h in [3, 8, 17]:
             add_column(rm, SparseMass({h: 1.0}), st, state.costs)
         mu, y, sigma, obj = solve_rm(rm)
@@ -106,7 +106,7 @@ class TestSolveRM:
         rng = np.random.default_rng(4)
         inst_p, part, st, state = build(rng, [3, 2, 2])
         p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, part, st, state.costs)
+        rm = init_rm(p1, inst_p, st, state.costs)
         solve_rm(rm)
         again_mu, _, _, again_obj = solve_rm(rm)
         assert rm.last_pivots == 0
@@ -116,7 +116,7 @@ class TestSolveRM:
         rng = np.random.default_rng(5)
         inst_p, part, st, state = build(rng, [2, 2, 2, 2], uniform=False)
         p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, part, st, state.costs)
+        rm = init_rm(p1, inst_p, st, state.costs)
         for h in [0, 5, 9, 15]:
             add_column(rm, SparseMass({h: 1.0}), st, state.costs)
             mu, y, sigma, obj = solve_rm(rm)
@@ -135,7 +135,7 @@ class TestRecover:
         st = make_strides(inst_p.sizes)
         state = init_reduced_costs(inst_p, part, st)
         p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, part, st, state.costs)
+        rm = init_rm(p1, inst_p, st, state.costs)
         raw, polished = recover_solution(rm, inst_p, part, st, state.costs)
         assert polished.objective == pytest.approx(0.0, abs=1e-12)
         got = {tuple(np.round(p.coords, 12)): p.mass for p in polished.points}
@@ -146,7 +146,7 @@ class TestRecover:
         rng = np.random.default_rng(7)
         inst_p, part, st, state = build(rng, [3, 3, 2], uniform=False)
         p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, part, st, state.costs)
+        rm = init_rm(p1, inst_p, st, state.costs)
         raw, polished = recover_solution(rm, inst_p, part, st, state.costs)
         w = SparseMass()
         for p in polished.points:
@@ -168,7 +168,7 @@ class TestRecover:
         st = make_strides(inst_p.sizes)
         state = init_reduced_costs(inst_p, part, st)
         p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, part, st, state.costs)
+        rm = init_rm(p1, inst_p, st, state.costs)
         raw, _ = recover_solution(rm, inst_p, part, st, state.costs)
         for p in raw.points:
             for orig in range(3):

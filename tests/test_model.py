@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wbary import model
 from wbary.model import (
     CapacityError,
     Combination,
@@ -171,11 +172,13 @@ class TestCosts:
                 direct = combination_cost(tuple_of(h, st), inst)
                 assert abs(vec[h] - direct) <= 1e-9 * (1.0 + abs(direct))
 
-    def test_cost_vector_blocked_equals_whole(self):
+    def test_cost_vector_blocked_equals_whole(self, monkeypatch):
         rng = np.random.default_rng(4)
         inst = random_instance(rng, [3, 4, 2], dim=3)
         st = make_strides(inst.sizes)
-        assert np.array_equal(cost_vector(inst, st, block=5), cost_vector(inst, st))
+        whole = cost_vector(inst, st)
+        monkeypatch.setattr(model, "BLOCK", 5)
+        assert np.array_equal(cost_vector(inst, st), whole)
 
 
 class TestSparseMass:

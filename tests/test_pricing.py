@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import enumerate_vertices, transport_lp_arrays
+from wbary import model
 from wbary.model import (
     DiscreteMeasure,
     Instance,
@@ -62,9 +65,10 @@ class TestInit:
     def test_lengths_and_min_preserved(self):
         rng = np.random.default_rng(1)
         _, part, st, state = setup(rng, [2, 3, 2, 3])
-        assert state.reduced.shape == (36,)
+        assert state.costs.shape == (36,)
+        assert np.array_equal(state.dual_sum, np.zeros(part.n_duplicates))
         assert state.best.shape == (6,)
-        assert state.reduced.min() == pytest.approx(state.best.min())
+        assert state.costs.min() == state.best.min()
 
     def test_identical_measures_zero_costs(self):
         pts = np.array([[0.2, 0.4], [0.9, 0.1]])
@@ -78,26 +82,44 @@ class TestInit:
         assert state.best.min() == pytest.approx(0.0, abs=1e-12)
 
 
+def brute_force_best(state, part, st, y):
+    """Per unique column u: min over d of costs[u*n_d + d] - sum of the duals
+    of d's trailing digits, with the lowest flat index among ties."""
+    offset = st.row_offsets[2]
+    n_d = part.n_duplicates
+    best = np.empty(part.n_unique)
+    index = np.empty(part.n_unique, dtype=np.int64)
+    for u in range(part.n_unique):
+        values = [
+            state.costs[u * n_d + d]
+            - sum(y[r - offset] for r in column_support(u * n_d + d, st)[2:])
+            for d in range(n_d)
+        ]
+        best[u] = min(values)
+        index[u] = u * n_d + values.index(best[u])
+    return best, index
+
+
 class TestUpdates:
     def test_unchanged_duals_leave_costs_alone(self):
         rng = np.random.default_rng(2)
         _, part, st, state = setup(rng, [2, 3, 2])
-        before = state.reduced.copy()
+        costs = state.costs.copy()
         y = np.zeros(5)
         update_reduced_costs(state, y, y, part, st)
-        assert np.array_equal(before, state.reduced)
+        assert np.array_equal(state.dual_sum, np.zeros(part.n_duplicates))
+        assert np.array_equal(state.costs, costs)
 
     def test_single_row_delta_touches_expected_count(self):
         rng = np.random.default_rng(3)
         _, part, st, state = setup(rng, [2, 3, 2, 3])
         master_rows = sum(st.sizes[2:])
-        before = state.reduced.copy()
         y_new = np.zeros(master_rows)
         y_new[0] = 0.25  # first point of the first master measure (size 2)
         update_reduced_costs(state, np.zeros(master_rows), y_new, part, st)
-        changed = np.flatnonzero(state.reduced != before)
-        assert len(changed) == st.total // st.sizes[2]
-        assert np.allclose(before[changed] - state.reduced[changed], 0.25)
+        changed = np.flatnonzero(state.dual_sum)
+        assert len(changed) == part.n_duplicates // st.sizes[2]
+        assert np.all(state.dual_sum[changed] == 0.25)
 
     def test_incremental_matches_recompute(self):
         rng = np.random.default_rng(4)
@@ -110,9 +132,9 @@ class TestUpdates:
             )
             update_reduced_costs(state, y, y_next, part, st)
             y = y_next
-        drifted = state.reduced.copy()
+        drifted = state.dual_sum.copy()
         recompute_reduced_costs(state, y, part, st)
-        assert np.abs(drifted - state.reduced).max() <= 1e-12
+        assert np.abs(drifted - state.dual_sum).max() <= 1e-12
 
     def test_recompute_against_bruteforce_definition(self):
         rng = np.random.default_rng(5)
@@ -121,54 +143,82 @@ class TestUpdates:
         y = rng.normal(0, 1, master_rows)
         recompute_reduced_costs(state, y, part, st)
         offset = st.row_offsets[2]
-        for h in range(st.total):
-            rows = [r - offset for r in column_support(h, st)[2:]]
-            expect = state.costs[h] - sum(y[r] for r in rows)
-            assert state.reduced[h] == pytest.approx(expect, abs=1e-12)
+        for d in range(part.n_duplicates):  # unique column 0: h == d
+            expect = sum(y[r - offset] for r in column_support(d, st)[2:])
+            assert state.dual_sum[d] == pytest.approx(expect, abs=1e-12)
+        best_costs(state, part)
+        best, index = brute_force_best(state, part, st, y)
+        assert np.allclose(state.best, best, rtol=0.0, atol=1e-12)
+        assert np.array_equal(state.best_index, index)
 
 
 class TestBestCosts:
     def test_rangewise_minimum(self):
         rng = np.random.default_rng(6)
         _, part, st, state = setup(rng, [2, 1, 3])
-        state.reduced[:] = [3.0, 1.0, 2.0, 5.0, 4.0, 6.0]
+        state.costs[:] = [3.0, 1.0, 2.0, 5.0, 4.0, 6.0]
+        state.dual_sum[:] = [1.5, 0.0, 0.0]
         best_costs(state, part)
-        assert np.array_equal(state.best, [1.0, 4.0])
-        assert np.array_equal(state.best_index, [1, 4])
+        assert np.array_equal(state.best, [1.0, 3.5])
+        assert np.array_equal(state.best_index, [1, 3])
 
-    def test_no_duplicates_is_identity(self):
+    def test_no_duplicates_is_identity(self, monkeypatch):
         rng = np.random.default_rng(7)
         _, part, st, state = setup(rng, [2, 3])
         assert part.n_duplicates == 1
-        best_costs(state, part)
-        assert np.array_equal(state.best, state.reduced)
-        assert np.array_equal(state.best_index, np.arange(6))
+        for block in (4, model.BLOCK):  # two row tiles, then one
+            monkeypatch.setattr(model, "BLOCK", block)
+            best_costs(state, part)
+            assert np.array_equal(state.best, state.costs)
+            assert np.array_equal(state.best_index, np.arange(6))
 
-    def test_brute_force_range_scan(self):
+    def test_brute_force_range_scan(self, monkeypatch):
         rng = np.random.default_rng(8)
         _, part, st, state = setup(rng, [3, 2, 2, 2])
-        state.reduced[:] = rng.normal(0, 1, st.total)
-        best_costs(state, part)
-        n_d = part.n_duplicates
-        for j in range(part.n_unique):
-            lo, hi = j * n_d, (j + 1) * n_d
-            assert state.best[j] == state.reduced[lo:hi].min()
-            assert state.best_index[j] == lo + int(np.argmin(state.reduced[lo:hi]))
-            assert state.reduced[state.best_index[j]] == state.best[j]
+        assert (part.n_unique, part.n_duplicates) == (6, 4)
+        state.costs[:] = rng.normal(0, 1, st.total)
+        y = rng.normal(0, 1, sum(st.sizes[2:]))
+        recompute_reduced_costs(state, y, part, st)
+        best, index = brute_force_best(state, part, st, y)
+        # tiles hold part of a row (1, 3), one row (5) or several (9, 12, default)
+        for block in (1, 3, 5, 9, 12, model.BLOCK):
+            monkeypatch.setattr(model, "BLOCK", block)
+            best_costs(state, part)
+            assert np.array_equal(state.best, best)
+            assert np.array_equal(state.best_index, index)
 
-    def test_argmin_lowest_index_on_ties(self):
+    def test_argmin_lowest_index_on_ties(self, monkeypatch):
         rng = np.random.default_rng(9)
         _, part, st, state = setup(rng, [2, 1, 2])
-        state.reduced[:] = [7.0, 7.0, 1.0, 1.0]
-        best_costs(state, part)
-        assert np.array_equal(state.best_index, [0, 2])
+        state.costs[:] = [7.0, 8.0, 1.0, 2.0]
+        state.dual_sum[:] = [0.0, 1.0]  # every row ties after the dual sum
+        for block in (1, 2, model.BLOCK):  # ties across tiles and within one
+            monkeypatch.setattr(model, "BLOCK", block)
+            best_costs(state, part)
+            assert np.array_equal(state.best, [7.0, 1.0])
+            assert np.array_equal(state.best_index, [0, 2])
+
+    def test_temporaries_stay_within_one_block(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        _, part, st, state = setup(rng, [4] * 8)
+        assert (st.total, part.n_duplicates) == (65536, 4096)
+        monkeypatch.setattr(model, "BLOCK", 1024)
+        tracemalloc.start()
+        try:
+            best_costs(state, part)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a tile is 8 KB (numpy may add a buffer of the same size); a
+        # full-length temporary would be 512 KB
+        assert peak < 8 * st.total // 8
 
 
 class TestSolvePricing:
     def test_zero_costs_zero_objective(self):
         rng = np.random.default_rng(10)
         inst_p, part, st, state = setup(rng, [2, 2, 2])
-        state.reduced[:] = 0.0
+        state.costs[:] = 0.0
         best_costs(state, part)
         obj, plan = solve_pricing(
             state, part, inst_p.measures[0].masses, inst_p.measures[1].masses
@@ -202,7 +252,7 @@ class TestSolvePricing:
         obj, plan = solve_pricing(
             state, part, inst_p.measures[0].masses, inst_p.measures[1].masses
         )
-        p = expand_column(plan, state, part, size_b=2)
+        p = expand_column(plan, state, size_b=2)
         assert p.total() == pytest.approx(1.0)
         assert len(p) <= 3 + 2 - 1
         for h in p.entries:
@@ -227,7 +277,7 @@ class TestSolvePricing:
         sup = inst_p.measures[0].masses
         dem = inst_p.measures[1].masses
         obj, plan = solve_pricing(state, part, sup, dem)
-        p = expand_column(plan, state, part, size_b=len(dem))
+        p = expand_column(plan, state, size_b=len(dem))
         offset = st.row_offsets[2]
         cost_p = sum(q * state.costs[h] for h, q in p.entries.items())
         dual_credit = 0.0
