@@ -24,6 +24,8 @@ class ParseError(ValueError):
 
 
 def _require(doc: dict, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected an object, got {type(doc).__name__}")
     if key not in doc:
         raise ParseError(f"{where}: missing required field {key!r}")
     return doc[key]
@@ -42,11 +44,11 @@ def instance_from_dict(doc: dict) -> Instance:
         try:
             measures.append(DiscreteMeasure(np.asarray(points, dtype=float),
                                             np.asarray(masses, dtype=float)))
-        except (ContractError, ValueError) as exc:
+        except (ContractError, ValueError, TypeError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
     try:
         return Instance(tuple(measures), np.asarray(weights, dtype=float))
-    except (ContractError, ValueError) as exc:
+    except (ContractError, ValueError, TypeError) as exc:
         raise ParseError(f"top level: {exc}") from exc
 
 
@@ -68,6 +70,7 @@ def load_instance_csv(path: str) -> Instance:
     """Rows of: measure id, coordinates..., mass. Weights are uniform."""
     groups: dict[str, list[list[float]]] = {}
     order: list[str] = []
+    width = first = None
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
@@ -80,6 +83,11 @@ def load_instance_csv(path: str) -> Instance:
                 raise ParseError(f"line {lineno}: non-numeric value in {row!r}")
             if len(values) < 2:
                 raise ParseError(f"line {lineno}: need coordinates and a mass")
+            if width is None:
+                width, first = len(values), lineno
+            elif len(values) != width:
+                raise ParseError(f"line {lineno}: {len(values)} values after the "
+                                 f"measure id, but line {first} has {width}")
             key = row[0].strip()
             if key not in groups:
                 groups[key] = []

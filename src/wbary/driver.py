@@ -75,6 +75,10 @@ class SolveResult:
     iterations: int
     converged: bool
     timings: dict[str, float]
+    # Declared, not measured: the peak sum of the arrays registered with the
+    # AllocationLedger (cost vector, dual sum, pricing minima and master
+    # columns; cost vector and combination rows for solve_direct). It leaves
+    # out the temporaries of cost_vector, so it undercounts the true peak.
     peak_memory_bytes: int
     trace: list[TraceEntry] = field(default_factory=list)
     n_combinations: int = 0

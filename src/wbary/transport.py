@@ -1,10 +1,13 @@
 """Exact solver for the balanced transportation problem.
 
-Primal transportation simplex: northwest-corner starting basis, dual (u, v)
-potentials recomputed over the basis tree, most-negative entering cell with
-lexicographic tie-breaking, and zero-flow basic cells for degeneracy. Costs
-may be negative. All ties resolve to the lowest (row, col) pair so repeated
-runs produce identical plans.
+Primal transportation simplex: northwest-corner starting basis,
+most-negative entering cell with lexicographic tie-breaking, and zero-flow
+basic cells for degeneracy. Each pivot walks the basis once: a depth-first
+pass from row 0 roots the spanning tree there and gives the dual (u, v)
+potentials with each node's parent and depth. The entering cell's cycle is the
+tree path from its row to its column, found by climbing both ends to their
+lowest common ancestor. Costs may be negative. All ties resolve to the lowest
+(row, col) pair so repeated runs produce identical plans.
 """
 
 from __future__ import annotations
@@ -57,73 +60,52 @@ def _northwest_corner(supplies, demands):
     return cells
 
 
-def _potentials(cells, costs, m, k):
-    """Dual values u, v with u[0] = 0, solved over the spanning-tree basis."""
+def _basis_tree(cells, costs, m, k):
+    """Potentials u, v (u[0] = 0) and the rooted basis tree.
+
+    One depth-first walk from row 0: node i < m is row i, node m + j is
+    column j, and each node gets its parent and depth in the tree.
+    """
     adj = [[] for _ in range(m + k)]
     for (i, j) in cells:
         adj[i].append(m + j)
         adj[m + j].append(i)
     u = np.zeros(m)
     v = np.zeros(k)
-    seen = [False] * (m + k)
+    parent = [-1] * (m + k)
+    depth = [-1] * (m + k)
+    depth[0] = 0
     stack = [0]
-    seen[0] = True
     while stack:
         node = stack.pop()
         for nxt in adj[node]:
-            if seen[nxt]:
+            if depth[nxt] >= 0:
                 continue
-            seen[nxt] = True
+            parent[nxt] = node
+            depth[nxt] = depth[node] + 1
             if node < m:
                 v[nxt - m] = costs[node, nxt - m] - u[node]
             else:
                 u[nxt] = costs[nxt, node - m] - v[node - m]
             stack.append(nxt)
-    if not all(seen):
+    if min(depth) < 0:
         raise ContractError("basis graph is disconnected")
-    return u, v
+    return u, v, parent, depth
 
 
-def _tree_path(by_row, by_col, start_row, target_col):
-    """Cells along the tree path row(start) -> ... -> col(target)."""
-    parent = {}
-    node = ("r", start_row)
-    frontier = [node]
-    parent[node] = None
-    found = None
-    while frontier and found is None:
-        nxt_frontier = []
-        for nd in frontier:
-            kind, idx = nd
-            if kind == "r":
-                for j in by_row.get(idx, ()):
-                    child = ("c", j)
-                    if child in parent:
-                        continue
-                    parent[child] = (nd, (idx, j))
-                    if j == target_col:
-                        found = child
-                        break
-                    nxt_frontier.append(child)
-            else:
-                for i in by_col.get(idx, ()):
-                    child = ("r", i)
-                    if child in parent:
-                        continue
-                    parent[child] = (nd, (i, idx))
-                    nxt_frontier.append(child)
-            if found:
-                break
-        frontier = nxt_frontier
-    if found is None:
-        raise ContractError("entering cell closes no cycle; basis corrupt")
-    cells_on_path = []
-    nd = found
-    while parent[nd] is not None:
-        nd, cell = parent[nd]
-        cells_on_path.append(cell)
-    cells_on_path.reverse()
-    return cells_on_path
+def _cycle_path(parent, depth, m, row, col):
+    """Basic cells on the tree path row -> ... -> column, in walk order."""
+    a, b = row, m + col
+    up, down = [a], [b]
+    while a != b:  # climb the deeper end until both meet at the common ancestor
+        if depth[a] >= depth[b]:
+            a = parent[a]
+            up.append(a)
+        else:
+            b = parent[b]
+            down.append(b)
+    nodes = up + down[-2::-1]  # both lists end at the ancestor: keep it once
+    return [(x, y - m) if x < m else (y, x - m) for x, y in zip(nodes, nodes[1:])]
 
 
 def solve_transportation(tp: TransportationProblem) -> TransportPlan:
@@ -145,7 +127,7 @@ def solve_transportation(tp: TransportationProblem) -> TransportPlan:
     bland = False
     degen_streak = 0
     while True:
-        u, v = _potentials(cells, costs, m, k)
+        u, v, parent, depth = _basis_tree(cells, costs, m, k)
         red = costs - u[:, None] - v[None, :]
         for (i, j) in cells:
             red[i, j] = np.inf  # basics never enter
@@ -160,12 +142,7 @@ def solve_transportation(tp: TransportationProblem) -> TransportPlan:
             if red[ei, ej] >= -REDUCED_TOL:
                 break
 
-        by_row = {}
-        by_col = {}
-        for (i, j) in cells:
-            by_row.setdefault(i, []).append(j)
-            by_col.setdefault(j, []).append(i)
-        path = _tree_path(by_row, by_col, ei, ej)
+        path = _cycle_path(parent, depth, m, ei, ej)
         minus = path[0::2]  # first basic cell shares the entering row: it shrinks
         theta = max(min(cells[c] for c in minus), 0.0)
         candidates = [c for c in minus if cells[c] <= theta + FLOW_TOL]

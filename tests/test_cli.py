@@ -127,6 +127,31 @@ class TestSolveCommand:
         assert code == 1
         assert "line" in err
 
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "seven.json"
+        path.write_text("7")
+        code, out, err = run_cli(capsys, "solve", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "top level" in err and "object" in err
+
+    def test_measure_entry_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "entry.json"
+        path.write_text('{"weights": [0.5, 0.5], "measures": ['
+                        '{"points": [[0.0]], "masses": [1.0]}, [[1.0], 1.0]]}')
+        code, out, err = run_cli(capsys, "solve", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "measures[1]" in err and "object" in err
+
+    def test_field_holding_an_object(self, tmp_path, capsys):
+        path = tmp_path / "field.json"
+        path.write_text('{"weights": [1.0], "measures": [{"points": {"x": 0}, "masses": [1.0]}]}')
+        code, out, err = run_cli(capsys, "solve", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "measures[0]" in err
+
     def test_direct_over_cap_reports_sizes(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "gen", "--n", "8", "--size", "6", "--seed", "2")
         path = tmp_path / "big.json"
@@ -200,3 +225,14 @@ class TestCsvImport:
         code, _, err = run_cli(capsys, "solve", "--input", str(csv_path))
         assert code == 1
         assert "line 2" in err
+
+    def test_csv_ragged_rows(self, tmp_path, capsys):
+        csv_path = tmp_path / "ragged.csv"
+        csv_path.write_text("measure,x,y,mass\n"
+                            "a,0.0,0.0,0.5\n"
+                            "a,1.0,0.5\n"
+                            "b,0.0,1.0,1.0\n")
+        code, out, err = run_cli(capsys, "solve", "--input", str(csv_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "line 3" in err and "line 2" in err

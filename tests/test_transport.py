@@ -16,6 +16,14 @@ def random_balanced(rng, m, k):
     return TransportationProblem(supplies, demands, costs)
 
 
+def uniform_integer(rng, m, k):
+    """Uniform marginals and costs 0-4: many ties and zero-flow basic cells."""
+    return TransportationProblem(
+        np.full(m, 1.0 / m), np.full(k, 1.0 / k),
+        rng.integers(0, 5, size=(m, k)).astype(float),
+    )
+
+
 def plan_residual(tp, plan):
     rs = np.zeros(len(tp.supplies))
     cs = np.zeros(len(tp.demands))
@@ -97,21 +105,23 @@ class TestExamples:
 
 class TestAgainstSimplex:
     def test_500_random_instances(self):
-        rng = np.random.default_rng(42)
-        for trial in range(500):
-            m = int(rng.integers(1, 13))
-            k = int(rng.integers(1, 13))
-            tp = random_balanced(rng, m, k)
-            plan = solve_transportation(tp)
-            c, A, b = transport_lp_arrays(tp.supplies, tp.demands, tp.costs)
-            lp_sol = solve(DenseLP(c, A, b))
-            assert lp_sol.status == "optimal"
-            assert abs(plan.objective - lp_sol.objective) <= 1e-9 * (
-                1 + abs(lp_sol.objective)
-            ), f"trial {trial}"
-            assert plan_residual(tp, plan) <= 1e-9
-            assert len(plan.flows) <= m + k - 1
-            assert support_is_acyclic(plan, m, k)
+        for make, top in ((random_balanced, 12), (uniform_integer, 20)):
+            rng = np.random.default_rng(42)
+            for trial in range(500):
+                m = int(rng.integers(1, top + 1))
+                k = int(rng.integers(1, top + 1))
+                tp = make(rng, m, k)
+                plan = solve_transportation(tp)
+                c, A, b = transport_lp_arrays(tp.supplies, tp.demands, tp.costs)
+                lp_sol = solve(DenseLP(c, A, b))
+                where = f"{make.__name__} trial {trial}"
+                assert lp_sol.status == "optimal", where
+                assert abs(plan.objective - lp_sol.objective) <= 1e-9 * (
+                    1 + abs(lp_sol.objective)
+                ), where
+                assert plan_residual(tp, plan) <= 1e-9, where
+                assert len(plan.flows) <= m + k - 1, where
+                assert support_is_acyclic(plan, m, k), where
 
 
 class TestStructure:
@@ -144,3 +154,26 @@ class TestStructure:
         plan = solve_transportation(tp)
         assert plan_residual(tp, plan) <= 1e-12
         assert len(plan.flows) <= 2 * n - 1
+
+    @pytest.mark.parametrize("costs, flows", [
+        (
+            [[2, 0, 0, 0, 0, 2], [2, 1, 0, 0, 0, 1], [1, 1, 0, 0, 2, 2], [0, 0, 1, 1, 2, 1]],
+            [(0, 1, 0.16666666666666666), (0, 2, 0.08333333333333331),
+             (1, 4, 0.16666666666666663), (1, 5, 0.08333333333333334),
+             (2, 2, 0.08333333333333334), (2, 3, 0.16666666666666666),
+             (3, 0, 0.16666666666666666), (3, 5, 0.08333333333333331)],
+        ),
+        (
+            [[2, 1, 2, 2], [1, 2, 2, 0], [0, 0, 0, 2], [2, 0, 1, 2], [0, 2, 0, 1], [2, 0, 1, 0]],
+            [(0, 1, 0.16666666666666666), (1, 0, 0.08333333333333334),
+             (1, 3, 0.08333333333333329), (2, 0, 0.16666666666666666),
+             (3, 1, 0.08333333333333331), (3, 2, 0.08333333333333334),
+             (4, 2, 0.16666666666666666), (5, 3, 0.16666666666666666)],
+        ),
+    ])
+    def test_degenerate_plan_pinned(self, costs, flows):
+        # Several optimal plans exist; the pivot rules pick this one, bit for bit.
+        m, k = len(costs), len(costs[0])
+        tp = TransportationProblem(np.full(m, 1.0 / m), np.full(k, 1.0 / k),
+                                   np.array(costs, dtype=float))
+        assert solve_transportation(tp).flows == flows
