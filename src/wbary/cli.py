@@ -17,6 +17,7 @@ import numpy as np
 
 from .driver import SolveConfig, SolveResult, solve, solve_direct
 from .model import ContractError, DiscreteMeasure, Instance
+from .pricing import PAIR_VARIANTS
 
 
 class ParseError(ValueError):
@@ -170,7 +171,7 @@ def cmd_solve(args) -> int:
                 max_iter=args.max_iter,
             )
             result = solve(inst, cfg)
-    except (ContractError, RuntimeError) as exc:  # capacity and numerical failures
+    except (ValueError, RuntimeError) as exc:  # bad settings, capacity, numerics
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write_text(json.dumps(result_to_dict(result), indent=2), args.out)
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="solve an instance file")
     ps.add_argument("--input", required=True, help="instance JSON (or CSV) path")
     ps.add_argument("--start", choices=["greedy", "2app"], default="greedy")
-    ps.add_argument("--pair", choices=["any", "large", "small"], default="large")
+    ps.add_argument("--pair", choices=PAIR_VARIANTS, default="large")
     ps.add_argument("--tol", type=float, default=1e-6)
     ps.add_argument("--max-iter", type=int, default=100_000)
     ps.add_argument("--direct", action="store_true",

@@ -8,6 +8,7 @@ measures the whole problem is one balanced transportation problem.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -17,7 +18,6 @@ import numpy as np
 from . import master as master_mod
 from . import pricing as pricing_mod
 from . import simplex
-from .accounting import AllocationLedger
 from .master import BarycenterPoint
 from .model import (
     CapacityError,
@@ -44,6 +44,12 @@ STEP_LABELS = (
 # floating-point drift of the incremental updates.
 RECOMPUTE_PERIOD = 500
 
+# Bytes allowed for the combination-length cost vector (8 per combination).
+MEMORY_CAP = 2_000_000_000
+
+# Largest combination count solve_direct materializes.
+DIRECT_MAX_COMBINATIONS = 200_000
+
 
 class TraceEntry(NamedTuple):
     iteration: int
@@ -57,7 +63,6 @@ class SolveConfig:
     pair_variant: str = "large"  # or "any", "small"
     tol: float = 1e-6
     max_iter: int = 100_000
-    memory_cap: int = 2_000_000_000  # bytes allowed for combination-sized arrays
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -66,6 +71,8 @@ class SolveConfig:
             raise ValueError("max_iter must be at least 1")
         if self.start not in ("greedy", "2app"):
             raise ValueError(f"unknown start {self.start!r}")
+        if self.pair_variant not in pricing_mod.PAIR_VARIANTS:
+            raise ValueError(f"unknown pair variant {self.pair_variant!r}")
 
 
 @dataclass
@@ -75,14 +82,14 @@ class SolveResult:
     iterations: int
     converged: bool
     timings: dict[str, float]
-    # Declared, not measured: the peak sum of the arrays registered with the
-    # AllocationLedger (cost vector, dual sum, pricing minima and master
-    # columns; cost vector and combination rows for solve_direct). It leaves
-    # out the temporaries of cost_vector, so it undercounts the true peak.
+    # Not a measurement: the size of the combination-length arrays and
+    # master columns the solve holds when it returns (cost vector, dual sum,
+    # pricing minima and master columns; cost vector and combination rows
+    # for solve_direct). It leaves out the temporaries of cost_vector, so it
+    # undercounts the true peak.
     peak_memory_bytes: int
     trace: list[TraceEntry] = field(default_factory=list)
     n_combinations: int = 0
-    raw_support_size: int | None = None
 
 
 def _zero_timings() -> dict[str, float]:
@@ -109,16 +116,10 @@ def _single_measure_result(inst: Instance) -> SolveResult:
     )
 
 
-def _two_measure_result(inst: Instance, cfg: SolveConfig) -> SolveResult:
+def _two_measure_result(inst: Instance) -> SolveResult:
     strides = make_strides(inst.sizes)
-    if 8 * strides.total > cfg.memory_cap:
-        raise CapacityError(
-            f"{strides.total} combinations exceed the memory cap {cfg.memory_cap}"
-        )
     t0 = time.perf_counter()
-    ledger = AllocationLedger()
     costs = cost_vector(inst, strides)
-    ledger.register("pair.costs", costs.nbytes)
     grid = costs.reshape(inst.sizes)
     plan = solve_transportation(
         TransportationProblem(
@@ -140,7 +141,7 @@ def _two_measure_result(inst: Instance, cfg: SolveConfig) -> SolveResult:
         iterations=0,
         converged=True,
         timings=timings,
-        peak_memory_bytes=ledger.peak,
+        peak_memory_bytes=costs.nbytes,
         n_combinations=strides.total,
     )
 
@@ -150,21 +151,24 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
     cfg = cfg or SolveConfig()
     if inst.n == 1:
         return _single_measure_result(inst)
+    total = math.prod(inst.sizes)
+    if 8 * total > MEMORY_CAP:
+        raise CapacityError(
+            f"{total} combinations need {8 * total} bytes of cost vector, "
+            f"over the cap of {MEMORY_CAP}"
+        )
     if inst.n == 2:
-        return _two_measure_result(inst, cfg)
+        return _two_measure_result(inst)
 
     wall_start = time.perf_counter()
     timings = _zero_timings()
-    ledger = AllocationLedger()
 
     partition = pricing_mod.choose_partition(inst, cfg.pair_variant)
     inst_p = inst.permuted(partition.perm)
     strides_p = make_strides(inst_p.sizes)
 
     t0 = time.perf_counter()
-    state = pricing_mod.init_reduced_costs(
-        inst_p, partition, strides_p, memory_cap=cfg.memory_cap, ledger=ledger
-    )
+    state = pricing_mod.init_reduced_costs(inst_p, partition, strides_p)
     if cfg.start == "greedy":
         p1 = greedy_vertex(inst_p, strides_p)
     else:
@@ -173,7 +177,6 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
 
     t0 = time.perf_counter()
     rm = master_mod.init_rm(p1, inst_p, strides_p, state.costs)
-    ledger.register("master.columns", rm._A.nbytes)
     timings["setup-RM"] += time.perf_counter() - t0
 
     supplies = inst_p.measures[0].masses
@@ -217,10 +220,9 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         t0 = time.perf_counter()
         p = pricing_mod.expand_column(plan, state, len(demands))
         master_mod.add_column(rm, p, strides_p, state.costs)
-        ledger.register("master.columns", rm._A.nbytes)
         timings["setup-RM"] += time.perf_counter() - t0
 
-    raw, polished = master_mod.recover_solution(
+    _, polished = master_mod.recover_solution(
         rm, inst_p, partition, strides_p, state.costs
     )
     timings["total"] = time.perf_counter() - wall_start
@@ -230,18 +232,17 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         iterations=iteration,
         converged=converged,
         timings=timings,
-        peak_memory_bytes=ledger.peak,
+        peak_memory_bytes=state.costs.nbytes
+        + state.dual_sum.nbytes
+        + state.best.nbytes
+        + state.best_index.nbytes
+        + rm._A.nbytes,
         trace=trace,
         n_combinations=strides_p.total,
-        raw_support_size=len(raw.points),
     )
 
 
-def solve_direct(
-    inst: Instance,
-    max_combinations: int = 200_000,
-    ledger: AllocationLedger | None = None,
-) -> SolveResult:
+def solve_direct(inst: Instance) -> SolveResult:
     """Reference solve of the full LP with explicitly materialized columns.
 
     Refuses instances whose combination count exceeds the cap: the explicit
@@ -253,21 +254,19 @@ def solve_direct(
     wall_start = time.perf_counter()
     strides = make_strides(inst.sizes)
     total = strides.total
-    if total > max_combinations:
+    if total > DIRECT_MAX_COMBINATIONS:
         raise CapacityError(
-            f"direct solve needs {total} columns, over the cap of {max_combinations}"
+            f"direct solve needs {total} columns, "
+            f"over the cap of {DIRECT_MAX_COMBINATIONS}"
         )
-    ledger = ledger if ledger is not None else AllocationLedger()
     n = inst.n
     costs = cost_vector(inst, strides)
-    ledger.register("direct.costs", costs.nbytes)
     rows = np.empty((n, total), dtype=np.int64)
     h = np.arange(total, dtype=np.int64)
     for i in range(n):
         np.floor_divide(h, strides.suffix_products[i], out=rows[i])
         rows[i] %= strides.sizes[i]
         rows[i] += strides.row_offsets[i]
-    ledger.register("direct.rows", rows.nbytes)
 
     provider = simplex.UnitColumns(rows, nrows=strides.row_offsets[-1])
     rhs = np.concatenate([m.masses for m in inst.measures])
@@ -290,6 +289,6 @@ def solve_direct(
         iterations=0,
         converged=True,
         timings=timings,
-        peak_memory_bytes=ledger.peak,
+        peak_memory_bytes=costs.nbytes + rows.nbytes,
         n_combinations=total,
     )

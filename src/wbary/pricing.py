@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .accounting import AllocationLedger
-from .model import CapacityError, Instance, SparseMass, Strides, cost_vector
+from .model import Instance, SparseMass, Strides, cost_vector
 from .transport import TransportationProblem, TransportPlan, solve_transportation
 
 
@@ -33,6 +32,9 @@ class Partition:
     perm: tuple[int, ...]  # permuted order: pair first, the rest in input order
     n_unique: int  # product of the pair's sizes
     n_duplicates: int  # product of all other sizes
+
+
+PAIR_VARIANTS = ("any", "large", "small")
 
 
 def choose_partition(inst: Instance, variant: str = "large") -> Partition:
@@ -75,27 +77,16 @@ def init_reduced_costs(
     inst_perm: Instance,
     partition: Partition,
     strides_perm: Strides,
-    *,
-    memory_cap: int | None = None,
-    ledger: AllocationLedger | None = None,
 ) -> PricingState:
-    """Allocate the cost vector and the dual sum (duals start at zero)."""
-    total = strides_perm.total
-    if memory_cap is not None and 8 * total > memory_cap:
-        raise CapacityError(
-            f"{total} combinations need {8 * total} bytes of pricing state, "
-            f"over the cap of {memory_cap}"
-        )
-    costs = cost_vector(inst_perm, strides_perm)
-    dual_sum = np.zeros(partition.n_duplicates)
-    if ledger is not None:
-        ledger.register("pricing.costs", costs.nbytes)
-        ledger.register("pricing.dual_sum", dual_sum.nbytes)
-        ledger.register("pricing.best", 8 * partition.n_unique)
-        ledger.register("pricing.best_index", 8 * partition.n_unique)
+    """Allocate the cost vector and the dual sum (duals start at zero).
+
+    With the per-pattern minima, these are the combination-length arrays that
+    SolveResult.peak_memory_bytes counts. solve checks the 8 * N bytes of the
+    cost vector against its cap before calling this.
+    """
     state = PricingState(
-        costs=costs,
-        dual_sum=dual_sum,
+        costs=cost_vector(inst_perm, strides_perm),
+        dual_sum=np.zeros(partition.n_duplicates),
         best=np.empty(partition.n_unique),
         best_index=np.empty(partition.n_unique, dtype=np.int64),
         sigma=0.0,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import assignment_best, transport_lp_arrays
-from wbary.accounting import AllocationLedger
+from wbary import driver
 from wbary.driver import STEP_LABELS, SolveConfig, solve, solve_direct
 from wbary.initial import greedy_vertex, two_approx
 from wbary.model import (
@@ -180,8 +180,9 @@ def memory_scale_runs():
     sizes = [2] * 21
     inst = make_instance(99, sizes, uniform=False)
     cg = solve(inst, SolveConfig(pair_variant="large"))
-    ledger = AllocationLedger()
-    direct = solve_direct(inst, max_combinations=4_000_000, ledger=ledger)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "DIRECT_MAX_COMBINATIONS", 4_000_000)
+        direct = solve_direct(inst)
     return inst, cg, direct
 
 

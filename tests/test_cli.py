@@ -160,6 +160,20 @@ class TestSolveCommand:
         assert code == 1
         assert "1679616" in err and "200000" in err
 
+    def test_nonpositive_tol_reports_error(self, tmp_path, capsys):
+        path = gen_file(tmp_path, capsys)
+        code, out, err = run_cli(capsys, "solve", "--input", str(path), "--tol", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: tol must be positive\n"
+
+    def test_zero_max_iter_reports_error(self, tmp_path, capsys):
+        path = gen_file(tmp_path, capsys)
+        code, out, err = run_cli(capsys, "solve", "--input", str(path), "--max-iter", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: max_iter must be at least 1\n"
+
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         path = gen_file(tmp_path, capsys)
         out_path = tmp_path / "r.json"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import min_over_vertices
+from wbary import driver
 from wbary.driver import STEP_LABELS, SolveConfig, solve, solve_direct
 from wbary.model import (
     CapacityError,
@@ -105,6 +106,12 @@ class TestLoopBehavior:
             assert res.timings[label] >= 0.0
         assert res.timings["total"] > 0.0
 
+    def test_config_rejects_unknown_names(self):
+        with pytest.raises(ValueError, match="start"):
+            SolveConfig(start="bogus")
+        with pytest.raises(ValueError, match="pair variant"):
+            SolveConfig(pair_variant="bogus")
+
     def test_deterministic_given_config(self):
         inst = random_instance(9, [3, 4, 3])
         a = solve(inst, SolveConfig(start="2app", pair_variant="small"))
@@ -124,7 +131,7 @@ class TestLoopBehavior:
         assert len(res.barycenter) <= bound  # polished solution is basic
 
     def test_periodic_rebuild_keeps_the_optimum(self, monkeypatch):
-        from wbary import driver, pricing
+        from wbary import pricing
 
         calls = []
         original = pricing.recompute_reduced_costs
@@ -178,24 +185,42 @@ class TestMemoryAccounting:
         n_comb = res.n_combinations
         assert n_comb == 256
         # one full-length vector, the 16-entry dual sum, two unique-column
-        # arrays of 16 entries and the master's per-column storage
-        master_bytes = 8 * (4 + 4 + 1) * (res.iterations + 1)
-        assert 8 * n_comb < res.peak_memory_bytes
-        assert res.peak_memory_bytes <= 8 * n_comb + 8 * 16 * 3 + master_bytes
+        # arrays of 16 entries and one master column per iteration (8 master
+        # rows plus the convexity row)
+        n_duplicates = n_unique = 16
+        master_rows = 4 + 4
+        assert res.peak_memory_bytes == (
+            8 * n_comb
+            + 8 * n_duplicates
+            + 16 * n_unique
+            + 8 * (master_rows + 1) * res.iterations
+        )
+        # two measures: the cost vector alone
+        pair = random_instance(11, [4, 4])
+        assert solve(pair).peak_memory_bytes == 8 * 16
+        # direct: the cost vector plus one row index per measure per column
+        direct = solve_direct(inst)
+        assert direct.peak_memory_bytes == (inst.n + 1) * 8 * n_comb
 
-    def test_memory_cap_enforced_before_allocation(self):
+    def test_byte_cap_enforced_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(driver, "MEMORY_CAP", 1_000_000)
         inst = random_instance(12, [6] * 8)
         with pytest.raises(CapacityError):
-            solve(inst, SolveConfig(memory_cap=1_000_000))
+            solve(inst)
+        # the two-measure route passes the same check
+        with pytest.raises(CapacityError):
+            solve(random_instance(12, [400, 400]))
 
-    def test_memory_cap_counts_one_combination_length_vector(self):
+    def test_byte_cap_counts_one_combination_length_vector(self, monkeypatch):
         inst = random_instance(11, [4, 4, 4, 4])
         ref = solve_direct(inst)
-        res = solve(inst, SolveConfig(memory_cap=12 * 256))  # between 8N and 16N
+        monkeypatch.setattr(driver, "MEMORY_CAP", 12 * 256)  # between 8N and 16N
+        res = solve(inst)
         assert res.converged
         assert abs(res.objective - ref.objective) <= 1e-9
+        monkeypatch.setattr(driver, "MEMORY_CAP", 8 * 256 - 1)
         with pytest.raises(CapacityError):
-            solve(inst, SolveConfig(memory_cap=8 * 256 - 1))
+            solve(inst)
 
     def test_direct_cap_reports_sizes(self):
         inst = random_instance(13, [6] * 8)
