@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -54,16 +55,13 @@ def instance_from_dict(doc: dict) -> Instance:
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    total = 1
-    for s in inst.sizes:
-        total *= s
     return {
         "weights": inst.lambdas.tolist(),
         "measures": [
             {"points": m.points.tolist(), "masses": m.masses.tolist()}
             for m in inst.measures
         ],
-        "n_combinations": total,
+        "n_combinations": math.prod(inst.sizes),
     }
 
 
@@ -200,6 +198,9 @@ def cmd_gen(args) -> int:
         return 1
     if any(s < 1 for s in sizes):
         print("error: sizes must be positive", file=sys.stderr)
+        return 1
+    if args.dim < 1:
+        print("error: --dim must be at least 1", file=sys.stderr)
         return 1
     rng = np.random.default_rng(args.seed)
     measures = []

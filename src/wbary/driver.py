@@ -1,15 +1,18 @@
 """Column generation driver and the direct full-LP reference solver.
 
 The loop alternates master re-solves with transportation pricing until the
-pricing objective clears the stopping tolerance. One or two input measures
+pricing objective clears the stopping tolerance, then re-solves the full LP
+over the generated supports for a basic optimum. One or two input measures
 never enter the loop: a single measure is its own barycenter, and for two
-measures the whole problem is one balanced transportation problem.
+measures the whole problem is one balanced transportation problem. Every path
+turns its optimal plan into a SolveResult through the same helper.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -21,13 +24,11 @@ from . import simplex
 from .master import BarycenterPoint
 from .model import (
     CapacityError,
-    Combination,
     Instance,
-    combination_cost,
+    SparseMass,
+    Strides,
     cost_vector,
     make_strides,
-    tuple_of,
-    weighted_mean,
 )
 from .initial import greedy_vertex, repair_to_vertex, two_approx
 from .transport import TransportationProblem, solve_transportation
@@ -65,6 +66,8 @@ class SolveConfig:
     max_iter: int = 100_000
 
     def __post_init__(self):
+        if not math.isfinite(self.tol):
+            raise ValueError("tol must be finite")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
@@ -99,51 +102,44 @@ def _zero_timings() -> dict[str, float]:
     return t
 
 
-def _single_measure_result(inst: Instance) -> SolveResult:
-    m = inst.measures[0]
-    points = [
-        BarycenterPoint(m.points[j].copy(), float(m.masses[j]), (j,))
-        for j in range(m.size)
-    ]
-    return SolveResult(
-        barycenter=points,
-        objective=0.0,
-        iterations=0,
-        converged=True,
-        timings=_zero_timings(),
-        peak_memory_bytes=0,
-        n_combinations=m.size,
-    )
-
-
-def _two_measure_result(inst: Instance) -> SolveResult:
-    strides = make_strides(inst.sizes)
-    t0 = time.perf_counter()
-    costs = cost_vector(inst, strides)
-    grid = costs.reshape(inst.sizes)
-    plan = solve_transportation(
-        TransportationProblem(
-            inst.measures[0].masses, inst.measures[1].masses, grid
-        )
-    )
-    points = []
-    objective = 0.0
-    for i, j, q in plan.flows:
-        combo = Combination((i, j), i * inst.sizes[1] + j)
-        objective += q * combination_cost(combo, inst)
-        points.append(BarycenterPoint(weighted_mean(combo, inst), q, (i, j)))
-    timings = _zero_timings()
-    timings["solve-pricing"] = time.perf_counter() - t0
-    timings["total"] = timings["solve-pricing"]
+def _result(
+    w: SparseMass, inst_perm: Instance, perm: tuple[int, ...], strides_perm: Strides,
+    wall_start: float, timings: dict[str, float], peak_memory_bytes: int,
+    iterations: int = 0, converged: bool = True, trace: Sequence[TraceEntry] = (),
+) -> SolveResult:
+    """The result of an optimal plan over the combinations of ``inst_perm``."""
+    points, objective = master_mod.barycenter_points(w, inst_perm, perm, strides_perm)
+    timings["total"] = time.perf_counter() - wall_start
     return SolveResult(
         barycenter=points,
         objective=objective,
-        iterations=0,
-        converged=True,
+        iterations=iterations,
+        converged=converged,
         timings=timings,
-        peak_memory_bytes=costs.nbytes,
-        n_combinations=strides.total,
+        peak_memory_bytes=peak_memory_bytes,
+        trace=list(trace),
+        n_combinations=strides_perm.total,
     )
+
+
+def _single_measure_result(inst: Instance) -> SolveResult:
+    wall_start = time.perf_counter()
+    w = SparseMass(dict(enumerate(inst.measures[0].masses.tolist())))
+    return _result(w, inst, (0,), make_strides(inst.sizes), wall_start, _zero_timings(), 0)
+
+
+def _two_measure_result(inst: Instance) -> SolveResult:
+    wall_start = time.perf_counter()
+    strides = make_strides(inst.sizes)
+    costs = cost_vector(inst, strides)
+    m0, m1 = inst.measures
+    plan = solve_transportation(
+        TransportationProblem(m0.masses, m1.masses, costs.reshape(inst.sizes))
+    )
+    w = SparseMass({i * inst.sizes[1] + j: q for i, j, q in plan.flows})
+    timings = _zero_timings()
+    timings["solve-pricing"] = time.perf_counter() - wall_start
+    return _result(w, inst, (0, 1), strides, wall_start, timings, costs.nbytes)
 
 
 def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
@@ -222,23 +218,12 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         master_mod.add_column(rm, p, strides_p, state.costs)
         timings["setup-RM"] += time.perf_counter() - t0
 
-    _, polished = master_mod.recover_solution(
-        rm, inst_p, partition, strides_p, state.costs
-    )
-    timings["total"] = time.perf_counter() - wall_start
-    return SolveResult(
-        barycenter=polished.points,
-        objective=polished.objective,
-        iterations=iteration,
-        converged=converged,
-        timings=timings,
-        peak_memory_bytes=state.costs.nbytes
-        + state.dual_sum.nbytes
-        + state.best.nbytes
-        + state.best_index.nbytes
-        + rm._A.nbytes,
-        trace=trace,
-        n_combinations=strides_p.total,
+    w = master_mod.recover_solution(rm, inst_p, strides_p, state.costs)
+    held = (state.costs, state.dual_sum, state.best, state.best_index, rm._A)
+    peak_memory_bytes = sum(a.nbytes for a in held)
+    return _result(
+        w, inst_p, partition.perm, strides_p, wall_start, timings,
+        peak_memory_bytes, iteration, converged, trace,
     )
 
 
@@ -259,36 +244,15 @@ def solve_direct(inst: Instance) -> SolveResult:
             f"direct solve needs {total} columns, "
             f"over the cap of {DIRECT_MAX_COMBINATIONS}"
         )
-    n = inst.n
     costs = cost_vector(inst, strides)
-    rows = np.empty((n, total), dtype=np.int64)
-    h = np.arange(total, dtype=np.int64)
-    for i in range(n):
-        np.floor_divide(h, strides.suffix_products[i], out=rows[i])
-        rows[i] %= strides.sizes[i]
-        rows[i] += strides.row_offsets[i]
-
-    provider = simplex.UnitColumns(rows, nrows=strides.row_offsets[-1])
-    rhs = np.concatenate([m.masses for m in inst.measures])
-    sol = simplex.solve_columns(provider, costs, rhs)
-    if sol.status != simplex.OPTIMAL:
-        raise RuntimeError(f"direct solve returned status {sol.status}")
-
-    points = []
-    objective = 0.0
-    for h_idx in np.flatnonzero(sol.x > 1e-12):
-        combo = tuple_of(int(h_idx), strides)
-        q = float(sol.x[h_idx])
-        objective += q * combination_cost(combo, inst)
-        points.append(BarycenterPoint(weighted_mean(combo, inst), q, combo.indices))
-    timings = _zero_timings()
-    timings["total"] = time.perf_counter() - wall_start
-    return SolveResult(
-        barycenter=points,
-        objective=objective,
-        iterations=0,
-        converged=True,
-        timings=timings,
-        peak_memory_bytes=costs.nbytes + rows.nbytes,
-        n_combinations=total,
+    status, w = master_mod.full_lp(
+        np.arange(total, dtype=np.int64), inst, strides, costs
+    )
+    if status != simplex.OPTIMAL:
+        raise RuntimeError(f"direct solve returned status {status}")
+    # The full LP holds n int64 row indices per combination beside its cost.
+    peak_memory_bytes = (inst.n + 1) * costs.nbytes
+    return _result(
+        w, inst, tuple(range(inst.n)), strides, wall_start, _zero_timings(),
+        peak_memory_bytes,
     )

@@ -11,6 +11,10 @@ entry, so each block holds one row implied by the others. The simplex gets
 the master without the last row of each block. A redundant row keeps an
 artificial basic at level zero, and pivoting it out on a noise-sized element
 leaves the basis numerically singular.
+
+Once the master converges, the full LP over the union of the admitted
+columns' supports gives a basic optimum. ``full_lp`` is that LP over any set
+of combinations; the direct reference solve runs it over all of them.
 """
 
 from __future__ import annotations
@@ -21,16 +25,15 @@ import numpy as np
 
 from . import simplex
 from .model import (
+    MASS_TOL,
     ContractError,
     Instance,
     SparseMass,
     Strides,
-    column_support,
     combination_cost,
     tuple_of,
     weighted_mean,
 )
-from .pricing import Partition
 
 
 @dataclass
@@ -130,12 +133,6 @@ class BarycenterPoint:
     assignment: tuple[int, ...]  # point index per measure, original order
 
 
-@dataclass
-class Barycenter:
-    points: list[BarycenterPoint]
-    objective: float
-
-
 def _combine(state: MasterState) -> SparseMass:
     w = SparseMass()
     for weight, col in zip(state.mu, state.columns):
@@ -145,58 +142,64 @@ def _combine(state: MasterState) -> SparseMass:
     return w
 
 
-def _polish(
-    w: SparseMass, state: MasterState, inst_perm: Instance, strides_perm: Strides,
-    costs: np.ndarray,
-) -> SparseMass:
-    """Re-solve over the union of admitted supports for a basic (sparse) optimum."""
-    support = sorted({h for col in state.columns for h in col.entries})
-    rows = sum(inst_perm.sizes)
-    A = np.zeros((rows, len(support)))
-    for jcol, h in enumerate(support):
-        A[list(column_support(h, strides_perm)), jcol] = 1.0
-    rhs = np.concatenate([m.masses for m in inst_perm.measures])
-    cost = np.array([costs[h] for h in support])
-    sol = simplex.solve(simplex.DenseLP(cost, A, rhs))
+def full_lp(
+    support: np.ndarray, inst: Instance, strides: Strides, costs: np.ndarray
+) -> tuple[str, SparseMass]:
+    """Basic optimum of the full barycenter LP restricted to some combinations.
+
+    Keeps every measure row; combination ``support[j]`` is a unit column with
+    a one in its point's row of each measure, and ``costs`` is indexed by
+    combination. Returns the simplex status and the entries with x above
+    MASS_TOL, which are empty unless the status is optimal.
+    """
+    rows = np.empty((inst.n, support.size), dtype=np.int64)
+    for i in range(inst.n):
+        np.floor_divide(support, strides.suffix_products[i], out=rows[i])
+        rows[i] %= strides.sizes[i]
+        rows[i] += strides.row_offsets[i]
+    provider = simplex.UnitColumns(rows, nrows=strides.row_offsets[-1])
+    rhs = np.concatenate([m.masses for m in inst.measures])
+    sol = simplex.solve_columns(provider, costs[support], rhs)
     if sol.status != simplex.OPTIMAL:
-        return w
-    polished = SparseMass()
-    for jcol, h in enumerate(support):
-        polished.add(h, float(sol.x[jcol]))
-    return polished
+        return sol.status, SparseMass()
+    keep = np.flatnonzero(sol.x > MASS_TOL)
+    return sol.status, SparseMass({int(support[j]): float(sol.x[j]) for j in keep})
 
 
 def recover_solution(
-    state: MasterState,
-    inst_perm: Instance,
-    partition: Partition,
-    strides_perm: Strides,
-    costs: np.ndarray,
-) -> tuple[Barycenter, Barycenter]:
-    """Accumulated barycenter from the converged weights, plus a polished vertex.
+    state: MasterState, inst_perm: Instance, strides_perm: Strides, costs: np.ndarray
+) -> SparseMass:
+    """Basic optimum over the union of the admitted columns' supports.
 
-    Returns (raw, polished). Assignments are reported in the original measure
-    order, undoing the pricing permutation.
+    The converged master weights combine into an optimal but dense plan; the
+    full LP over the same combinations gives a vertex with at most
+    sum |P_i| - n + 1 entries. Falls back to the combined weights when that
+    re-solve does not report an optimum.
     """
-    raw_mass = _combine(state)
-    raw = _to_barycenter(raw_mass, inst_perm, partition, strides_perm)
-    polished_mass = _polish(raw_mass, state, inst_perm, strides_perm, costs)
-    return raw, _to_barycenter(polished_mass, inst_perm, partition, strides_perm)
+    support = np.array(
+        sorted({h for col in state.columns for h in col.entries}), dtype=np.int64
+    )
+    status, polished = full_lp(support, inst_perm, strides_perm, costs)
+    return polished if status == simplex.OPTIMAL else _combine(state)
 
 
-def _to_barycenter(
-    w: SparseMass, inst_perm: Instance, partition: Partition, strides_perm: Strides
-) -> Barycenter:
+def barycenter_points(
+    w: SparseMass, inst_perm: Instance, perm: tuple[int, ...], strides_perm: Strides
+) -> tuple[list[BarycenterPoint], float]:
+    """Points of a plan in ascending combination order, and its objective.
+
+    Measure t of ``inst_perm`` is measure ``perm[t]`` of the input; every
+    assignment lists point indices in input order.
+    """
     points = []
     objective = 0.0
-    inverse = partition.perm
-    n = inst_perm.n
     for h, mass in w.sorted_items():
         combo = tuple_of(h, strides_perm)
-        coords = weighted_mean(combo, inst_perm)
-        original = [0] * n
-        for t in range(n):
-            original[inverse[t]] = combo.indices[t]
+        original = [0] * inst_perm.n
+        for t, j in enumerate(combo.indices):
+            original[perm[t]] = j
         objective += mass * combination_cost(combo, inst_perm)
-        points.append(BarycenterPoint(coords, mass, tuple(original)))
-    return Barycenter(points, objective)
+        points.append(
+            BarycenterPoint(weighted_mean(combo, inst_perm), mass, tuple(original))
+        )
+    return points, objective

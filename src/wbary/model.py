@@ -39,6 +39,8 @@ class DiscreteMeasure:
         masses = np.ascontiguousarray(np.asarray(self.masses, dtype=float))
         if points.ndim != 2 or points.shape[0] < 1:
             raise ContractError("points must be a nonempty (size, dim) array")
+        if points.shape[1] < 1:
+            raise ContractError("points need at least one coordinate")
         if masses.ndim != 1 or masses.shape[0] != points.shape[0]:
             raise ContractError("masses must match the number of points")
         if not np.isfinite(points).all():

@@ -15,6 +15,7 @@ views, so the constraint matrix itself is never stored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +57,7 @@ def choose_partition(inst: Instance, variant: str = "large") -> Partition:
     rest = tuple(i for i in range(n) if i not in pair)
     perm = pair + rest
     n_unique = sizes[pair[0]] * sizes[pair[1]]
-    total = 1
-    for s in sizes:
-        total *= s
-    return Partition(pair, perm, n_unique, total // n_unique)
+    return Partition(pair, perm, n_unique, math.prod(sizes) // n_unique)
 
 
 @dataclass

@@ -55,6 +55,13 @@ class TestGen:
         assert code == 1
         assert "size" in err
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_nonpositive_dim_reports_error(self, capsys, dim):
+        code, out, err = run_cli(capsys, "gen", "--sizes", "3,3", "--dim", dim)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --dim must be at least 1\n"
+
 
 class TestRoundTrip:
     def test_emit_load_is_exact(self, tmp_path, capsys):
@@ -166,6 +173,13 @@ class TestSolveCommand:
         assert code == 1
         assert out == ""
         assert err == "error: tol must be positive\n"
+
+    def test_nan_tol_reports_error(self, tmp_path, capsys):
+        path = gen_file(tmp_path, capsys)
+        code, out, err = run_cli(capsys, "solve", "--input", str(path), "--tol", "nan")
+        assert code == 1
+        assert out == ""
+        assert err == "error: tol must be finite\n"
 
     def test_zero_max_iter_reports_error(self, tmp_path, capsys):
         path = gen_file(tmp_path, capsys)

@@ -112,6 +112,12 @@ class TestLoopBehavior:
         with pytest.raises(ValueError, match="pair variant"):
             SolveConfig(pair_variant="bogus")
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_config_rejects_nonfinite_tol(self, tol):
+        # NaN never stops the loop and inf stops it after one pricing.
+        with pytest.raises(ValueError, match="tol must be finite"):
+            SolveConfig(tol=tol)
+
     def test_deterministic_given_config(self):
         inst = random_instance(9, [3, 4, 3])
         a = solve(inst, SolveConfig(start="2app", pair_variant="small"))

@@ -2,11 +2,19 @@ import numpy as np
 import pytest
 
 from wbary.initial import greedy_vertex
-from wbary.master import add_column, init_rm, master_lp, recover_solution, solve_rm
+from wbary.master import (
+    add_column,
+    barycenter_points,
+    init_rm,
+    master_lp,
+    recover_solution,
+    solve_rm,
+)
 from wbary.model import (
     DiscreteMeasure,
     Instance,
     SparseMass,
+    index_of,
     make_strides,
     satisfies_marginals,
 )
@@ -136,9 +144,10 @@ class TestRecover:
         state = init_reduced_costs(inst_p, part, st)
         p1 = greedy_vertex(inst_p, st)
         rm = init_rm(p1, inst_p, st, state.costs)
-        raw, polished = recover_solution(rm, inst_p, part, st, state.costs)
-        assert polished.objective == pytest.approx(0.0, abs=1e-12)
-        got = {tuple(np.round(p.coords, 12)): p.mass for p in polished.points}
+        w = recover_solution(rm, inst_p, st, state.costs)
+        points, objective = barycenter_points(w, inst_p, part.perm, st)
+        assert objective == pytest.approx(0.0, abs=1e-12)
+        got = {tuple(np.round(p.coords, 12)): p.mass for p in points}
         for j in range(3):
             assert got[tuple(np.round(pts[j], 12))] == pytest.approx(m.masses[j])
 
@@ -147,17 +156,18 @@ class TestRecover:
         inst_p, part, st, state = build(rng, [3, 3, 2], uniform=False)
         p1 = greedy_vertex(inst_p, st)
         rm = init_rm(p1, inst_p, st, state.costs)
-        raw, polished = recover_solution(rm, inst_p, part, st, state.costs)
-        w = SparseMass()
-        for p in polished.points:
-            digits = [p.assignment[part.perm[t]] for t in range(inst_p.n)]
-            from wbary.model import index_of
-
-            w.add(index_of(digits, st), p.mass)
+        w = recover_solution(rm, inst_p, st, state.costs)
         assert satisfies_marginals(w, inst_p, st)
+        # The points map back to the same plan through their assignments.
+        points, _ = barycenter_points(w, inst_p, part.perm, st)
+        rebuilt = SparseMass()
+        for p in points:
+            digits = [p.assignment[part.perm[t]] for t in range(inst_p.n)]
+            rebuilt.add(index_of(digits, st), p.mass)
+        assert rebuilt.entries == w.entries
 
     def test_assignments_follow_input_order(self):
-        # Pricing permutes measures; recovered assignments must not.
+        # Pricing permutes measures; reported assignments must not.
         rng = np.random.default_rng(8)
         sizes = [2, 3, 4]
         ms = [DiscreteMeasure(rng.random((s, 2)), np.full(s, 1.0 / s)) for s in sizes]
@@ -169,8 +179,10 @@ class TestRecover:
         state = init_reduced_costs(inst_p, part, st)
         p1 = greedy_vertex(inst_p, st)
         rm = init_rm(p1, inst_p, st, state.costs)
-        raw, _ = recover_solution(rm, inst_p, part, st, state.costs)
-        for p in raw.points:
+        w = recover_solution(rm, inst_p, st, state.costs)
+        points, _ = barycenter_points(w, inst_p, part.perm, st)
+        assert [p.mass for p in points] == [q for _, q in w.sorted_items()]
+        for p in points:
             for orig in range(3):
                 assert 0 <= p.assignment[orig] < sizes[orig]
             expect = sum(

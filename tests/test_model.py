@@ -222,6 +222,10 @@ class TestValidation:
         with pytest.raises(ContractError, match="points must be finite"):
             DiscreteMeasure(np.array([[0.0, bad], [1.0, 1.0]]), np.array([0.5, 0.5]))
 
+    def test_points_need_a_coordinate(self):
+        with pytest.raises(ContractError, match="at least one coordinate"):
+            DiscreteMeasure(np.zeros((2, 0)), np.array([0.5, 0.5]))
+
     def test_masses_finite(self):
         with pytest.raises(ContractError, match="masses must be finite"):
             DiscreteMeasure(np.zeros((2, 2)), np.array([np.nan, 0.5]))
