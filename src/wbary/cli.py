@@ -70,7 +70,7 @@ def load_instance_csv(path: str) -> Instance:
     groups: dict[str, list[list[float]]] = {}
     order: list[str] = []
     width = first = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
@@ -111,7 +111,7 @@ def load_instance_csv(path: str) -> Instance:
 def load_instance(path: str) -> Instance:
     if path.endswith(".csv"):
         return load_instance_csv(path)
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -155,7 +155,7 @@ def _write_text(text: str, path: str | None):
 def cmd_solve(args) -> int:
     try:
         inst = load_instance(args.input)
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 1
     try:
@@ -172,12 +172,16 @@ def cmd_solve(args) -> int:
     except (ValueError, RuntimeError) as exc:  # bad settings, capacity, numerics
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_text(json.dumps(result_to_dict(result), indent=2), args.out)
-    if args.trace_csv:
-        with open(args.trace_csv, "w", newline="") as fh:
-            fh.write("iter,rm_obj,pricing_obj\n")
-            for t in result.trace:
-                fh.write(f"{t.iteration},{t.rm_objective!r},{t.pricing_objective!r}\n")
+    try:
+        _write_text(json.dumps(result_to_dict(result), indent=2), args.out)
+        if args.trace_csv:
+            with open(args.trace_csv, "w", newline="") as fh:
+                fh.write("iter,rm_obj,pricing_obj\n")
+                for t in result.trace:
+                    fh.write(f"{t.iteration},{t.rm_objective!r},{t.pricing_objective!r}\n")
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
     return 0 if result.converged else 2
 
 

@@ -8,6 +8,16 @@ Redundant rows are tolerated: artificial variables that cannot be pivoted out
 after phase one stay basic at level zero and are encoded in the basis with
 negative codes (code -1-r means the artificial of row r), which keeps warm
 starts valid while structural columns are appended.
+
+The kernel keeps the inverse of the basis matrix B. Each pivot reads the basic
+values, the duals and the entering direction off it in O(m^2), then updates it
+by a rank-one product-form step (Dantzig & Orchard-Hays): the leaving row is
+divided by the pivot element and eliminated from every other row. B itself is
+re-inverted from its columns in three cases: every REFACTOR_EVERY pivots;
+before a decision that ends a phase (optimal, unbounded, or a basic value
+below -1e-7), so that every such decision rests on a fresh inverse; and
+before pivoting on an element smaller than SMALL_PIVOT times the largest
+entry of the direction, which would otherwise leave B near singular.
 """
 
 from __future__ import annotations
@@ -24,6 +34,8 @@ PIVOT_TOL = 1e-10
 OPT_TOL = 1e-9  # reduced cost below -OPT_TOL enters
 FEAS_TOL = 1e-9  # basic values and artificial mass within FEAS_TOL of zero
 BLAND_AFTER = 50  # degenerate pivots in a row before Bland's rule
+REFACTOR_EVERY = 64  # pivots between fresh inversions of the basis
+SMALL_PIVOT = 1e-6  # pivot below this share of max|w| needs a fresh inverse
 
 
 class NumericalError(RuntimeError):
@@ -93,11 +105,6 @@ class UnitColumns:
         return col
 
 
-def _order_key(code: int, ncols: int) -> int:
-    # Fixed total variable order for Bland's rule: structural, then artificial.
-    return code if code >= 0 else ncols + (-1 - code)
-
-
 class _Kernel:
     def __init__(self, cols, rhs):
         self.cols = cols
@@ -108,6 +115,8 @@ class _Kernel:
         self.pivots = 0
         self.basic = None  # (m,) int64 codes
         self.B = None  # (m, m) basis matrix
+        self.Binv = None  # (m, m) its inverse, updated in place per pivot
+        self.updates = 0  # pivots applied to Binv since it was last inverted
 
     def column_of(self, code: int) -> np.ndarray:
         if code >= 0:
@@ -122,18 +131,38 @@ class _Kernel:
         self.B = np.empty((self.m, self.m))
         for pos, code in enumerate(self.basic):
             self.B[:, pos] = self.column_of(int(code))
+        self._invert()
 
-    def basic_values(self) -> np.ndarray:
+    def _invert(self):
         try:
-            xB = np.linalg.solve(self.B, self.b)
+            self.Binv = np.linalg.inv(self.B)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular basis matrix") from exc
-        return xB
+        self.updates = 0
+
+    def _refreshed(self) -> bool:
+        """Re-invert B if Binv carries updates; report whether it did."""
+        if self.updates == 0:
+            return False
+        self._invert()
+        return True
+
+    def basic_values(self) -> np.ndarray:
+        return self.Binv @ self.b
 
     def _phase_cost(self, cost: np.ndarray, art_cost: float) -> np.ndarray:
-        return np.array(
-            [cost[c] if c >= 0 else art_cost for c in self.basic], dtype=float
-        )
+        cB = np.full(self.m, art_cost)
+        struct = self.basic >= 0
+        cB[struct] = cost[self.basic[struct]]
+        return cB
+
+    def _leave_keys(self, bland: bool) -> np.ndarray:
+        # Bland's rule orders variables structural first, then artificial;
+        # otherwise artificials leave first, by row, then structurals.
+        code = self.basic
+        if bland:
+            return np.where(code >= 0, code, self.k - 1 - code)
+        return np.where(code < 0, -1 - code, self.m + code)
 
     def run_phase(self, cost: np.ndarray, art_cost: float):
         """Pivot to optimality for the given objective. Returns (xB, y)."""
@@ -142,26 +171,26 @@ class _Kernel:
         while True:
             xB = self.basic_values()
             if xB.min() < -1e-7:
+                if self._refreshed():
+                    continue
                 raise NumericalError(f"basic solution went negative: {xB.min()}")
             np.clip(xB, 0.0, None, out=xB)
-            cB = self._phase_cost(cost, art_cost)
-            try:
-                y = np.linalg.solve(self.B.T, cB)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("singular basis matrix") from exc
+            y = self._phase_cost(cost, art_cost) @ self.Binv
             r = cost - self.cols.apply_yT(y)
             r[self.basic[self.basic >= 0]] = 0.0
             if bland:
                 candidates = np.flatnonzero(r < -OPT_TOL)
-                if candidates.size == 0:
-                    return xB, y
-                enter = int(candidates[0])
+                enter = int(candidates[0]) if candidates.size else None
             else:
                 enter = int(np.argmin(r))
                 if r[enter] >= -OPT_TOL:
-                    return xB, y
+                    enter = None
+            if enter is None:
+                if self._refreshed():
+                    continue
+                return xB, y
             col_in = self.cols.column(enter)
-            w = np.linalg.solve(self.B, col_in)
+            w = self.Binv @ col_in
 
             # Ratio test. Zero-level basic artificials with any nonzero
             # direction component must leave first so they never re-acquire
@@ -174,22 +203,24 @@ class _Kernel:
                 ratios[art_block & (xB <= FEAS_TOL)] = 0.0
             theta = ratios.min()
             if not np.isfinite(theta):
+                if self._refreshed():
+                    continue
                 return None, None  # unbounded
             tie = np.flatnonzero(ratios <= theta + 1e-10 * (1.0 + abs(theta)))
-            if bland:
-                leave_pos = min(
-                    tie, key=lambda p: _order_key(int(self.basic[p]), self.k)
-                )
-            else:
-                leave_pos = min(
-                    tie,
-                    key=lambda p: (
-                        self.basic[p] >= 0,
-                        _order_key(int(self.basic[p]), self.k),
-                    ),
-                )
+            leave_pos = int(tie[np.argmin(self._leave_keys(bland)[tie])])
+            if (
+                abs(w[leave_pos]) < SMALL_PIVOT * np.abs(w).max()
+                and self._refreshed()
+            ):
+                continue
             self.basic[leave_pos] = enter
             self.B[:, leave_pos] = col_in
+            row = self.Binv[leave_pos] / w[leave_pos]
+            self.Binv -= np.outer(w, row)
+            self.Binv[leave_pos] = row
+            self.updates += 1
+            if self.updates >= REFACTOR_EVERY:
+                self._invert()
             self.pivots += 1
             if theta <= 1e-12:
                 degen_streak += 1

@@ -1,8 +1,8 @@
 """Independent reference solvers used only to validate the fast paths.
 
 Everything here favors transparency over speed: exact rational arithmetic,
-Bland's rule, and brute-force enumeration. None of it shares code with the
-package under test.
+Bland's rule, and brute-force enumeration. Larger LPs go to HiGHS through
+scipy.optimize.linprog. None of it shares code with the package under test.
 """
 
 from __future__ import annotations
@@ -126,3 +126,36 @@ def assignment_best(costs3):
     for perm in permutations(range(3)):
         best = min(best, sum(costs3[i][perm[i]] for i in range(3)))
     return best
+
+
+def highs_optimum(cost, A, b):
+    """Optimum of min cost @ x, A x = b, x >= 0 from HiGHS; A may be sparse."""
+    from scipy.optimize import linprog
+
+    res = linprog(cost, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def barycenter_lp_arrays(points, masses, weights):
+    """Full barycenter LP: one column per combination, one row per point.
+
+    The cost of a combination is the weighted squared distance of its points
+    to their weighted mean. Returns (cost, sparse A, b).
+    """
+    from scipy.sparse import csc_matrix
+
+    sizes = [len(m) for m in masses]
+    n = len(sizes)
+    digits = np.indices(sizes).reshape(n, -1)
+    total = digits.shape[1]
+    mean = sum(weights[i] * points[i][digits[i]] for i in range(n))
+    cost = np.zeros(total)
+    for i in range(n):
+        d = points[i][digits[i]] - mean
+        cost += weights[i] * np.einsum("kd,kd->k", d, d)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    rows = (digits + offsets[:-1, None]).T.ravel()
+    cols = np.repeat(np.arange(total), n)
+    A = csc_matrix((np.ones(rows.size), (rows, cols)), shape=(offsets[-1], total))
+    return cost, A, np.concatenate(masses)

@@ -3,13 +3,19 @@
 Each test covers one verification criterion at its stated tolerance and
 prints a PASS line on success (run with ``pytest -s`` to see them). The two
 scale tests near the end allocate hundreds of megabytes and take several
-minutes; everything else is quick.
+minutes, and the `[10]*5` master test at the very end about 30 s; everything
+else is quick.
 """
 
 import numpy as np
 import pytest
 
-from oracles import assignment_best, transport_lp_arrays
+from oracles import (
+    assignment_best,
+    barycenter_lp_arrays,
+    highs_optimum,
+    transport_lp_arrays,
+)
 from wbary import driver
 from wbary.driver import STEP_LABELS, SolveConfig, solve, solve_direct
 from wbary.initial import greedy_vertex, two_approx
@@ -267,3 +273,22 @@ def test_criterion_9_kernel_differential_checks():
         "\nC9 PASS: transportation vs simplex on 500 instances (1e-9); "
         "simplex vs assignment enumeration on 200 instances (1e-8)"
     )
+
+
+def test_master_survives_small_pivots_on_ten_by_five_seed_1():
+    # The instance `wbary gen --n 5 --size 10 --seed 1` writes. Its master
+    # re-solves meet pivot elements many orders of magnitude below the largest
+    # entry of their direction; pivoting on one through an updated inverse,
+    # without re-inverting first, ruins the basis.
+    inst = make_instance(1, [10] * 5, uniform=True)
+    res = solve(inst)
+    assert res.converged
+    ref = highs_optimum(
+        *barycenter_lp_arrays(
+            [m.points for m in inst.measures],
+            [m.masses for m in inst.measures],
+            inst.lambdas,
+        )
+    )
+    assert abs(res.objective - ref) <= 1e-9
+    print(f"\n[10]*5 seed 1 PASS: {res.iterations} iterations, objective {res.objective!r}")

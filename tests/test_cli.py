@@ -215,6 +215,22 @@ class TestSolveCommand:
         assert int(first[0]) == 1
         float(first[1]), float(first[2])  # parse cleanly
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace-csv"])
+    def test_output_in_missing_directory_reports_error(self, tmp_path, capsys, flag):
+        path = gen_file(tmp_path, capsys)
+        target = tmp_path / "missing" / "file"
+        code, _, err = run_cli(capsys, "solve", "--input", str(path), flag, str(target))
+        assert code == 1
+        assert err == f"error: {target}: No such file or directory\n"
+
+    def test_input_not_utf8_reports_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"weights": [1.0], "measures": [], "note": "\xe9"}')
+        code, out, err = run_cli(capsys, "solve", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: ") and "utf-8" in err
+
     def test_direct_flag_matches_cg(self, tmp_path, capsys):
         path = gen_file(tmp_path, capsys)
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import assignment_best, fraction_simplex
+from oracles import assignment_best, fraction_simplex, highs_optimum, transport_lp_arrays
+from wbary import simplex
+from wbary.initial import two_approx
+from wbary.model import DiscreteMeasure, Instance
 from wbary.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -70,28 +73,47 @@ class TestAssignment:
             assert abs(sol.objective - assignment_best(costs)) <= 1e-8
 
 
+@pytest.fixture(scope="module")
+def random_lps_with_exact_optima():
+    """500 feasible random LPs with their exact statuses and objectives."""
+    rng = np.random.default_rng(23)
+    cases = []
+    while len(cases) < 500:
+        m = int(rng.integers(1, 11))
+        k = int(rng.integers(m, 31))
+        A = rng.integers(-3, 4, size=(m, k)).astype(float)
+        x0 = np.zeros(k)
+        support = rng.choice(k, size=min(m, k), replace=False)
+        x0[support] = rng.integers(1, 5, size=len(support))
+        b = A @ x0  # guarantees feasibility
+        cost = rng.integers(-2, 9, size=k).astype(float)
+        status, obj = fraction_simplex(cost.tolist(), A.tolist(), b.tolist())
+        cases.append((cost, A, b, status, float(obj) if obj is not None else None))
+    return cases
+
+
+def check_against_exact(cases):
+    for cost, A, b, status, obj in cases:
+        sol = solve(DenseLP(cost, A, b))
+        assert sol.status == {"optimal": OPTIMAL, "unbounded": UNBOUNDED}[status]
+        if status == "optimal":
+            assert abs(sol.objective - obj) <= 1e-8 * (1 + abs(obj))
+            assert np.linalg.norm(A @ sol.x - b, ord=np.inf) <= 1e-9 * (
+                1 + np.abs(b).max()
+            )
+
+
 class TestRandomVsExactOracle:
-    def test_500_random_instances(self):
-        rng = np.random.default_rng(23)
-        checked = 0
-        while checked < 500:
-            m = int(rng.integers(1, 11))
-            k = int(rng.integers(m, 31))
-            A = rng.integers(-3, 4, size=(m, k)).astype(float)
-            x0 = np.zeros(k)
-            support = rng.choice(k, size=min(m, k), replace=False)
-            x0[support] = rng.integers(1, 5, size=len(support))
-            b = A @ x0  # guarantees feasibility
-            cost = rng.integers(-2, 9, size=k).astype(float)
-            status, obj = fraction_simplex(cost.tolist(), A.tolist(), b.tolist())
-            sol = solve(DenseLP(cost, A, b))
-            assert sol.status == {"optimal": OPTIMAL, "unbounded": UNBOUNDED}[status]
-            if status == "optimal":
-                assert abs(sol.objective - float(obj)) <= 1e-8 * (1 + abs(float(obj)))
-                assert np.linalg.norm(A @ sol.x - b, ord=np.inf) <= 1e-9 * (
-                    1 + np.abs(b).max()
-                )
-            checked += 1
+    def test_500_random_instances(self, random_lps_with_exact_optima):
+        check_against_exact(random_lps_with_exact_optima)
+
+    def test_500_random_instances_inverting_every_pivot(
+        self, random_lps_with_exact_optima, monkeypatch
+    ):
+        # Re-inverting after every pivot leaves no rank-one update standing at
+        # any decision; the answers must not change.
+        monkeypatch.setattr(simplex, "REFACTOR_EVERY", 1)
+        check_against_exact(random_lps_with_exact_optima)
 
 
 class TestDuality:
@@ -185,3 +207,79 @@ class TestUnitColumns:
         assert s1.objective == pytest.approx(s2.objective, abs=1e-10)
         y = rng.uniform(-1, 1, size=4)
         assert np.allclose(cols.apply_yT(y), y @ dense)
+
+
+def relocation_lp(inst):
+    """The 2-approximation's LP, built independently of wbary.initial.
+
+    Variables y[i][s, j] (measure-major, then candidate s, then point j) move
+    mass from candidate s, any input point (all distinct here), to point j of
+    measure i. Every candidate sends the same mass into each measure, and
+    each point receives its own mass.
+    """
+    cand = np.concatenate([m.points for m in inst.measures])
+    S = len(cand)
+    sizes = inst.sizes
+    cost = np.concatenate(
+        [
+            lam * ((cand[:, None, :] - m.points[None, :, :]) ** 2).sum(-1).ravel()
+            for lam, m in zip(inst.lambdas, inst.measures)
+        ]
+    )
+    n = len(sizes)
+    outflow = [np.kron(np.eye(S), np.ones(s)) for s in sizes]  # (S, S * size)
+    coupling = [
+        np.hstack(
+            [-outflow[0]]
+            + [outflow[i] if i == t else np.zeros_like(outflow[i]) for i in range(1, n)]
+        )
+        for t in range(1, n)
+    ]
+    inflow = np.zeros((sum(sizes), cost.size))
+    row = col = 0
+    for s in sizes:
+        inflow[row : row + s, col : col + S * s] = np.kron(np.ones(S), np.eye(s))
+        row += s
+        col += S * s
+    A = np.vstack(coupling + [inflow])
+    b = np.concatenate([np.zeros((n - 1) * S)] + [m.masses for m in inst.measures])
+    return cost, A, b
+
+
+def random_masses_instance(sizes, seed):
+    """The instance `wbary gen --sizes ... --masses random --seed` writes."""
+    rng = np.random.default_rng(seed)
+    measures = []
+    for s in sizes:
+        points = rng.random((s, 2))
+        u = rng.uniform(0.2, 1.0, s)
+        measures.append(DiscreteMeasure(points, u / u.sum()))
+    return Instance(tuple(measures), np.full(len(sizes), 1.0 / len(sizes)))
+
+
+class TestLongRunsVsHighs:
+    """LPs that need more than REFACTOR_EVERY pivots in one call, so both the
+    rank-one updates and the periodic re-inversion take part."""
+
+    @pytest.mark.parametrize("m,k,seed", [(50, 50, 0), (60, 45, 1), (70, 70, 2)])
+    def test_degenerate_uniform_transport(self, m, k, seed):
+        rng = np.random.default_rng(seed)
+        costs = rng.integers(0, 10, size=(m, k)).astype(float)  # many ties
+        c, A, b = transport_lp_arrays(np.full(m, 1.0 / m), np.full(k, 1.0 / k), costs)
+        sol = solve(DenseLP(c, A, b))
+        assert sol.status == OPTIMAL
+        assert sol.pivots > simplex.REFACTOR_EVERY
+        ref = highs_optimum(c, A, b)
+        assert abs(sol.objective - ref) <= 1e-9 * (1 + abs(ref))
+        assert np.abs(A @ sol.x - b).max() <= 1e-12
+
+    @pytest.mark.parametrize("sizes", [(8, 6, 5, 4, 3, 3, 3), (10, 8, 6, 5, 4, 3, 3)])
+    def test_relocation_lp_of_mixed_instances(self, sizes):
+        inst = random_masses_instance(sizes, 0)
+        c, A, b = relocation_lp(inst)
+        sol = solve(DenseLP(c, A, b))
+        assert sol.status == OPTIMAL
+        assert sol.pivots > simplex.REFACTOR_EVERY
+        ref = highs_optimum(c, A, b)
+        assert abs(sol.objective - ref) <= 1e-9 * (1 + abs(ref))
+        assert abs(two_approx(inst).transport_cost(inst) - ref) <= 1e-9 * (1 + abs(ref))
