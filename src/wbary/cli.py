@@ -123,6 +123,7 @@ def result_to_dict(result: SolveResult) -> dict:
     return {
         "objective": result.objective,
         "iterations": result.iterations,
+        "pricing_calls": result.pricing_calls,
         "converged": result.converged,
         "barycenter": [
             {
@@ -134,7 +135,8 @@ def result_to_dict(result: SolveResult) -> dict:
         ],
         "timings": result.timings,
         "trace": [
-            {"iter": t.iteration, "rm_obj": t.rm_objective, "pricing_obj": t.pricing_objective}
+            {"iter": t.iteration, "rm_obj": t.rm_objective,
+             "pricing_obj": t.pricing_objective, "lb": t.lb}
             for t in result.trace
         ],
     }
@@ -176,9 +178,10 @@ def cmd_solve(args) -> int:
         _write_text(json.dumps(result_to_dict(result), indent=2), args.out)
         if args.trace_csv:
             with open(args.trace_csv, "w", newline="") as fh:
-                fh.write("iter,rm_obj,pricing_obj\n")
+                fh.write("iter,rm_obj,pricing_obj,lb\n")
                 for t in result.trace:
-                    fh.write(f"{t.iteration},{t.rm_objective!r},{t.pricing_objective!r}\n")
+                    fh.write(f"{t.iteration},{t.rm_objective!r},{t.pricing_objective!r},"
+                             f"{t.lb!r}\n")
     except OSError as exc:
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
@@ -195,16 +198,19 @@ def cmd_gen(args) -> int:
         if args.n is not None and args.n != len(sizes):
             print("error: --n disagrees with the number of --sizes", file=sys.stderr)
             return 1
-    elif args.size and args.n:
+    elif args.size is not None and args.n is not None:
         sizes = [args.size] * args.n
     else:
         print("error: give --sizes, or both --n and --size", file=sys.stderr)
         return 1
-    if any(s < 1 for s in sizes):
+    if not sizes or any(s < 1 for s in sizes):
         print("error: sizes must be positive", file=sys.stderr)
         return 1
     if args.dim < 1:
         print("error: --dim must be at least 1", file=sys.stderr)
+        return 1
+    if args.seed < 0:
+        print("error: --seed must be nonnegative", file=sys.stderr)
         return 1
     rng = np.random.default_rng(args.seed)
     measures = []
@@ -239,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="solve the full LP instead of column generation")
     ps.add_argument("--out", default=None, help="result JSON path (default stdout)")
     ps.add_argument("--trace-csv", default=None,
-                    help="write per-iteration iter,rm_obj,pricing_obj rows")
+                    help="write per-iteration iter,rm_obj,pricing_obj,lb rows")
     ps.set_defaults(func=cmd_solve)
 
     pg = sub.add_parser("gen", help="generate a random instance on [0,1]^d")

@@ -1,11 +1,18 @@
 """Column generation driver and the direct full-LP reference solver.
 
-The loop alternates master re-solves with transportation pricing until the
-pricing objective clears the stopping tolerance, then re-solves the full LP
-over the generated supports for a basic optimum. One or two input measures
-never enter the loop: a single measure is its own barycenter, and for two
-measures the whole problem is one balanced transportation problem. Every path
-turns its optimal plan into a SolveResult through the same helper.
+The loop alternates master re-solves with transportation pricing. After the
+first master solve it prices at smoothed duals pi = alpha * pi_hat +
+(1 - alpha) * y (Wentges 1997), where y are the master duals and pi_hat the
+duals with the best Lagrangian bound L(pi) = pi . b + min over columns of
+(c - pi . A) so far. alpha adapts to the subgradient b - A_p of each priced
+column p (Pessoa, Sadykov, Uchoa & Vanderbeck 2018); a column that would not
+enter the master at y is a misprice, and pricing repeats once at y. The loop
+stops when the master objective is within tol of the best bound, a certified
+gap, then re-solves the full LP over the generated supports for a basic
+optimum. One or two input measures never enter the loop: a single measure is
+its own barycenter, and for two measures the whole problem is one balanced
+transportation problem. Every path turns its optimal plan into a SolveResult
+through the same helper.
 """
 
 from __future__ import annotations
@@ -41,9 +48,12 @@ STEP_LABELS = (
     "solve-pricing",
 )
 
-# Iterations between full rebuilds of the dual sum, which cap the
+# Pricing calls between full rebuilds of the dual sum, which cap the
 # floating-point drift of the incremental updates.
 RECOMPUTE_PERIOD = 500
+
+# Starting weight of the best-bound duals in the smoothed pricing duals.
+ALPHA_START = 0.5
 
 # Bytes allowed for the combination-length cost vector (8 per combination).
 MEMORY_CAP = 2_000_000_000
@@ -55,7 +65,8 @@ DIRECT_MAX_COMBINATIONS = 200_000
 class TraceEntry(NamedTuple):
     iteration: int
     rm_objective: float
-    pricing_objective: float
+    pricing_objective: float  # lb - rm_objective, at most zero up to rounding
+    lb: float  # best Lagrangian lower bound so far
 
 
 @dataclass
@@ -93,6 +104,7 @@ class SolveResult:
     peak_memory_bytes: int
     trace: list[TraceEntry] = field(default_factory=list)
     n_combinations: int = 0
+    pricing_calls: int = 0  # transportation pricings; iterations counts master solves
 
 
 def _zero_timings() -> dict[str, float]:
@@ -106,6 +118,7 @@ def _result(
     w: SparseMass, inst_perm: Instance, perm: tuple[int, ...], strides_perm: Strides,
     wall_start: float, timings: dict[str, float], peak_memory_bytes: int,
     iterations: int = 0, converged: bool = True, trace: Sequence[TraceEntry] = (),
+    pricing_calls: int = 0,
 ) -> SolveResult:
     """The result of an optimal plan over the combinations of ``inst_perm``."""
     points, objective = master_mod.barycenter_points(w, inst_perm, perm, strides_perm)
@@ -119,6 +132,7 @@ def _result(
         peak_memory_bytes=peak_memory_bytes,
         trace=list(trace),
         n_combinations=strides_perm.total,
+        pricing_calls=pricing_calls,
     )
 
 
@@ -177,24 +191,19 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
 
     supplies = inst_p.measures[0].masses
     demands = inst_p.measures[1].masses
-    master_rows = rm.rhs.shape[0] - 1
-    y_prev = np.zeros(master_rows)
-    trace: list[TraceEntry] = []
-    converged = False
-    iteration = 0
+    b = rm.rhs[:-1]
+    priced_at = np.zeros(b.shape[0])  # the duals dual_sum currently holds
+    pricing_calls = 0
 
-    while True:
+    def price(pi: np.ndarray):
+        """Column minimizing the reduced cost at pi, with its rows and L(pi)."""
+        nonlocal priced_at, pricing_calls
         t0 = time.perf_counter()
-        _, y, sigma_dual, rm_obj = master_mod.solve_rm(rm)
-        timings["solve-RM"] += time.perf_counter() - t0
-        state.sigma = -sigma_dual
-
-        t0 = time.perf_counter()
-        if iteration > 0 and iteration % RECOMPUTE_PERIOD == 0:
-            pricing_mod.recompute_reduced_costs(state, y, partition, strides_p)
+        if pricing_calls > 0 and pricing_calls % RECOMPUTE_PERIOD == 0:
+            pricing_mod.recompute_reduced_costs(state, pi, partition, strides_p)
         else:
-            pricing_mod.update_reduced_costs(state, y_prev, y, partition, strides_p)
-        y_prev = y.copy()
+            pricing_mod.update_reduced_costs(state, priced_at, pi, partition, strides_p)
+        priced_at = pi
         timings["update-reduced-costs"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -202,19 +211,50 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         timings["calc-best-costs"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        price_obj, plan = pricing_mod.solve_pricing(state, partition, supplies, demands)
+        transport_obj, plan = pricing_mod.solve_pricing(state, partition, supplies, demands)
+        p = pricing_mod.expand_column(plan, state, len(demands))
+        a_p = master_mod.column_coeffs(p, strides_p, b.shape[0])
         timings["solve-pricing"] += time.perf_counter() - t0
+        pricing_calls += 1
+        return p, a_p, transport_obj, float(pi @ b) + transport_obj
 
+    alpha = ALPHA_START
+    best_lb = -math.inf
+    center = None  # the duals of best_lb
+    trace: list[TraceEntry] = []
+    converged = False
+    iteration = 0
+
+    while True:
+        t0 = time.perf_counter()
+        _, y, sigma, rm_obj = master_mod.solve_rm(rm)
+        timings["solve-RM"] += time.perf_counter() - t0
         iteration += 1
-        trace.append(TraceEntry(iteration, rm_obj, price_obj))
-        if price_obj >= -cfg.tol:
+
+        pi = y if center is None else alpha * center + (1 - alpha) * y
+        p, a_p, transport_obj, lb = price(pi)
+        if center is not None:
+            if (b - a_p) @ (y - center) > 0:
+                alpha = max(0.0, alpha - 0.1)
+            else:
+                alpha = min(0.99, alpha + 0.1 * (1 - alpha))
+        if lb > best_lb:
+            best_lb, center = lb, pi
+        # A misprice: p, priced at pi, would not enter the master at y.
+        misprice = transport_obj + (pi - y) @ a_p - sigma >= -simplex.OPT_TOL
+        if misprice and pi is not y and rm_obj - best_lb > cfg.tol:
+            p, _, _, lb = price(y)
+            if lb > best_lb:
+                best_lb, center = lb, y
+
+        trace.append(TraceEntry(iteration, rm_obj, best_lb - rm_obj, best_lb))
+        if rm_obj - best_lb <= cfg.tol:
             converged = True
             break
         if iteration >= cfg.max_iter:
             break
 
         t0 = time.perf_counter()
-        p = pricing_mod.expand_column(plan, state, len(demands))
         master_mod.add_column(rm, p, strides_p, state.costs)
         timings["setup-RM"] += time.perf_counter() - t0
 
@@ -223,7 +263,7 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
     peak_memory_bytes = sum(a.nbytes for a in held)
     return _result(
         w, inst_p, partition.perm, strides_p, wall_start, timings,
-        peak_memory_bytes, iteration, converged, trace,
+        peak_memory_bytes, iteration, converged, trace, pricing_calls,
     )
 
 

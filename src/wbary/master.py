@@ -49,7 +49,8 @@ class MasterState:
     _rows: np.ndarray | None = None  # rows of _A and rhs the simplex sees
 
 
-def _column_coeffs(p: SparseMass, strides_perm: Strides, master_rows: int) -> np.ndarray:
+def column_coeffs(p: SparseMass, strides_perm: Strides, master_rows: int) -> np.ndarray:
+    """A vertex's entries in the master rows, without the convexity row."""
     coeffs = np.zeros(master_rows)
     offsets = strides_perm.row_offsets
     for h, q in p.entries.items():
@@ -92,7 +93,7 @@ def add_column(
 ):
     """Append one vertex; its aggregated rows are built from its support."""
     master_rows = state.rhs.shape[0] - 1
-    coeffs = _column_coeffs(p, strides_perm, master_rows)
+    coeffs = column_coeffs(p, strides_perm, master_rows)
     state.columns.append(p)
     full = np.concatenate([coeffs, [1.0]])
     state._A = np.hstack([state._A, full[:, None]])

@@ -9,8 +9,11 @@ over costs.reshape(n_unique, n_duplicates) - dual_sum. Arranged as a matrix
 over the two measures' points, they form a balanced transportation problem.
 
 The only exponentially sized state is the cost vector plus an
-n_duplicates-length dual sum; dual changes touch the dual sum through strided
-views, so the constraint matrix itself is never stored.
+n_duplicates-length dual sum; moving it from one set of duals to the next
+touches it through strided views, so the constraint matrix itself is never
+stored. The duals are whatever the driver prices at (smoothed, or the master
+duals); solve_pricing returns the transport objective alone, and the driver
+adds the dual terms it needs for reduced costs and bounds.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ class PricingState:
     dual_sum: np.ndarray  # (n_duplicates,) master duals over each d's digits
     best: np.ndarray  # (n_unique,) minimum reduced cost per unique column
     best_index: np.ndarray  # (n_unique,) flat index attaining each minimum
-    sigma: float  # additive pricing offset from the convexity row
 
 
 def init_reduced_costs(
@@ -87,7 +89,6 @@ def init_reduced_costs(
         dual_sum=np.zeros(partition.n_duplicates),
         best=np.empty(partition.n_unique),
         best_index=np.empty(partition.n_unique, dtype=np.int64),
-        sigma=0.0,
     )
     best_costs(state, partition)
     return state
@@ -112,7 +113,7 @@ def update_reduced_costs(
     partition: Partition,
     strides_perm: Strides,
 ):
-    """Add dual deltas to exactly the duplicate indices containing each row."""
+    """Move the dual sum from duals y_old to y_new, row by changed row."""
     for offset, size, inner, outer in _master_blocks(partition, strides_perm):
         block_old = y_old[offset : offset + size]
         block_new = y_new[offset : offset + size]
@@ -170,13 +171,14 @@ def solve_pricing(
 ) -> tuple[float, TransportPlan]:
     """Minimize the compressed reduced costs over the pair's transport polytope.
 
-    A negative objective means expanding the plan yields an improving column.
+    The objective is min over columns p of (c_p - duals . A_p) at the duals
+    the dual sum holds, without the convexity dual.
     """
     size_a = len(supplies)
     size_b = len(demands)
     costs = state.best.reshape(size_a, size_b)
     plan = solve_transportation(TransportationProblem(supplies, demands, costs))
-    return plan.objective + state.sigma, plan
+    return plan.objective, plan
 
 
 def expand_column(plan: TransportPlan, state: PricingState, size_b: int) -> SparseMass:

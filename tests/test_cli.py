@@ -55,6 +55,19 @@ class TestGen:
         assert code == 1
         assert "size" in err
 
+    def test_negative_seed_reports_error(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--n", "3", "--size", "3", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --seed must be nonnegative\n"
+
+    @pytest.mark.parametrize("n, size", [("0", "3"), ("3", "0")])
+    def test_zero_count_or_size_reports_error(self, capsys, n, size):
+        code, out, err = run_cli(capsys, "gen", "--n", n, "--size", size)
+        assert code == 1
+        assert out == ""
+        assert err == "error: sizes must be positive\n"
+
     @pytest.mark.parametrize("dim", ["0", "-1"])
     def test_nonpositive_dim_reports_error(self, capsys, dim):
         code, out, err = run_cli(capsys, "gen", "--sizes", "3,3", "--dim", dim)
@@ -209,11 +222,18 @@ class TestSolveCommand:
         )
         assert code == 0
         lines = trace_path.read_text().strip().splitlines()
-        assert lines[0] == "iter,rm_obj,pricing_obj"
-        assert len(lines) == json.loads(out_path.read_text())["iterations"] + 1
-        first = lines[1].split(",")
-        assert int(first[0]) == 1
-        float(first[1]), float(first[2])  # parse cleanly
+        assert lines[0] == "iter,rm_obj,pricing_obj,lb"
+        doc = json.loads(out_path.read_text())
+        assert len(lines) == doc["iterations"] + 1
+        assert doc["pricing_calls"] >= doc["iterations"]
+        for line, entry in zip(lines[1:], doc["trace"]):
+            it, rm_obj, pricing_obj, lb = line.split(",")
+            assert int(it) == entry["iter"]
+            assert float(rm_obj) == entry["rm_obj"]
+            assert float(pricing_obj) == entry["pricing_obj"]
+            assert float(lb) == entry["lb"]
+        last = doc["trace"][-1]
+        assert last["rm_obj"] - last["lb"] <= 1e-6  # converged under the default tol
 
     @pytest.mark.parametrize("flag", ["--out", "--trace-csv"])
     def test_output_in_missing_directory_reports_error(self, tmp_path, capsys, flag):

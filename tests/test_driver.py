@@ -96,6 +96,7 @@ class TestLoopBehavior:
         res = solve(inst, SolveConfig(max_iter=2))
         assert not res.converged
         assert res.iterations == 2
+        assert res.trace[-1].rm_objective - res.trace[-1].lb > SolveConfig().tol
         assert len(res.barycenter) > 0  # best-so-far still reported
 
     def test_timings_cover_all_steps(self):
@@ -182,6 +183,38 @@ class TestLoopBehavior:
         # first solve pays for phase one; later ones ride the previous basis
         assert len(counts) > 5
         assert np.mean(counts[1:]) <= 10.0
+
+
+class TestCertificate:
+    """The trace's lower bound is a valid, monotone certificate of the gap."""
+
+    def test_bounds_over_twenty_instances_and_six_variants(self):
+        tol = SolveConfig().tol
+        misprices = 0
+        for seed in range(20):
+            rng = np.random.default_rng(500 + seed)
+            sizes = rng.integers(2, 6, size=int(rng.integers(3, 6))).tolist()
+            inst = random_instance(500 + seed, sizes, uniform=seed % 2 == 0)
+            optimum = solve_direct(inst).objective
+            for start in ("greedy", "2app"):
+                for pair in ("any", "large", "small"):
+                    res = solve(inst, SolveConfig(start=start, pair_variant=pair))
+                    lbs = [t.lb for t in res.trace]
+                    # 1e-12 of rounding: at a closed gap the bound and the
+                    # objectives agree to a few ulps (up to 6e-16 seen)
+                    assert all(lb <= optimum + 1e-12 for lb in lbs)
+                    assert all(t.lb <= t.rm_objective + 1e-12 for t in res.trace)
+                    assert all(a <= b for a, b in zip(lbs, lbs[1:]))
+                    assert all(
+                        t.pricing_objective == t.lb - t.rm_objective for t in res.trace
+                    )
+                    assert res.converged
+                    last = res.trace[-1]
+                    assert last.rm_objective - last.lb <= tol
+                    assert res.pricing_calls >= res.iterations
+                    misprices += res.pricing_calls > res.iterations
+        # Some solve prices twice in one iteration: the misprice branch runs.
+        assert misprices > 0
 
 
 class TestMemoryAccounting:

@@ -234,7 +234,6 @@ class TestSolvePricing:
             y = rng.normal(0, 0.5, master_rows)
             recompute_reduced_costs(state, y, part, st)
             best_costs(state, part)
-            state.sigma = float(rng.normal())
             sup = inst_p.measures[0].masses
             dem = inst_p.measures[1].masses
             obj, plan = solve_pricing(state, part, sup, dem)
@@ -242,7 +241,7 @@ class TestSolvePricing:
                 sup, dem, state.best.reshape(len(sup), len(dem))
             )
             verts = enumerate_vertices(A, b)
-            expect = min(float(c @ v) for v in verts) + state.sigma
+            expect = min(float(c @ v) for v in verts)
             assert obj == pytest.approx(expect, abs=1e-9)
 
     def test_expand_column_places_mass_at_argmin_indices(self):
@@ -284,4 +283,4 @@ class TestSolvePricing:
         for h, q in p.entries.items():
             for r in column_support(h, st)[2:]:
                 dual_credit += q * y[r - offset]
-        assert cost_p - dual_credit == pytest.approx(obj - state.sigma, abs=1e-9)
+        assert cost_p - dual_credit == pytest.approx(obj, abs=1e-9)
