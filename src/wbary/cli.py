@@ -46,11 +46,11 @@ def instance_from_dict(doc: dict) -> Instance:
         try:
             measures.append(DiscreteMeasure(np.asarray(points, dtype=float),
                                             np.asarray(masses, dtype=float)))
-        except (ContractError, ValueError, TypeError) as exc:
+        except (ContractError, ValueError, TypeError, OverflowError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
     try:
         return Instance(tuple(measures), np.asarray(weights, dtype=float))
-    except (ContractError, ValueError, TypeError) as exc:
+    except (ContractError, ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"top level: {exc}") from exc
 
 

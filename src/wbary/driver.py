@@ -48,10 +48,6 @@ STEP_LABELS = (
     "solve-pricing",
 )
 
-# Pricing calls between full rebuilds of the dual sum, which cap the
-# floating-point drift of the incremental updates.
-RECOMPUTE_PERIOD = 500
-
 # Starting weight of the best-bound duals in the smoothed pricing duals.
 ALPHA_START = 0.5
 
@@ -192,18 +188,13 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
     supplies = inst_p.measures[0].masses
     demands = inst_p.measures[1].masses
     b = rm.rhs[:-1]
-    priced_at = np.zeros(b.shape[0])  # the duals dual_sum currently holds
     pricing_calls = 0
 
     def price(pi: np.ndarray):
         """Column minimizing the reduced cost at pi, with its rows and L(pi)."""
-        nonlocal priced_at, pricing_calls
+        nonlocal pricing_calls
         t0 = time.perf_counter()
-        if pricing_calls > 0 and pricing_calls % RECOMPUTE_PERIOD == 0:
-            pricing_mod.recompute_reduced_costs(state, pi, partition, strides_p)
-        else:
-            pricing_mod.update_reduced_costs(state, priced_at, pi, partition, strides_p)
-        priced_at = pi
+        pricing_mod.recompute_reduced_costs(state, pi, partition, strides_p)
         timings["update-reduced-costs"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -243,7 +234,7 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         # A misprice: p, priced at pi, would not enter the master at y.
         misprice = transport_obj + (pi - y) @ a_p - sigma >= -simplex.OPT_TOL
         if misprice and pi is not y and rm_obj - best_lb > cfg.tol:
-            p, _, _, lb = price(y)
+            p, a_p, _, lb = price(y)
             if lb > best_lb:
                 best_lb, center = lb, y
 
@@ -255,7 +246,7 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
             break
 
         t0 = time.perf_counter()
-        master_mod.add_column(rm, p, strides_p, state.costs)
+        master_mod.add_column(rm, p, a_p, state.costs)
         timings["setup-RM"] += time.perf_counter() - t0
 
     w = master_mod.recover_solution(rm, inst_p, strides_p, state.costs)

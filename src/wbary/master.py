@@ -70,7 +70,7 @@ def init_rm(
     strides_perm: Strides,
     costs: np.ndarray,
 ) -> MasterState:
-    """Master with the single starting vertex; solves trivially to mu = (1)."""
+    """Master with the starting vertex as its only column, left for solve_rm."""
     master_rows = sum(inst_perm.sizes[2:])
     rhs = np.concatenate(
         [m.masses for m in inst_perm.measures[2:]] + [np.ones(1)]
@@ -80,20 +80,17 @@ def init_rm(
     state._cost = np.zeros(0)
     block_ends = np.cumsum(inst_perm.sizes[2:]) - 1
     state._rows = np.delete(np.arange(master_rows + 1), block_ends)
-    add_column(state, p1, strides_perm, costs)
+    add_column(state, p1, column_coeffs(p1, strides_perm, master_rows), costs)
     resid = np.abs(state._A[:, 0] - rhs).max()
     if resid > 1e-9:
         raise ContractError(f"initial vertex violates the master rows by {resid}")
-    solve_rm(state)
     return state
 
 
 def add_column(
-    state: MasterState, p: SparseMass, strides_perm: Strides, costs: np.ndarray
+    state: MasterState, p: SparseMass, coeffs: np.ndarray, costs: np.ndarray
 ):
-    """Append one vertex; its aggregated rows are built from its support."""
-    master_rows = state.rhs.shape[0] - 1
-    coeffs = column_coeffs(p, strides_perm, master_rows)
+    """Append vertex p given its master-row entries (column_coeffs)."""
     state.columns.append(p)
     full = np.concatenate([coeffs, [1.0]])
     state._A = np.hstack([state._A, full[:, None]])

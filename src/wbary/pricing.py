@@ -9,11 +9,12 @@ over costs.reshape(n_unique, n_duplicates) - dual_sum. Arranged as a matrix
 over the two measures' points, they form a balanced transportation problem.
 
 The only exponentially sized state is the cost vector plus an
-n_duplicates-length dual sum; moving it from one set of duals to the next
-touches it through strided views, so the constraint matrix itself is never
-stored. The duals are whatever the driver prices at (smoothed, or the master
-duals); solve_pricing returns the transport objective alone, and the driver
-adds the dual terms it needs for reduced costs and bounds.
+n_duplicates-length dual sum. The dual sum is rebuilt from the priced duals
+at every pricing, one strided view per master row, so the constraint matrix
+is never stored and no rounding carries over from one pricing to the next.
+The duals are whatever the driver prices at (smoothed, or the master duals);
+solve_pricing returns the transport objective alone, and the driver adds the
+dual terms it needs for reduced costs and bounds.
 """
 
 from __future__ import annotations
@@ -94,18 +95,6 @@ def init_reduced_costs(
     return state
 
 
-def _master_blocks(partition: Partition, strides_perm: Strides):
-    """(row offset, size, inner stride, outer count) per master measure in dual_sum."""
-    blocks = []
-    offset = 0
-    for t in range(2, len(strides_perm.sizes)):
-        size = strides_perm.sizes[t]
-        inner = strides_perm.suffix_products[t]
-        blocks.append((offset, size, inner, partition.n_duplicates // (size * inner)))
-        offset += size
-    return blocks
-
-
 def update_reduced_costs(
     state: PricingState,
     y_old: np.ndarray,
@@ -113,15 +102,21 @@ def update_reduced_costs(
     partition: Partition,
     strides_perm: Strides,
 ):
-    """Move the dual sum from duals y_old to y_new, row by changed row."""
-    for offset, size, inner, outer in _master_blocks(partition, strides_perm):
-        block_old = y_old[offset : offset + size]
-        block_new = y_new[offset : offset + size]
-        view = state.dual_sum.reshape(outer, size, inner)
+    """Add y_new - y_old to the dual sum, one strided view per changed row.
+
+    Row j of master measure t holds the dual of the entries whose digit t is
+    j: a strided (outer, inner) slice of the dual sum.
+    """
+    offset = 0
+    for t in range(2, len(strides_perm.sizes)):
+        size = strides_perm.sizes[t]
+        inner = strides_perm.suffix_products[t]
+        view = state.dual_sum.reshape(-1, size, inner)
         for j in range(size):
-            delta = block_new[j] - block_old[j]
+            delta = y_new[offset + j] - y_old[offset + j]
             if delta != 0.0:
                 view[:, j, :] += delta
+        offset += size
 
 
 def recompute_reduced_costs(
@@ -130,11 +125,9 @@ def recompute_reduced_costs(
     partition: Partition,
     strides_perm: Strides,
 ):
-    """Rebuild the dual sum from scratch to cap incremental drift."""
+    """Rebuild the dual sum at duals y; the driver does so at every pricing."""
     state.dual_sum.fill(0.0)
-    for offset, size, inner, outer in _master_blocks(partition, strides_perm):
-        view = state.dual_sum.reshape(outer, size, inner)
-        view += y[offset : offset + size][None, :, None]
+    update_reduced_costs(state, np.zeros_like(y), y, partition, strides_perm)
 
 
 def best_costs(state: PricingState, partition: Partition):

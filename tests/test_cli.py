@@ -140,6 +140,23 @@ class TestSolveCommand:
         assert out == ""
         assert "measures[0]" in err and "finite" in err
 
+    @pytest.mark.parametrize("field", ["point", "weight"])
+    def test_integer_beyond_float_range_reported(self, tmp_path, capsys, field):
+        huge = "1" + "0" * 400  # a JSON integer no float can hold
+        point, weight = (huge, "0.5") if field == "point" else ("0.0", huge)
+        path = tmp_path / "huge.json"
+        path.write_text(
+            f'{{"weights": [{weight}, 0.5], "measures": ['
+            f'{{"points": [[{point}, 0.0]], "masses": [1.0]}},'
+            '{"points": [[1.0, 1.0]], "masses": [1.0]}]}'
+        )
+        code, out, err = run_cli(capsys, "solve", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        where = "measures[0]" if field == "point" else "top level"
+        assert err.startswith(f"error: {path}: {where}: ")
+        assert "Traceback" not in err
+
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"weights": [1.0], "measures": [')

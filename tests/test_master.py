@@ -5,6 +5,7 @@ from wbary.initial import greedy_vertex
 from wbary.master import (
     add_column,
     barycenter_points,
+    column_coeffs,
     init_rm,
     master_lp,
     recover_solution,
@@ -37,12 +38,19 @@ def build(rng, sizes, variant="any", uniform=True):
     return inst_p, part, st, state
 
 
+def add(rm, p, st, costs):
+    """Append p with the master-row entries the driver passes."""
+    add_column(rm, p, column_coeffs(p, st, rm.rhs.shape[0] - 1), costs)
+
+
 class TestInitRM:
     def test_single_column_forces_mu_one(self):
         rng = np.random.default_rng(0)
         inst_p, part, st, state = build(rng, [2, 3, 2])
         p1 = greedy_vertex(inst_p, st)
         rm = init_rm(p1, inst_p, st, state.costs)
+        assert rm.mu is None  # init_rm builds the master; solve_rm solves it
+        solve_rm(rm)
         assert rm.mu.shape == (1,)
         assert rm.mu[0] == pytest.approx(1.0)
         assert rm.objective == pytest.approx(rm._cost[0])
@@ -62,7 +70,7 @@ class TestAddColumn:
         p1 = greedy_vertex(inst_p, st)
         rm = init_rm(p1, inst_p, st, state.costs)
         single = SparseMass({7: 1.0})
-        add_column(rm, single, st, state.costs)
+        add(rm, single, st, state.costs)
         coeffs = rm._A[:-1, -1]
         pos = 0
         for t in range(2, inst_p.n):
@@ -76,7 +84,7 @@ class TestAddColumn:
         inst_p, part, st, state = build(rng, [2, 2, 2])
         p1 = greedy_vertex(inst_p, st)
         rm = init_rm(p1, inst_p, st, state.costs)
-        add_column(rm, p1, st, state.costs)
+        add(rm, p1, st, state.costs)
         mu, y, sigma, obj = solve_rm(rm)
         assert mu.sum() == pytest.approx(1.0)
         assert obj == pytest.approx(rm._cost[0])
@@ -90,7 +98,7 @@ class TestMasterRows:
         inst_p, part, st, state = build(rng, [2, 2, 3, 2], uniform=False)
         rm = init_rm(greedy_vertex(inst_p, st), inst_p, st, state.costs)
         for h in range(st.total):
-            add_column(rm, SparseMass({h: 1.0}), st, state.costs)
+            add(rm, SparseMass({h: 1.0}), st, state.costs)
         A = master_lp(rm).A
         assert A.shape[1] == st.total + 1
         assert np.linalg.matrix_rank(A) == A.shape[0]
@@ -100,7 +108,7 @@ class TestMasterRows:
         inst_p, part, st, state = build(rng, [2, 2, 3, 2], uniform=False)
         rm = init_rm(greedy_vertex(inst_p, st), inst_p, st, state.costs)
         for h in [3, 8, 17]:
-            add_column(rm, SparseMass({h: 1.0}), st, state.costs)
+            add(rm, SparseMass({h: 1.0}), st, state.costs)
         mu, y, sigma, obj = solve_rm(rm)
         assert y.shape == (sum(inst_p.sizes[2:]),)
         # every column with positive weight prices to zero against (y, sigma)
@@ -126,7 +134,7 @@ class TestSolveRM:
         p1 = greedy_vertex(inst_p, st)
         rm = init_rm(p1, inst_p, st, state.costs)
         for h in [0, 5, 9, 15]:
-            add_column(rm, SparseMass({h: 1.0}), st, state.costs)
+            add(rm, SparseMass({h: 1.0}), st, state.costs)
             mu, y, sigma, obj = solve_rm(rm)
             assert mu.min() >= -1e-12
             assert mu.sum() == pytest.approx(1.0, abs=1e-9)
