@@ -51,7 +51,7 @@ STEP_LABELS = (
 # Starting weight of the best-bound duals in the smoothed pricing duals.
 ALPHA_START = 0.5
 
-# Bytes allowed for the combination-length cost vector (8 per combination).
+# Bytes allowed for the pricing state (the cost matrix for two measures).
 MEMORY_CAP = 2_000_000_000
 
 # Largest combination count solve_direct materializes.
@@ -92,11 +92,11 @@ class SolveResult:
     iterations: int
     converged: bool
     timings: dict[str, float]
-    # Not a measurement: the size of the combination-length arrays and
-    # master columns the solve holds when it returns (cost vector, dual sum,
-    # pricing minima and master columns; cost vector and combination rows
-    # for solve_direct). It leaves out the temporaries of cost_vector, so it
-    # undercounts the true peak.
+    # Not a measurement: the size of the arrays the solve holds when it
+    # returns (pricing state with its minima, and master columns; the cost
+    # matrix for two measures; costs and combination rows for solve_direct).
+    # It leaves out temporaries, such as the pricing tiles, so it undercounts
+    # the true peak.
     peak_memory_bytes: int
     trace: list[TraceEntry] = field(default_factory=list)
     n_combinations: int = 0
@@ -141,7 +141,7 @@ def _single_measure_result(inst: Instance) -> SolveResult:
 def _two_measure_result(inst: Instance) -> SolveResult:
     wall_start = time.perf_counter()
     strides = make_strides(inst.sizes)
-    costs = cost_vector(inst, strides)
+    costs = cost_vector(inst, strides, np.arange(strides.total))
     m0, m1 = inst.measures
     plan = solve_transportation(
         TransportationProblem(m0.masses, m1.masses, costs.reshape(inst.sizes))
@@ -157,11 +157,16 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
     cfg = cfg or SolveConfig()
     if inst.n == 1:
         return _single_measure_result(inst)
-    total = math.prod(inst.sizes)
-    if 8 * total > MEMORY_CAP:
+    partition = pricing_mod.choose_partition(inst, cfg.pair_variant)
+    sizes_p = tuple(inst.sizes[i] for i in partition.perm)
+    if inst.n == 2:
+        held = 8 * math.prod(inst.sizes)
+    else:
+        held = pricing_mod.state_bytes(sizes_p, inst.dim)
+    if held > MEMORY_CAP:
         raise CapacityError(
-            f"{total} combinations need {8 * total} bytes of cost vector, "
-            f"over the cap of {MEMORY_CAP}"
+            f"{math.prod(inst.sizes)} combinations need {held} bytes of pricing "
+            f"state, over the cap of {MEMORY_CAP}"
         )
     if inst.n == 2:
         return _two_measure_result(inst)
@@ -169,9 +174,8 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
     wall_start = time.perf_counter()
     timings = _zero_timings()
 
-    partition = pricing_mod.choose_partition(inst, cfg.pair_variant)
     inst_p = inst.permuted(partition.perm)
-    strides_p = make_strides(inst_p.sizes)
+    strides_p = make_strides(sizes_p)
 
     t0 = time.perf_counter()
     state = pricing_mod.init_reduced_costs(inst_p, partition, strides_p)
@@ -182,7 +186,7 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
     timings["init"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rm = master_mod.init_rm(p1, inst_p, strides_p, state.costs)
+    rm = master_mod.init_rm(p1, inst_p, strides_p)
     timings["setup-RM"] += time.perf_counter() - t0
 
     supplies = inst_p.measures[0].masses
@@ -246,15 +250,13 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
             break
 
         t0 = time.perf_counter()
-        master_mod.add_column(rm, p, a_p, state.costs)
+        master_mod.add_column(rm, p, a_p)
         timings["setup-RM"] += time.perf_counter() - t0
 
-    w = master_mod.recover_solution(rm, inst_p, strides_p, state.costs)
-    held = (state.costs, state.dual_sum, state.best, state.best_index, rm._A)
-    peak_memory_bytes = sum(a.nbytes for a in held)
+    w = master_mod.recover_solution(rm)
     return _result(
         w, inst_p, partition.perm, strides_p, wall_start, timings,
-        peak_memory_bytes, iteration, converged, trace, pricing_calls,
+        held + rm._A.nbytes, iteration, converged, trace, pricing_calls,
     )
 
 
@@ -275,14 +277,11 @@ def solve_direct(inst: Instance) -> SolveResult:
             f"direct solve needs {total} columns, "
             f"over the cap of {DIRECT_MAX_COMBINATIONS}"
         )
-    costs = cost_vector(inst, strides)
-    status, w = master_mod.full_lp(
-        np.arange(total, dtype=np.int64), inst, strides, costs
-    )
+    status, w = master_mod.full_lp(np.arange(total, dtype=np.int64), inst, strides)
     if status != simplex.OPTIMAL:
         raise RuntimeError(f"direct solve returned status {status}")
     # The full LP holds n int64 row indices per combination beside its cost.
-    peak_memory_bytes = (inst.n + 1) * costs.nbytes
+    peak_memory_bytes = (inst.n + 1) * 8 * total
     return _result(
         w, inst, tuple(range(inst.n)), strides, wall_start, _zero_timings(),
         peak_memory_bytes,

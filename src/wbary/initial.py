@@ -66,16 +66,6 @@ class ApproxBarycenter:
     mass: np.ndarray  # (S,)
     flows: list[list[list[tuple[int, float]]]]  # [measure][support point]
 
-    def transport_cost(self, inst: Instance) -> float:
-        cost = 0.0
-        for i, measure_flows in enumerate(self.flows):
-            pts = inst.measures[i].points
-            for s, pairs in enumerate(measure_flows):
-                for j, q in pairs:
-                    diff = self.support[s] - pts[j]
-                    cost += inst.lambdas[i] * q * float(diff @ diff)
-        return cost
-
     def validate(self, inst: Instance, tol: float = 1e-9):
         if abs(self.mass.sum() - 1.0) > tol:
             raise ContractError("approximate barycenter mass does not sum to 1")

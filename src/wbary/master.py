@@ -31,6 +31,7 @@ from .model import (
     SparseMass,
     Strides,
     combination_cost,
+    cost_vector,
     tuple_of,
     weighted_mean,
 )
@@ -38,6 +39,8 @@ from .model import (
 
 @dataclass
 class MasterState:
+    inst: Instance  # permuted so that the pricing pair leads
+    strides: Strides
     columns: list[SparseMass]  # admitted vertices; cost and rows in _cost, _A
     rhs: np.ndarray  # master-row masses plus the trailing convexity 1
     mu: np.ndarray | None = None
@@ -60,41 +63,33 @@ def column_coeffs(p: SparseMass, strides_perm: Strides, master_rows: int) -> np.
     return coeffs
 
 
-def _column_cost(p: SparseMass, costs: np.ndarray) -> float:
-    return float(sum(q * costs[h] for h, q in p.entries.items()))
-
-
-def init_rm(
-    p1: SparseMass,
-    inst_perm: Instance,
-    strides_perm: Strides,
-    costs: np.ndarray,
-) -> MasterState:
+def init_rm(p1: SparseMass, inst_perm: Instance, strides_perm: Strides) -> MasterState:
     """Master with the starting vertex as its only column, left for solve_rm."""
     master_rows = sum(inst_perm.sizes[2:])
     rhs = np.concatenate(
         [m.masses for m in inst_perm.measures[2:]] + [np.ones(1)]
     )
-    state = MasterState(columns=[], rhs=rhs)
+    state = MasterState(inst_perm, strides_perm, columns=[], rhs=rhs)
     state._A = np.zeros((master_rows + 1, 0))
     state._cost = np.zeros(0)
     block_ends = np.cumsum(inst_perm.sizes[2:]) - 1
     state._rows = np.delete(np.arange(master_rows + 1), block_ends)
-    add_column(state, p1, column_coeffs(p1, strides_perm, master_rows), costs)
+    add_column(state, p1, column_coeffs(p1, strides_perm, master_rows))
     resid = np.abs(state._A[:, 0] - rhs).max()
     if resid > 1e-9:
         raise ContractError(f"initial vertex violates the master rows by {resid}")
     return state
 
 
-def add_column(
-    state: MasterState, p: SparseMass, coeffs: np.ndarray, costs: np.ndarray
-):
+def add_column(state: MasterState, p: SparseMass, coeffs: np.ndarray):
     """Append vertex p given its master-row entries (column_coeffs)."""
     state.columns.append(p)
     full = np.concatenate([coeffs, [1.0]])
     state._A = np.hstack([state._A, full[:, None]])
-    state._cost = np.append(state._cost, _column_cost(p, costs))
+    index = np.fromiter(p.entries, dtype=np.int64, count=len(p))
+    costs = cost_vector(state.inst, state.strides, index)
+    cost = sum(q * c for q, c in zip(p.entries.values(), costs))
+    state._cost = np.append(state._cost, cost)
 
 
 def master_lp(state: MasterState) -> simplex.DenseLP:
@@ -141,14 +136,14 @@ def _combine(state: MasterState) -> SparseMass:
 
 
 def full_lp(
-    support: np.ndarray, inst: Instance, strides: Strides, costs: np.ndarray
+    support: np.ndarray, inst: Instance, strides: Strides
 ) -> tuple[str, SparseMass]:
     """Basic optimum of the full barycenter LP restricted to some combinations.
 
     Keeps every measure row; combination ``support[j]`` is a unit column with
-    a one in its point's row of each measure, and ``costs`` is indexed by
-    combination. Returns the simplex status and the entries with x above
-    MASS_TOL, which are empty unless the status is optimal.
+    a one in its point's row of each measure. Returns the simplex status and
+    the entries with x above MASS_TOL, which are empty unless the status is
+    optimal.
     """
     rows = np.empty((inst.n, support.size), dtype=np.int64)
     for i in range(inst.n):
@@ -157,16 +152,14 @@ def full_lp(
         rows[i] += strides.row_offsets[i]
     provider = simplex.UnitColumns(rows, nrows=strides.row_offsets[-1])
     rhs = np.concatenate([m.masses for m in inst.measures])
-    sol = simplex.solve_columns(provider, costs[support], rhs)
+    sol = simplex.solve_columns(provider, cost_vector(inst, strides, support), rhs)
     if sol.status != simplex.OPTIMAL:
         return sol.status, SparseMass()
     keep = np.flatnonzero(sol.x > MASS_TOL)
     return sol.status, SparseMass({int(support[j]): float(sol.x[j]) for j in keep})
 
 
-def recover_solution(
-    state: MasterState, inst_perm: Instance, strides_perm: Strides, costs: np.ndarray
-) -> SparseMass:
+def recover_solution(state: MasterState) -> SparseMass:
     """Basic optimum over the union of the admitted columns' supports.
 
     The converged master weights combine into an optimal but dense plan; the
@@ -177,7 +170,7 @@ def recover_solution(
     support = np.array(
         sorted({h for col in state.columns for h in col.entries}), dtype=np.int64
     )
-    status, polished = full_lp(support, inst_perm, strides_perm, costs)
+    status, polished = full_lp(support, state.inst, state.strides)
     return polished if status == simplex.OPTIMAL else _combine(state)
 
 

@@ -11,12 +11,13 @@ it can be regenerated from the index alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 MASS_TOL = 1e-12
 INDEX_LIMIT = 2**63  # flat indices are kept in signed 64-bit arrays
-BLOCK = 1 << 20  # entries per step of a pass over a combination-length vector
+BLOCK = 1 << 20  # entries per tile of the pricing pass
 
 
 class CapacityError(RuntimeError):
@@ -65,6 +66,11 @@ class DiscreteMeasure:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def sqnorms(self) -> np.ndarray:
+        """Squared norm of every point, computed once per measure."""
+        return np.einsum("ij,ij->i", self.points, self.points)
 
 
 @dataclass(frozen=True)
@@ -181,15 +187,6 @@ def index_of(indices, strides: Strides) -> int:
     return sum(j * strides.suffix_products[i] for i, j in enumerate(indices))
 
 
-def column_support(h: int, strides: Strides) -> tuple[int, ...]:
-    """Rows of the implicit constraint matrix containing a one in column h.
-
-    Exactly one row per measure block; rows are strictly increasing.
-    """
-    digits = tuple_of(h, strides).indices
-    return tuple(strides.row_offsets[i] + j for i, j in enumerate(digits))
-
-
 def weighted_mean(c: Combination, inst: Instance) -> np.ndarray:
     """Weight-averaged location of the points in a combination."""
     out = np.zeros(inst.dim)
@@ -208,27 +205,20 @@ def combination_cost(c: Combination, inst: Instance) -> float:
     return cost
 
 
-def cost_vector(inst: Instance, strides: Strides) -> np.ndarray:
-    """Per-unit transport cost of every combination, as one dense vector.
+def cost_vector(inst: Instance, strides: Strides, index: np.ndarray) -> np.ndarray:
+    """Per-unit transport cost of the combinations in an int64 index array.
 
-    Uses the identity  sum_i l_i |x_i|^2 - |mean|^2  and evaluates in blocks,
-    so no auxiliary array larger than the output is created.
+    Uses the identity  sum_i l_i |x_i|^2 - |mean|^2,  one vectorized pass per
+    measure over the whole index array.
     """
-    n = inst.n
-    total = strides.total
-    out = np.empty(total)
-    sqnorms = [np.einsum("ij,ij->i", m.points, m.points) for m in inst.measures]
-    for lo in range(0, total, BLOCK):
-        hi = min(lo + BLOCK, total)
-        h = np.arange(lo, hi, dtype=np.int64)
-        acc_sq = np.zeros(hi - lo)
-        acc_mean = np.zeros((hi - lo, inst.dim))
-        for i in range(n):
-            j = (h // strides.suffix_products[i]) % strides.sizes[i]
-            acc_sq += inst.lambdas[i] * sqnorms[i][j]
-            acc_mean += inst.lambdas[i] * inst.measures[i].points[j]
-        np.subtract(acc_sq, np.einsum("ij,ij->i", acc_mean, acc_mean), out=out[lo:hi])
-    return out
+    index = np.asarray(index, dtype=np.int64)
+    acc_sq = np.zeros(index.shape[0])
+    acc_mean = np.zeros((index.shape[0], inst.dim))
+    for i, m in enumerate(inst.measures):
+        j = (index // strides.suffix_products[i]) % strides.sizes[i]
+        acc_sq += inst.lambdas[i] * m.sqnorms[j]
+        acc_mean += inst.lambdas[i] * m.points[j]
+    return acc_sq - np.einsum("ij,ij->i", acc_mean, acc_mean)
 
 
 @dataclass
@@ -251,23 +241,3 @@ class SparseMass:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def marginal_residual(w: SparseMass, inst: Instance, strides: Strides) -> float:
-    """Largest violation of the per-point mass balance over all measures."""
-    worst = 0.0
-    sums = [np.zeros(m.size) for m in inst.measures]
-    for h, mass in w.entries.items():
-        digits = tuple_of(h, strides).indices
-        for i, j in enumerate(digits):
-            sums[i][j] += mass
-    for i, m in enumerate(inst.measures):
-        worst = max(worst, float(np.abs(sums[i] - m.masses).max()))
-    return worst
-
-
-def satisfies_marginals(
-    w: SparseMass, inst: Instance, strides: Strides, tol: float = 1e-9
-) -> bool:
-    """True when the sparse mass vector transports each measure exactly."""
-    return marginal_residual(w, inst, strides) <= tol

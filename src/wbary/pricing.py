@@ -1,20 +1,26 @@
-"""Reduced-cost bookkeeping and the transportation-shaped pricing step.
+"""Split reduced costs and the transportation-shaped pricing step.
 
 The constraint rows of exactly two measures are delegated to pricing. With
 those two measures permuted to the front, combination h = u * n_duplicates + d
 pairs a distinct pair-row pattern u ("unique column") with a duplicate index
-d. Its reduced cost is costs[h] minus the master duals of d's digits, a sum
-that depends on d alone, so the per-pattern minima take one blockwise pass
-over costs.reshape(n_unique, n_duplicates) - dual_sum. Arranged as a matrix
-over the two measures' points, they form a balanced transportation problem.
+d over the trailing measures. The trailing measures split into a head group
+and a tail group, the longest suffix with at most TAIL_MAX combinations, so
+d = d_hi * n_lo + d_lo and h = e * n_lo + l with e = (u, d_hi) and l = d_lo.
 
-The only exponentially sized state is the cost vector plus an
-n_duplicates-length dual sum. The dual sum is rebuilt from the priced duals
-at every pricing, one strided view per master row, so the constraint matrix
-is never stored and no rounding carries over from one pricing to the next.
-The duals are whatever the driver prices at (smoothed, or the master duals);
-solve_pricing returns the transport objective alone, and the driver adds the
-dual terms it needs for reduced costs and bounds.
+With P_e and Z_l the weighted point sums over (pair, head) and tail, the
+reduced cost of h before the convexity dual is a_e + b_l - 2 P_e . Z_l, where
+a_e = sum_{pair, head} l|x|^2 - |P_e|^2 - sum_head y and
+b_l = sum_tail l|x|^2 - |Z_l|^2 - sum_tail y. Each pricing rebuilds a and b
+from the duals by outer sums; the per-pattern minima then take one tiled
+product [P_e, 1] . [-2 Z; b], a row argmin, and a reduction over d_hi.
+Arranged as a matrix over the two measures' points, the minima form a
+balanced transportation problem.
+
+No array of length N or n_duplicates is held: the state has (n_e + n_lo)
+rows of dim + 1 or fewer entries, about sqrt(N) of them when the groups
+balance. The duals are whatever the driver prices at (smoothed, or the
+master duals); solve_pricing returns the transport objective alone, and the
+driver adds the dual terms it needs for reduced costs and bounds.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .model import Instance, SparseMass, Strides, cost_vector
+from .model import Instance, SparseMass, Strides
 from .transport import TransportationProblem, TransportPlan, solve_transportation
 
 
@@ -64,14 +70,62 @@ def choose_partition(inst: Instance, variant: str = "large") -> Partition:
     return Partition(pair, perm, n_unique, math.prod(sizes) // n_unique)
 
 
+# Most combinations the tail group may span; the head takes the rest.
+TAIL_MAX = 2**16
+
+
+def tail_start(sizes) -> int:
+    """First measure of the tail: the longest suffix of the trailing measures
+    (those after the pair) with at most TAIL_MAX combinations, maybe empty."""
+    k, n_lo = len(sizes), 1
+    while k > 2 and n_lo * sizes[k - 1] <= TAIL_MAX:
+        k -= 1
+        n_lo *= sizes[k]
+    return k
+
+
+def state_bytes(sizes, dim: int) -> int:
+    """Bytes the arrays of a PricingState over measures of these sizes hold."""
+    k = tail_start(sizes)
+    n_e, n_lo = math.prod(sizes[:k]), math.prod(sizes[k:])
+    return 8 * (n_e * (dim + 3) + n_lo * (dim + 2) + 2 * sizes[0] * sizes[1])
+
+
 @dataclass
 class PricingState:
-    """Dense pricing data over the permuted combination space."""
+    """Split pricing data: head rows e = (u, d_hi) against tail columns l."""
 
-    costs: np.ndarray  # (N,) transport cost of every combination
-    dual_sum: np.ndarray  # (n_duplicates,) master duals over each d's digits
+    tail: int  # first measure of the tail group in the permuted order
+    pe: np.ndarray  # (n_e, dim + 1): [P_e, 1]
+    zb: np.ndarray  # (dim + 1, n_lo): [-2 Z_l; b_l], b_l at the priced duals
+    a: np.ndarray  # (n_e,) a_e at the priced duals
+    a_static: np.ndarray  # (n_e,) a_e at zero duals
+    b_static: np.ndarray  # (n_lo,) b_l at zero duals
     best: np.ndarray  # (n_unique,) minimum reduced cost per unique column
     best_index: np.ndarray  # (n_unique,) flat index attaining each minimum
+
+
+def _point_sums(inst: Instance, measures: range) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of l|x|^2 and of l x over every digit combination of some measures,
+    in mixed-radix order (the last measure's digit varies fastest)."""
+    sq, pts = np.zeros(1), np.zeros((1, inst.dim))
+    for t in reversed(measures):  # prepend digits: long inner loops
+        lam, m = inst.lambdas[t], inst.measures[t]
+        sq = (lam * m.sqnorms[:, None] + sq).ravel()
+        pts = (lam * m.points[:, None, :] + pts).reshape(-1, inst.dim)
+    return sq, pts
+
+
+def _dual_sums(y: np.ndarray, sizes, measures: range) -> np.ndarray:
+    """Sum of the duals over every digit combination of some trailing measures,
+    in mixed-radix order; y holds one entry per row of the measures after the
+    pair."""
+    acc = np.zeros(1)
+    end = sum(sizes[2 : measures.stop])
+    for t in reversed(measures):
+        acc = (y[end - sizes[t] : end, None] + acc).ravel()
+        end -= sizes[t]
+    return acc
 
 
 def init_reduced_costs(
@@ -79,15 +133,22 @@ def init_reduced_costs(
     partition: Partition,
     strides_perm: Strides,
 ) -> PricingState:
-    """Allocate the cost vector and the dual sum (duals start at zero).
+    """Build the split state at zero duals and its per-pattern minima.
 
-    With the per-pattern minima, these are the combination-length arrays that
-    SolveResult.peak_memory_bytes counts. solve checks the 8 * N bytes of the
-    cost vector against its cap before calling this.
+    solve checks state_bytes against its cap before calling this.
     """
+    k = tail_start(inst_perm.sizes)
+    sq_e, p = _point_sums(inst_perm, range(k))
+    sq_l, z = _point_sums(inst_perm, range(k, inst_perm.n))
+    a_static = sq_e - np.einsum("ij,ij->i", p, p)
+    b_static = sq_l - np.einsum("ij,ij->i", z, z)
     state = PricingState(
-        costs=cost_vector(inst_perm, strides_perm),
-        dual_sum=np.zeros(partition.n_duplicates),
+        tail=k,
+        pe=np.hstack([p, np.ones((p.shape[0], 1))]),
+        zb=np.vstack([-2.0 * z.T, b_static]),
+        a=a_static.copy(),
+        a_static=a_static,
+        b_static=b_static,
         best=np.empty(partition.n_unique),
         best_index=np.empty(partition.n_unique, dtype=np.int64),
     )
@@ -102,21 +163,15 @@ def update_reduced_costs(
     partition: Partition,
     strides_perm: Strides,
 ):
-    """Add y_new - y_old to the dual sum, one strided view per changed row.
-
-    Row j of master measure t holds the dual of the entries whose digit t is
-    j: a strided (outer, inner) slice of the dual sum.
-    """
-    offset = 0
-    for t in range(2, len(strides_perm.sizes)):
-        size = strides_perm.sizes[t]
-        inner = strides_perm.suffix_products[t]
-        view = state.dual_sum.reshape(-1, size, inner)
-        for j in range(size):
-            delta = y_new[offset + j] - y_old[offset + j]
-            if delta != 0.0:
-                view[:, j, :] += delta
-        offset += size
+    """Subtract the outer sums of y_new - y_old from a (head) and b (tail)."""
+    sizes, k = strides_perm.sizes, state.tail
+    delta = np.asarray(y_new) - np.asarray(y_old)
+    split = sum(sizes[2:k])
+    if np.any(delta[:split]):
+        a = state.a.reshape(partition.n_unique, -1)
+        a -= _dual_sums(delta, sizes, range(2, k))
+    if np.any(delta[split:]):
+        state.zb[-1] -= _dual_sums(delta, sizes, range(k, len(sizes)))
 
 
 def recompute_reduced_costs(
@@ -125,35 +180,46 @@ def recompute_reduced_costs(
     partition: Partition,
     strides_perm: Strides,
 ):
-    """Rebuild the dual sum at duals y; the driver does so at every pricing."""
-    state.dual_sum.fill(0.0)
+    """Rebuild a and b at duals y; the driver does so at every pricing."""
+    state.a[:] = state.a_static
+    state.zb[-1] = state.b_static
     update_reduced_costs(state, np.zeros_like(y), y, partition, strides_perm)
 
 
 def best_costs(state: PricingState, partition: Partition):
     """Per unique column, the minimum reduced cost among its duplicates.
 
-    With the pair leading the permutation, unique column u owns the
-    contiguous index range [u * n_duplicates, (u+1) * n_duplicates). The pass
-    runs over tiles of at most model.BLOCK entries; a later tile replaces a
-    row's minimum only when strictly lower, so ties go to the lowest index.
+    One pass of [P_e, 1] . [-2 Z; b] over tiles of at most model.BLOCK
+    entries gives each row e its minimum over l; a later tile replaces a
+    row's minimum only when strictly lower. Adding a_e and taking the first
+    minimum over d_hi then keeps ties at the lowest flat index e * n_lo + l.
     """
-    n_u, n_d = partition.n_unique, partition.n_duplicates
-    grid = state.costs.reshape(n_u, n_d)
-    n_rows = max(1, model.BLOCK // n_d)
-    width = min(n_d, model.BLOCK)
-    state.best.fill(np.inf)
-    for r0 in range(0, n_u, n_rows):
-        r1 = min(r0 + n_rows, n_u)
-        best, best_index = state.best[r0:r1], state.best_index[r0:r1]
-        rows = np.arange(r1 - r0, dtype=np.int64)
-        for c0 in range(0, n_d, width):
-            tile = grid[r0:r1, c0 : c0 + width] - state.dual_sum[c0 : c0 + width]
+    n_e, n_lo = state.a.shape[0], state.zb.shape[1]
+    n_rows = max(1, model.BLOCK // n_lo)
+    width = min(n_lo, model.BLOCK)
+    row_min = np.full(n_e, np.inf)
+    row_arg = np.empty(n_e, dtype=np.int64)
+    buf = np.empty(min(n_rows, n_e) * width)
+    for r0 in range(0, n_e, n_rows):
+        r1 = min(r0 + n_rows, n_e)
+        best, arg = row_min[r0:r1], row_arg[r0:r1]
+        rows = np.arange(r1 - r0)
+        for c0 in range(0, n_lo, width):
+            zb = state.zb[:, c0 : c0 + width]
+            tile = buf[: (r1 - r0) * zb.shape[1]].reshape(r1 - r0, -1)
+            np.matmul(state.pe[r0:r1], zb, out=tile)
             local = np.argmin(tile, axis=1)  # first minimum, so lowest index
             value = tile[rows, local]
             lower = value < best
             best[lower] = value[lower]
-            best_index[lower] = ((r0 + rows) * n_d + c0 + local)[lower]
+            arg[lower] = c0 + local[lower]
+    row_min += state.a
+    grid = row_min.reshape(partition.n_unique, -1)
+    d_hi = np.argmin(grid, axis=1)
+    u = np.arange(partition.n_unique)
+    e = u * grid.shape[1] + d_hi
+    state.best[:] = grid[u, d_hi]
+    state.best_index[:] = e * n_lo + row_arg[e]
 
 
 def solve_pricing(
@@ -165,7 +231,7 @@ def solve_pricing(
     """Minimize the compressed reduced costs over the pair's transport polytope.
 
     The objective is min over columns p of (c_p - duals . A_p) at the duals
-    the dual sum holds, without the convexity dual.
+    a and b were last rebuilt at, without the convexity dual.
     """
     size_a = len(supplies)
     size_b = len(demands)

@@ -159,3 +159,81 @@ def barycenter_lp_arrays(points, masses, weights):
     cols = np.repeat(np.arange(total), n)
     A = csc_matrix((np.ones(rows.size), (rows, cols)), shape=(offsets[-1], total))
     return cost, A, np.concatenate(masses)
+
+
+def digits_of(h, sizes):
+    """Point index per measure of flat combination h (last measure fastest)."""
+    if not 0 <= h < int(np.prod(sizes)):
+        raise IndexError(f"combination index {h} out of range")
+    return tuple(int(j) for j in np.unravel_index(h, tuple(sizes)))
+
+
+def column_support(h, strides):
+    """Rows holding a one in column h of the full constraint matrix, one per
+    measure block, in increasing order."""
+    sizes = strides.sizes
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    return tuple(int(offsets[i] + j) for i, j in enumerate(digits_of(h, sizes)))
+
+
+def marginal_residual(w, inst, strides):
+    """Largest violation of the per-point mass balance over all measures."""
+    sums = [np.zeros(m.size) for m in inst.measures]
+    for h, mass in w.entries.items():
+        for i, j in enumerate(digits_of(h, strides.sizes)):
+            sums[i][j] += mass
+    return max(float(np.abs(s - m.masses).max()) for s, m in zip(sums, inst.measures))
+
+
+def satisfies_marginals(w, inst, strides, tol=1e-9):
+    """True when the sparse mass vector transports each measure exactly."""
+    return marginal_residual(w, inst, strides) <= tol
+
+
+def approx_transport_cost(apx, inst):
+    """Weighted transport cost of a 2-approximation's flows into every measure."""
+    cost = 0.0
+    for i, measure_flows in enumerate(apx.flows):
+        pts = inst.measures[i].points
+        for s, pairs in enumerate(measure_flows):
+            for j, q in pairs:
+                diff = apx.support[s] - pts[j]
+                cost += inst.lambdas[i] * q * float(diff @ diff)
+    return cost
+
+
+def brute_force_pricing(inst_perm, y, exact=False):
+    """Per pair pattern u, the minimum over its combinations h of cost(h) minus
+    the duals y of h's trailing digits, and the lowest h attaining it.
+
+    The pricing pair is measures 0 and 1 of ``inst_perm``; y holds one dual per
+    point of the measures after them. Each cost is the weighted squared
+    distance of h's points to their weighted mean, from the raw points; with
+    ``exact`` every value is a Fraction, so ties are exact.
+    """
+    num = Fraction if exact else float
+    sizes = [m.size for m in inst_perm.measures]
+    dim = inst_perm.measures[0].points.shape[1]
+    lam = [num(float(x)) for x in inst_perm.lambdas]
+    pts = [[[num(float(c)) for c in p] for p in m.points] for m in inst_perm.measures]
+    duals = [num(float(v)) for v in y]
+    offsets = np.concatenate([[0], np.cumsum(sizes[2:])])
+    n_unique = sizes[0] * sizes[1]
+    n_dup = int(np.prod(sizes)) // n_unique
+    best, index = [], []
+    for u in range(n_unique):
+        values = []
+        for h in range(u * n_dup, (u + 1) * n_dup):
+            d = digits_of(h, sizes)
+            chosen = [pts[i][j] for i, j in enumerate(d)]
+            mean = [sum(lam[i] * x[k] for i, x in enumerate(chosen)) for k in range(dim)]
+            cost = sum(
+                lam[i] * sum((x[k] - mean[k]) ** 2 for k in range(dim))
+                for i, x in enumerate(chosen)
+            )
+            credit = sum(duals[offsets[t - 2] + d[t]] for t in range(2, len(d)))
+            values.append(cost - credit)
+        low = min(values)
+        best.append(low)
+        index.append(u * n_dup + values.index(low))
+    return best, index

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import min_over_vertices
-from wbary import driver
+from oracles import column_support, min_over_vertices
+from wbary import driver, pricing
 from wbary.driver import STEP_LABELS, SolveConfig, solve, solve_direct
 from wbary.model import (
     CapacityError,
     DiscreteMeasure,
     Instance,
-    column_support,
     cost_vector,
     make_strides,
 )
@@ -59,7 +58,7 @@ class TestSmallCases:
     def test_direct_2x2x2_matches_vertex_enumeration(self):
         inst = random_instance(2, [2, 2, 2])
         st = make_strides(inst.sizes)
-        costs = cost_vector(inst, st)
+        costs = cost_vector(inst, st, np.arange(8))
         A = np.zeros((6, 8))
         for h in range(8):
             A[list(column_support(h, st)), h] = 1.0
@@ -138,8 +137,6 @@ class TestLoopBehavior:
         assert len(res.barycenter) <= bound  # polished solution is basic
 
     def test_every_pricing_rebuilds_the_dual_sum(self, monkeypatch):
-        from wbary import pricing
-
         calls = []
         original = pricing.recompute_reduced_costs
 
@@ -217,30 +214,42 @@ class TestCertificate:
 
 
 class TestMemoryAccounting:
-    def test_cg_tracks_the_cost_vector_and_dual_sum(self):
+    def test_cg_tracks_the_pricing_state(self, monkeypatch):
         inst = random_instance(11, [4, 4, 4, 4])
         res = solve(inst)
-        n_comb = res.n_combinations
-        assert n_comb == 256
-        # one full-length vector, the 16-entry dual sum, two unique-column
-        # arrays of 16 entries and one master column per iteration (8 master
-        # rows plus the convexity row)
-        n_duplicates = n_unique = 16
+        assert res.n_combinations == 256
+        # pair of 4 x 4 points; both trailing measures in the tail. Held: [P, 1]
+        # and a, a_static over n_e = 16 rows, [-2Z; b] and b_static over
+        # n_lo = 16 columns, two unique-column arrays of 16 entries, and one
+        # master column per iteration (8 master rows plus the convexity row)
+        n_e, n_lo, n_unique, dim = 16, 16, 16, 2
+        state = 8 * (n_e * (dim + 1 + 2) + n_lo * (dim + 1 + 1) + 2 * n_unique)
+        assert state == 1408 == pricing.state_bytes(inst.sizes, dim)
         master_rows = 4 + 4
-        assert res.peak_memory_bytes == (
-            8 * n_comb
-            + 8 * n_duplicates
-            + 16 * n_unique
-            + 8 * (master_rows + 1) * res.iterations
-        )
-        # two measures: the cost vector alone
+        assert res.peak_memory_bytes == state + 8 * (master_rows + 1) * res.iterations
+        # a smaller tail moves the second trailing measure into the head
+        monkeypatch.setattr(pricing, "TAIL_MAX", 4)
+        res = solve(inst)
+        n_e, n_lo = 64, 4
+        state = 8 * (n_e * (dim + 1 + 2) + n_lo * (dim + 1 + 1) + 2 * n_unique)
+        assert state == pricing.state_bytes(inst.sizes, dim)
+        assert res.peak_memory_bytes == state + 8 * (master_rows + 1) * res.iterations
+        # two measures: the cost matrix alone
         pair = random_instance(11, [4, 4])
         assert solve(pair).peak_memory_bytes == 8 * 16
-        # direct: the cost vector plus one row index per measure per column
+        # direct: the costs plus one row index per measure per column
         direct = solve_direct(inst)
-        assert direct.peak_memory_bytes == (inst.n + 1) * 8 * n_comb
+        assert direct.peak_memory_bytes == (inst.n + 1) * 8 * 256
 
     def test_byte_cap_enforced_before_allocation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pricing state allocated over the cap")
+
+        monkeypatch.setattr(pricing, "init_reduced_costs", refuse)
+        # the pricing pair of two 70000-point measures has 4.9e9 patterns
+        skewed = random_instance(12, [2, 2, 70_000, 70_000], dim=1)
+        with pytest.raises(CapacityError):
+            solve(skewed)
         monkeypatch.setattr(driver, "MEMORY_CAP", 1_000_000)
         inst = random_instance(12, [6] * 8)
         with pytest.raises(CapacityError):
@@ -249,15 +258,16 @@ class TestMemoryAccounting:
         with pytest.raises(CapacityError):
             solve(random_instance(12, [400, 400]))
 
-    def test_byte_cap_counts_one_combination_length_vector(self, monkeypatch):
+    def test_byte_cap_counts_the_pricing_state(self, monkeypatch):
         inst = random_instance(11, [4, 4, 4, 4])
         ref = solve_direct(inst)
-        monkeypatch.setattr(driver, "MEMORY_CAP", 12 * 256)  # between 8N and 16N
+        held = pricing.state_bytes(inst.sizes, inst.dim)
+        monkeypatch.setattr(driver, "MEMORY_CAP", held)
         res = solve(inst)
         assert res.converged
         assert abs(res.objective - ref.objective) <= 1e-9
-        monkeypatch.setattr(driver, "MEMORY_CAP", 8 * 256 - 1)
-        with pytest.raises(CapacityError):
+        monkeypatch.setattr(driver, "MEMORY_CAP", held - 1)
+        with pytest.raises(CapacityError, match=f"{held} bytes"):
             solve(inst)
 
     def test_direct_cap_reports_sizes(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import satisfies_marginals
 from wbary.initial import greedy_vertex
 from wbary.master import (
     add_column,
@@ -17,9 +18,8 @@ from wbary.model import (
     SparseMass,
     index_of,
     make_strides,
-    satisfies_marginals,
 )
-from wbary.pricing import choose_partition, init_reduced_costs
+from wbary.pricing import choose_partition
 
 
 def build(rng, sizes, variant="any", uniform=True):
@@ -34,21 +34,20 @@ def build(rng, sizes, variant="any", uniform=True):
     part = choose_partition(inst, variant)
     inst_p = inst.permuted(part.perm)
     st = make_strides(inst_p.sizes)
-    state = init_reduced_costs(inst_p, part, st)
-    return inst_p, part, st, state
+    return inst_p, part, st
 
 
-def add(rm, p, st, costs):
+def add(rm, p, st):
     """Append p with the master-row entries the driver passes."""
-    add_column(rm, p, column_coeffs(p, st, rm.rhs.shape[0] - 1), costs)
+    add_column(rm, p, column_coeffs(p, st, rm.rhs.shape[0] - 1))
 
 
 class TestInitRM:
     def test_single_column_forces_mu_one(self):
         rng = np.random.default_rng(0)
-        inst_p, part, st, state = build(rng, [2, 3, 2])
+        inst_p, part, st = build(rng, [2, 3, 2])
         p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, st, state.costs)
+        rm = init_rm(p1, inst_p, st)
         assert rm.mu is None  # init_rm builds the master; solve_rm solves it
         solve_rm(rm)
         assert rm.mu.shape == (1,)
@@ -57,20 +56,20 @@ class TestInitRM:
 
     def test_infeasible_start_rejected(self):
         rng = np.random.default_rng(1)
-        inst_p, part, st, state = build(rng, [2, 2, 2])
+        inst_p, part, st = build(rng, [2, 2, 2])
         bad = SparseMass({0: 1.0})  # ignores most marginals
         with pytest.raises(Exception):
-            init_rm(bad, inst_p, st, state.costs)
+            init_rm(bad, inst_p, st)
 
 
 class TestAddColumn:
     def test_block_sums_equal_column_mass(self):
         rng = np.random.default_rng(2)
-        inst_p, part, st, state = build(rng, [2, 2, 3, 2], uniform=False)
+        inst_p, part, st = build(rng, [2, 2, 3, 2], uniform=False)
         p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, st, state.costs)
+        rm = init_rm(p1, inst_p, st)
         single = SparseMass({7: 1.0})
-        add(rm, single, st, state.costs)
+        add(rm, single, st)
         coeffs = rm._A[:-1, -1]
         pos = 0
         for t in range(2, inst_p.n):
@@ -81,10 +80,10 @@ class TestAddColumn:
 
     def test_duplicate_column_accepted(self):
         rng = np.random.default_rng(3)
-        inst_p, part, st, state = build(rng, [2, 2, 2])
+        inst_p, part, st = build(rng, [2, 2, 2])
         p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, st, state.costs)
-        add(rm, p1, st, state.costs)
+        rm = init_rm(p1, inst_p, st)
+        add(rm, p1, st)
         mu, y, sigma, obj = solve_rm(rm)
         assert mu.sum() == pytest.approx(1.0)
         assert obj == pytest.approx(rm._cost[0])
@@ -95,20 +94,20 @@ class TestMasterRows:
         # A column's entries in each block sum to its convexity entry; the
         # simplex must not see the implied rows, or its basis can go singular.
         rng = np.random.default_rng(9)
-        inst_p, part, st, state = build(rng, [2, 2, 3, 2], uniform=False)
-        rm = init_rm(greedy_vertex(inst_p, st), inst_p, st, state.costs)
+        inst_p, part, st = build(rng, [2, 2, 3, 2], uniform=False)
+        rm = init_rm(greedy_vertex(inst_p, st), inst_p, st)
         for h in range(st.total):
-            add(rm, SparseMass({h: 1.0}), st, state.costs)
+            add(rm, SparseMass({h: 1.0}), st)
         A = master_lp(rm).A
         assert A.shape[1] == st.total + 1
         assert np.linalg.matrix_rank(A) == A.shape[0]
 
     def test_duals_cover_every_master_row(self):
         rng = np.random.default_rng(10)
-        inst_p, part, st, state = build(rng, [2, 2, 3, 2], uniform=False)
-        rm = init_rm(greedy_vertex(inst_p, st), inst_p, st, state.costs)
+        inst_p, part, st = build(rng, [2, 2, 3, 2], uniform=False)
+        rm = init_rm(greedy_vertex(inst_p, st), inst_p, st)
         for h in [3, 8, 17]:
-            add(rm, SparseMass({h: 1.0}), st, state.costs)
+            add(rm, SparseMass({h: 1.0}), st)
         mu, y, sigma, obj = solve_rm(rm)
         assert y.shape == (sum(inst_p.sizes[2:]),)
         # every column with positive weight prices to zero against (y, sigma)
@@ -120,9 +119,9 @@ class TestMasterRows:
 class TestSolveRM:
     def test_resolve_without_new_column_is_free(self):
         rng = np.random.default_rng(4)
-        inst_p, part, st, state = build(rng, [3, 2, 2])
+        inst_p, part, st = build(rng, [3, 2, 2])
         p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, st, state.costs)
+        rm = init_rm(p1, inst_p, st)
         solve_rm(rm)
         again_mu, _, _, again_obj = solve_rm(rm)
         assert rm.last_pivots == 0
@@ -130,11 +129,11 @@ class TestSolveRM:
 
     def test_convexity_invariants(self):
         rng = np.random.default_rng(5)
-        inst_p, part, st, state = build(rng, [2, 2, 2, 2], uniform=False)
+        inst_p, part, st = build(rng, [2, 2, 2, 2], uniform=False)
         p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, st, state.costs)
+        rm = init_rm(p1, inst_p, st)
         for h in [0, 5, 9, 15]:
-            add(rm, SparseMass({h: 1.0}), st, state.costs)
+            add(rm, SparseMass({h: 1.0}), st)
             mu, y, sigma, obj = solve_rm(rm)
             assert mu.min() >= -1e-12
             assert mu.sum() == pytest.approx(1.0, abs=1e-9)
@@ -149,10 +148,9 @@ class TestRecover:
         part = choose_partition(inst, "any")
         inst_p = inst.permuted(part.perm)
         st = make_strides(inst_p.sizes)
-        state = init_reduced_costs(inst_p, part, st)
         p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, st, state.costs)
-        w = recover_solution(rm, inst_p, st, state.costs)
+        rm = init_rm(p1, inst_p, st)
+        w = recover_solution(rm)
         points, objective = barycenter_points(w, inst_p, part.perm, st)
         assert objective == pytest.approx(0.0, abs=1e-12)
         got = {tuple(np.round(p.coords, 12)): p.mass for p in points}
@@ -161,10 +159,10 @@ class TestRecover:
 
     def test_recovered_mass_is_feasible(self):
         rng = np.random.default_rng(7)
-        inst_p, part, st, state = build(rng, [3, 3, 2], uniform=False)
+        inst_p, part, st = build(rng, [3, 3, 2], uniform=False)
         p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, st, state.costs)
-        w = recover_solution(rm, inst_p, st, state.costs)
+        rm = init_rm(p1, inst_p, st)
+        w = recover_solution(rm)
         assert satisfies_marginals(w, inst_p, st)
         # The points map back to the same plan through their assignments.
         points, _ = barycenter_points(w, inst_p, part.perm, st)
@@ -184,10 +182,9 @@ class TestRecover:
         assert part.perm != (0, 1, 2)
         inst_p = inst.permuted(part.perm)
         st = make_strides(inst_p.sizes)
-        state = init_reduced_costs(inst_p, part, st)
         p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, st, state.costs)
-        w = recover_solution(rm, inst_p, st, state.costs)
+        rm = init_rm(p1, inst_p, st)
+        w = recover_solution(rm)
         points, _ = barycenter_points(w, inst_p, part.perm, st)
         assert [p.mass for p in points] == [q for _, q in w.sorted_items()]
         for p in points:
@@ -198,3 +195,43 @@ class TestRecover:
                 for i in range(3)
             )
             assert np.allclose(p.coords, expect, atol=1e-12)
+
+    def test_falls_back_to_combined_weights_when_polish_is_not_optimal(self, monkeypatch):
+        from wbary import master, simplex
+        from wbary.driver import SolveConfig, solve, solve_direct
+
+        rng = np.random.default_rng(11)
+        ms = [
+            DiscreteMeasure(rng.random((s, 2)), rng.dirichlet(np.ones(s))) for s in [3, 4, 3]
+        ]
+        inst = Instance(tuple(ms), np.array([0.2, 0.5, 0.3]))
+        ref = solve_direct(inst)
+        calls = []
+        original = master.recover_solution
+
+        def recording(rm):
+            w = original(rm)
+            calls.append((rm, w))
+            return w
+
+        def not_optimal(*args):
+            return simplex.INFEASIBLE, SparseMass()
+
+        monkeypatch.setattr(master, "full_lp", not_optimal)
+        monkeypatch.setattr(master, "recover_solution", recording)
+        res = solve(inst)
+        assert res.converged
+        (rm, w), = calls
+        combined = {}
+        for weight, col in zip(rm.mu, rm.columns):
+            if weight > 1e-12:
+                for h, q in col.entries.items():
+                    combined[h] = combined.get(h, 0.0) + weight * q
+        assert w.entries.keys() == {h for h, q in combined.items() if q > 1e-12}
+        assert all(w.entries[h] == pytest.approx(combined[h], abs=1e-15) for h in w.entries)
+        for i, m in enumerate(inst.measures):
+            sums = np.zeros(m.size)
+            for p in res.barycenter:
+                sums[p.assignment[i]] += p.mass
+            assert np.abs(sums - m.masses).max() <= 1e-9
+        assert abs(res.objective - ref.objective) <= SolveConfig().tol

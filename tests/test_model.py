@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wbary import model
+from oracles import column_support, marginal_residual, satisfies_marginals
 from wbary.model import (
     CapacityError,
     Combination,
@@ -9,13 +9,10 @@ from wbary.model import (
     DiscreteMeasure,
     Instance,
     SparseMass,
-    column_support,
     combination_cost,
     cost_vector,
     index_of,
     make_strides,
-    marginal_residual,
-    satisfies_marginals,
     tuple_of,
     weighted_mean,
 )
@@ -167,18 +164,19 @@ class TestCosts:
         for _ in range(10):
             inst = random_instance(rng, rng.integers(1, 5, size=3).tolist())
             st = make_strides(inst.sizes)
-            vec = cost_vector(inst, st)
+            vec = cost_vector(inst, st, np.arange(st.total))
             for h in range(st.total):
                 direct = combination_cost(tuple_of(h, st), inst)
                 assert abs(vec[h] - direct) <= 1e-9 * (1.0 + abs(direct))
 
-    def test_cost_vector_blocked_equals_whole(self, monkeypatch):
+    def test_cost_vector_of_any_index_subset_equals_whole(self):
         rng = np.random.default_rng(4)
         inst = random_instance(rng, [3, 4, 2], dim=3)
         st = make_strides(inst.sizes)
-        whole = cost_vector(inst, st)
-        monkeypatch.setattr(model, "BLOCK", 5)
-        assert np.array_equal(cost_vector(inst, st), whole)
+        whole = cost_vector(inst, st, np.arange(st.total))
+        subset = rng.permutation(st.total)[:7]
+        assert np.array_equal(cost_vector(inst, st, subset), whole[subset])
+        assert cost_vector(inst, st, np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
 class TestSparseMass:

@@ -3,12 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import enumerate_vertices, transport_lp_arrays
-from wbary import model
+from oracles import (
+    brute_force_pricing,
+    column_support,
+    enumerate_vertices,
+    transport_lp_arrays,
+)
+from wbary import model, pricing
 from wbary.model import (
     DiscreteMeasure,
     Instance,
-    column_support,
+    cost_vector,
     make_strides,
     tuple_of,
 )
@@ -19,6 +24,7 @@ from wbary.pricing import (
     init_reduced_costs,
     recompute_reduced_costs,
     solve_pricing,
+    tail_start,
     update_reduced_costs,
 )
 
@@ -61,14 +67,38 @@ class TestChoosePartition:
         assert part.perm == (2, 3, 0, 1)
 
 
+def reduced_cost(state, h):
+    """The state's reduced cost of flat combination h = e * n_lo + l."""
+    e, l = divmod(h, state.zb.shape[1])
+    return state.a[e] + state.pe[e] @ state.zb[:, l]
+
+
+def set_rows(state, a, rows):
+    """Make row e of the state's reduced-cost matrix a[e] + rows[e]: unit P_e
+    against -2 Z = rows, with b = 0. Needs dim >= the number of rows."""
+    n_e = len(a)
+    state.a[:] = a
+    state.pe[:] = 0.0
+    state.pe[:, :n_e] = np.eye(n_e)
+    state.pe[:, -1] = 1.0
+    state.zb[:] = 0.0
+    state.zb[:n_e] = rows
+
+
 class TestInit:
     def test_lengths_and_min_preserved(self):
         rng = np.random.default_rng(1)
-        _, part, st, state = setup(rng, [2, 3, 2, 3])
-        assert state.costs.shape == (36,)
-        assert np.array_equal(state.dual_sum, np.zeros(part.n_duplicates))
+        inst_p, part, st, state = setup(rng, [2, 3, 2, 3])
+        # pair (2, 3) in front, both trailing measures in the tail: n_e = 6, n_lo = 6
+        assert state.pe.shape == (6, 3)
+        assert state.zb.shape == (3, 6)
+        assert state.a.shape == state.a_static.shape == (6,)
+        assert state.b_static.shape == (6,)
         assert state.best.shape == (6,)
-        assert state.costs.min() == state.best.min()
+        assert np.array_equal(state.a, state.a_static)
+        assert np.array_equal(state.zb[-1], state.b_static)
+        costs = cost_vector(inst_p, st, np.arange(st.total))
+        assert state.best.min() == pytest.approx(costs.min(), abs=1e-12)
 
     def test_identical_measures_zero_costs(self):
         pts = np.array([[0.2, 0.4], [0.9, 0.1]])
@@ -77,64 +107,77 @@ class TestInit:
         part = choose_partition(inst, "any")
         st = make_strides(inst.sizes)
         state = init_reduced_costs(inst, part, st)
-        diag = [state.costs[i * 4 + i * 2 + i] for i in range(2)]  # (j,j,j)
+        diag = [reduced_cost(state, i * 4 + i * 2 + i) for i in range(2)]  # (j,j,j)
         assert np.allclose(diag, 0.0, atol=1e-12)
         assert state.best.min() == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("tail_max", [2**16, 3, 0])  # head of 0, 1 or 2 measures
+    def test_state_bytes_counts_every_array(self, monkeypatch, tail_max):
+        monkeypatch.setattr(pricing, "TAIL_MAX", tail_max)
+        _, _, st, state = setup(np.random.default_rng(1), [2, 3, 2, 3])
+        arrays = (state.pe, state.zb, state.a, state.a_static, state.b_static,
+                  state.best, state.best_index)
+        assert sum(x.nbytes for x in arrays) == pricing.state_bytes(st.sizes, 2)
 
-def brute_force_best(state, part, st, y):
-    """Per unique column u: min over d of costs[u*n_d + d] - sum of the duals
-    of d's trailing digits, with the lowest flat index among ties."""
-    offset = st.row_offsets[2]
-    n_d = part.n_duplicates
-    best = np.empty(part.n_unique)
-    index = np.empty(part.n_unique, dtype=np.int64)
-    for u in range(part.n_unique):
-        values = [
-            state.costs[u * n_d + d]
-            - sum(y[r - offset] for r in column_support(u * n_d + d, st)[2:])
-            for d in range(n_d)
-        ]
-        best[u] = min(values)
-        index[u] = u * n_d + values.index(best[u])
-    return best, index
+    def test_tail_is_the_longest_suffix_within_tail_max(self, monkeypatch):
+        assert tail_start([4, 4, 4, 4, 3]) == 2
+        monkeypatch.setattr(pricing, "TAIL_MAX", 12)
+        assert tail_start([4, 4, 4, 4, 3]) == 3  # tail 4 * 3, head 4
+        monkeypatch.setattr(pricing, "TAIL_MAX", 11)
+        assert tail_start([4, 4, 4, 4, 3]) == 4  # tail 3
+        monkeypatch.setattr(pricing, "TAIL_MAX", 2)
+        assert tail_start([4, 4, 4, 4, 3]) == 5  # empty tail
+        assert tail_start([4, 4]) == 2  # no trailing measure
 
 
 class TestUpdates:
     def test_unchanged_duals_leave_costs_alone(self):
         rng = np.random.default_rng(2)
         _, part, st, state = setup(rng, [2, 3, 2])
-        costs = state.costs.copy()
+        a, zb = state.a.copy(), state.zb.copy()
         y = np.zeros(5)
         update_reduced_costs(state, y, y, part, st)
-        assert np.array_equal(state.dual_sum, np.zeros(part.n_duplicates))
-        assert np.array_equal(state.costs, costs)
+        assert np.array_equal(state.a, a)
+        assert np.array_equal(state.zb, zb)
 
-    def test_single_row_delta_touches_expected_count(self):
+    def test_single_row_delta_touches_expected_count(self, monkeypatch):
         rng = np.random.default_rng(3)
-        _, part, st, state = setup(rng, [2, 3, 2, 3])
-        master_rows = sum(st.sizes[2:])
+        master_rows = 5  # trailing sizes 2 and 3
         y_new = np.zeros(master_rows)
         y_new[0] = 0.25  # first point of the first master measure (size 2)
+        # both trailing measures in the tail: the dual moves n_lo / 2 entries of b
+        _, part, st, state = setup(rng, [2, 3, 2, 3])
         update_reduced_costs(state, np.zeros(master_rows), y_new, part, st)
-        changed = np.flatnonzero(state.dual_sum)
-        assert len(changed) == part.n_duplicates // st.sizes[2]
-        assert np.all(state.dual_sum[changed] == 0.25)
+        changed = np.flatnonzero(state.b_static - state.zb[-1])
+        assert len(changed) == state.zb.shape[1] // st.sizes[2]
+        assert np.all(state.b_static[changed] - state.zb[-1, changed] == 0.25)
+        assert np.array_equal(state.a, state.a_static)
+        # the first one in the head: it moves n_e / 2 entries of a instead
+        monkeypatch.setattr(pricing, "TAIL_MAX", 3)
+        _, part, st, state = setup(rng, [2, 3, 2, 3])
+        update_reduced_costs(state, np.zeros(master_rows), y_new, part, st)
+        changed = np.flatnonzero(state.a_static - state.a)
+        assert len(changed) == state.a.shape[0] // st.sizes[2]
+        assert np.all(state.a_static[changed] - state.a[changed] == 0.25)
+        assert np.array_equal(state.zb[-1], state.b_static)
 
-    def test_incremental_matches_recompute(self):
+    def test_incremental_matches_recompute(self, monkeypatch):
         rng = np.random.default_rng(4)
-        _, part, st, state = setup(rng, [3, 2, 4, 2])
-        master_rows = sum(st.sizes[2:])
-        y = np.zeros(master_rows)
-        for _ in range(1000):
-            y_next = y + rng.normal(0, 0.1, master_rows) * (
-                rng.random(master_rows) < 0.5
-            )
-            update_reduced_costs(state, y, y_next, part, st)
-            y = y_next
-        drifted = state.dual_sum.copy()
-        recompute_reduced_costs(state, y, part, st)
-        assert np.abs(drifted - state.dual_sum).max() <= 1e-12
+        for tail_max in (2**16, 2, 1):  # head of 0, 1 or 2 measures
+            monkeypatch.setattr(pricing, "TAIL_MAX", tail_max)
+            _, part, st, state = setup(rng, [3, 2, 4, 2])
+            master_rows = sum(st.sizes[2:])
+            y = np.zeros(master_rows)
+            for _ in range(1000):
+                y_next = y + rng.normal(0, 0.1, master_rows) * (
+                    rng.random(master_rows) < 0.5
+                )
+                update_reduced_costs(state, y, y_next, part, st)
+                y = y_next
+            drifted_a, drifted_b = state.a.copy(), state.zb[-1].copy()
+            recompute_reduced_costs(state, y, part, st)
+            assert np.abs(drifted_a - state.a).max() <= 1e-12
+            assert np.abs(drifted_b - state.zb[-1]).max() <= 1e-12
 
     def test_recompute_against_bruteforce_definition(self):
         rng = np.random.default_rng(5)
@@ -142,57 +185,118 @@ class TestUpdates:
         master_rows = sum(st.sizes[2:])
         y = rng.normal(0, 1, master_rows)
         recompute_reduced_costs(state, y, part, st)
-        offset = st.row_offsets[2]
-        for d in range(part.n_duplicates):  # unique column 0: h == d
-            expect = sum(y[r - offset] for r in column_support(d, st)[2:])
-            assert state.dual_sum[d] == pytest.approx(expect, abs=1e-12)
         best_costs(state, part)
-        best, index = brute_force_best(state, part, st, y)
+        best, index = brute_force_pricing(inst_p, y)
         assert np.allclose(state.best, best, rtol=0.0, atol=1e-12)
         assert np.array_equal(state.best_index, index)
+
+
+def dyadic_instance(rng, sizes, dim):
+    """Weights 1/4 and integer points: every split value is exact."""
+    ms = tuple(
+        DiscreteMeasure(rng.integers(-3, 4, (s, dim)).astype(float), np.full(s, 1.0 / s))
+        for s in sizes
+    )
+    return Instance(ms, np.full(4, 0.25))
+
+
+class TestBruteForceDifferential:
+    """best and best_index against the minimum of cost(h) - sum of h's trailing
+    duals over every combination, computed from the raw points."""
+
+    def test_dyadic_instances_exact_with_ties(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        for trial in range(30):
+            sizes = rng.integers(2, 4, 4).tolist()
+            inst = dyadic_instance(rng, sizes, dim=int(rng.integers(1, 4)))
+            part = choose_partition(inst, ("any", "large", "small")[trial % 3])
+            inst_p = inst.permuted(part.perm)
+            st = make_strides(inst_p.sizes)
+            y = rng.integers(-8, 9, sum(st.sizes[2:])) / 8.0
+            best, index = brute_force_pricing(inst_p, y, exact=True)
+            # head group empty, one measure, two measures
+            for tail_max, tail in ((2**16, 2), (st.sizes[3], 3), (0, 4)):
+                monkeypatch.setattr(pricing, "TAIL_MAX", tail_max)
+                assert tail_start(st.sizes) == tail
+                state = init_reduced_costs(inst_p, part, st)
+                recompute_reduced_costs(state, y, part, st)
+                n_lo = state.zb.shape[1]
+                # tiles hold part of a row, one row, several rows, everything
+                for block in (1, n_lo, 3 * n_lo + 1, model.BLOCK):
+                    monkeypatch.setattr(model, "BLOCK", block)
+                    best_costs(state, part)
+                    assert state.best.tolist() == best
+                    assert state.best_index.tolist() == index
+
+    def test_random_points_within_1e_12(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        for trial in range(10):
+            sizes = rng.integers(2, 4, 5).tolist()
+            inst = uniform_instance(rng, sizes, dim=int(rng.integers(1, 4)))
+            part = choose_partition(inst, "large")
+            inst_p = inst.permuted(part.perm)
+            st = make_strides(inst_p.sizes)
+            y = rng.normal(0, 0.5, sum(st.sizes[2:]))
+            best, index = brute_force_pricing(inst_p, y)
+            for tail_max in (2**16, st.sizes[-1], 0):
+                monkeypatch.setattr(pricing, "TAIL_MAX", tail_max)
+                state = init_reduced_costs(inst_p, part, st)
+                recompute_reduced_costs(state, y, part, st)
+                best_costs(state, part)
+                assert np.allclose(state.best, best, rtol=0.0, atol=1e-12)
+                assert np.array_equal(state.best_index, index)
 
 
 class TestBestCosts:
     def test_rangewise_minimum(self):
         rng = np.random.default_rng(6)
         _, part, st, state = setup(rng, [2, 1, 3])
-        state.costs[:] = [3.0, 1.0, 2.0, 5.0, 4.0, 6.0]
-        state.dual_sum[:] = [1.5, 0.0, 0.0]
+        set_rows(state, [0.0, 0.0], [[1.5, 1.0, 2.0], [3.5, 4.0, 6.0]])
         best_costs(state, part)
         assert np.array_equal(state.best, [1.0, 3.5])
         assert np.array_equal(state.best_index, [1, 3])
 
     def test_no_duplicates_is_identity(self, monkeypatch):
         rng = np.random.default_rng(7)
-        _, part, st, state = setup(rng, [2, 3])
+        inst_p, part, st, state = setup(rng, [2, 3])
         assert part.n_duplicates == 1
+        costs = cost_vector(inst_p, st, np.arange(st.total))
         for block in (4, model.BLOCK):  # two row tiles, then one
             monkeypatch.setattr(model, "BLOCK", block)
             best_costs(state, part)
-            assert np.array_equal(state.best, state.costs)
+            assert np.array_equal(state.best, costs)
             assert np.array_equal(state.best_index, np.arange(6))
 
     def test_brute_force_range_scan(self, monkeypatch):
         rng = np.random.default_rng(8)
-        _, part, st, state = setup(rng, [3, 2, 2, 2])
-        assert (part.n_unique, part.n_duplicates) == (6, 4)
-        state.costs[:] = rng.normal(0, 1, st.total)
+        inst_p, part, st, state = setup(rng, [3, 2, 2, 2])
+        assert (part.n_unique, part.n_duplicates, state.zb.shape[1]) == (6, 4, 4)
         y = rng.normal(0, 1, sum(st.sizes[2:]))
         recompute_reduced_costs(state, y, part, st)
-        best, index = brute_force_best(state, part, st, y)
-        # tiles hold part of a row (1, 3), one row (5) or several (9, 12, default)
-        for block in (1, 3, 5, 9, 12, model.BLOCK):
+        best, index = brute_force_pricing(inst_p, y)
+        # tiles hold part of a row (1, 3), one row (4, 5) or several (9, 12, default)
+        for block in (1, 3, 4, 5, 9, 12, model.BLOCK):
             monkeypatch.setattr(model, "BLOCK", block)
             best_costs(state, part)
-            assert np.array_equal(state.best, best)
+            assert np.allclose(state.best, best, rtol=0.0, atol=1e-12)
             assert np.array_equal(state.best_index, index)
 
     def test_argmin_lowest_index_on_ties(self, monkeypatch):
         rng = np.random.default_rng(9)
         _, part, st, state = setup(rng, [2, 1, 2])
-        state.costs[:] = [7.0, 8.0, 1.0, 2.0]
-        state.dual_sum[:] = [0.0, 1.0]  # every row ties after the dual sum
+        set_rows(state, [0.0, 0.0], [[7.0, 7.0], [1.0, 1.0]])  # ties within rows
         for block in (1, 2, model.BLOCK):  # ties across tiles and within one
+            monkeypatch.setattr(model, "BLOCK", block)
+            best_costs(state, part)
+            assert np.array_equal(state.best, [7.0, 1.0])
+            assert np.array_equal(state.best_index, [0, 2])
+        # an empty tail: every entry is a row of its own, and ties are over d_hi
+        monkeypatch.setattr(pricing, "TAIL_MAX", 0)
+        _, part, st, state = setup(rng, [2, 1, 2])
+        assert state.zb.shape[1] == 1
+        state.a[:] = [7.0, 7.0, 1.0, 1.0]
+        state.zb[:] = 0.0
+        for block in (1, 2, model.BLOCK):
             monkeypatch.setattr(model, "BLOCK", block)
             best_costs(state, part)
             assert np.array_equal(state.best, [7.0, 1.0])
@@ -218,7 +322,8 @@ class TestSolvePricing:
     def test_zero_costs_zero_objective(self):
         rng = np.random.default_rng(10)
         inst_p, part, st, state = setup(rng, [2, 2, 2])
-        state.costs[:] = 0.0
+        state.a[:] = 0.0
+        state.zb[:] = 0.0
         best_costs(state, part)
         obj, plan = solve_pricing(
             state, part, inst_p.measures[0].masses, inst_p.measures[1].masses
@@ -278,7 +383,8 @@ class TestSolvePricing:
         obj, plan = solve_pricing(state, part, sup, dem)
         p = expand_column(plan, state, size_b=len(dem))
         offset = st.row_offsets[2]
-        cost_p = sum(q * state.costs[h] for h, q in p.entries.items())
+        index = np.fromiter(p.entries, dtype=np.int64)
+        cost_p = float(np.dot(list(p.entries.values()), cost_vector(inst_p, st, index)))
         dual_credit = 0.0
         for h, q in p.entries.items():
             for r in column_support(h, st)[2:]:
