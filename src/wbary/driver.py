@@ -51,7 +51,8 @@ STEP_LABELS = (
 # Starting weight of the best-bound duals in the smoothed pricing duals.
 ALPHA_START = 0.5
 
-# Bytes allowed for the pricing state (the cost matrix for two measures).
+# Bytes allowed for the pricing state and the dense simplex matrices (the
+# cost matrix for two measures), checked before either is allocated.
 MEMORY_CAP = 2_000_000_000
 
 # Largest combination count solve_direct materializes.
@@ -95,8 +96,9 @@ class SolveResult:
     # Not a measurement: the size of the arrays the solve holds when it
     # returns (pricing state with its minima, and master columns; the cost
     # matrix for two measures; costs and combination rows for solve_direct).
-    # It leaves out temporaries, such as the pricing tiles, so it undercounts
-    # the true peak.
+    # It leaves out temporaries, such as the pricing tiles and the dense
+    # simplex matrices that MEMORY_CAP also counts, so it undercounts the
+    # true peak.
     peak_memory_bytes: int
     trace: list[TraceEntry] = field(default_factory=list)
     n_combinations: int = 0
@@ -152,6 +154,22 @@ def _two_measure_result(inst: Instance) -> SolveResult:
     return _result(w, inst, (0, 1), strides, wall_start, timings, costs.nbytes)
 
 
+def _kernel_bytes(rows: int, cols: int = 0) -> int:
+    """Bytes of a dense simplex solve with this many rows: B, its inverse and
+    one rank-one temporary, plus a dense constraint matrix of cols columns.
+    The polish has one row per input point, the master fewer."""
+    return 8 * rows * cols + 24 * rows * rows
+
+
+def _check_cap(inst: Instance, need: int):
+    if need > MEMORY_CAP:
+        raise CapacityError(
+            f"{math.prod(inst.sizes)} combinations need {need} bytes of pricing "
+            f"state or LP data and dense simplex matrices, over the cap of "
+            f"{MEMORY_CAP}"
+        )
+
+
 def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
     """Exact barycenter by column generation under the given configuration."""
     cfg = cfg or SolveConfig()
@@ -159,15 +177,17 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         return _single_measure_result(inst)
     partition = pricing_mod.choose_partition(inst, cfg.pair_variant)
     sizes_p = tuple(inst.sizes[i] for i in partition.perm)
-    if inst.n == 2:
-        held = 8 * math.prod(inst.sizes)
+    if inst.n == 2:  # the transportation kernel, no dense simplex
+        held = need = 8 * math.prod(inst.sizes)
     else:
         held = pricing_mod.state_bytes(sizes_p, inst.dim)
-    if held > MEMORY_CAP:
-        raise CapacityError(
-            f"{math.prod(inst.sizes)} combinations need {held} bytes of pricing "
-            f"state, over the cap of {MEMORY_CAP}"
-        )
+        need = held + _kernel_bytes(sum(inst.sizes))
+        if cfg.start == "2app":
+            # the relocation LP over at most S candidate points: (n - 1) S
+            # + S rows and S variables per point of each measure
+            S = sum(inst.sizes)
+            need += _kernel_bytes(inst.n * S, S * S)
+    _check_cap(inst, need)
     if inst.n == 2:
         return _two_measure_result(inst)
 
@@ -277,11 +297,12 @@ def solve_direct(inst: Instance) -> SolveResult:
             f"direct solve needs {total} columns, "
             f"over the cap of {DIRECT_MAX_COMBINATIONS}"
         )
+    # The full LP holds n int64 row indices per combination beside its cost.
+    peak_memory_bytes = (inst.n + 1) * 8 * total
+    _check_cap(inst, peak_memory_bytes + _kernel_bytes(sum(inst.sizes)))
     status, w = master_mod.full_lp(np.arange(total, dtype=np.int64), inst, strides)
     if status != simplex.OPTIMAL:
         raise RuntimeError(f"direct solve returned status {status}")
-    # The full LP holds n int64 row indices per combination beside its cost.
-    peak_memory_bytes = (inst.n + 1) * 8 * total
     return _result(
         w, inst, tuple(range(inst.n)), strides, wall_start, _zero_timings(),
         peak_memory_bytes,

@@ -4,7 +4,7 @@ The constraint rows of exactly two measures are delegated to pricing. With
 those two measures permuted to the front, combination h = u * n_duplicates + d
 pairs a distinct pair-row pattern u ("unique column") with a duplicate index
 d over the trailing measures. The trailing measures split into a head group
-and a tail group, the longest suffix with at most TAIL_MAX combinations, so
+and a tail group, the suffix that makes the state smallest (tail_start), so
 d = d_hi * n_lo + d_lo and h = e * n_lo + l with e = (u, d_hi) and l = d_lo.
 
 With P_e and Z_l the weighted point sums over (pair, head) and tail, the
@@ -17,10 +17,11 @@ Arranged as a matrix over the two measures' points, the minima form a
 balanced transportation problem.
 
 No array of length N or n_duplicates is held: the state has (n_e + n_lo)
-rows of dim + 1 or fewer entries, about sqrt(N) of them when the groups
-balance. The duals are whatever the driver prices at (smoothed, or the
-master duals); solve_pricing returns the transport objective alone, and the
-driver adds the dual terms it needs for reduced costs and bounds.
+rows of dim + 1 or fewer entries, and the split that minimises its bytes
+balances the groups to about sqrt(N) rows each where the sizes allow. The
+duals are whatever the driver prices at (smoothed, or the master duals);
+solve_pricing returns the transport objective alone, and the driver adds
+the dual terms it needs for reduced costs and bounds.
 """
 
 from __future__ import annotations
@@ -70,25 +71,22 @@ def choose_partition(inst: Instance, variant: str = "large") -> Partition:
     return Partition(pair, perm, n_unique, math.prod(sizes) // n_unique)
 
 
-# Most combinations the tail group may span; the head takes the rest.
-TAIL_MAX = 2**16
+def _split_bytes(sizes, dim: int, k: int) -> int:
+    """Bytes of a PricingState whose tail group starts at measure k."""
+    n_e, n_lo = math.prod(sizes[:k]), math.prod(sizes[k:])
+    return 8 * (n_e * (dim + 3) + n_lo * (dim + 2) + 2 * sizes[0] * sizes[1])
 
 
-def tail_start(sizes) -> int:
-    """First measure of the tail: the longest suffix of the trailing measures
-    (those after the pair) with at most TAIL_MAX combinations, maybe empty."""
-    k, n_lo = len(sizes), 1
-    while k > 2 and n_lo * sizes[k - 1] <= TAIL_MAX:
-        k -= 1
-        n_lo *= sizes[k]
-    return k
+def tail_start(sizes, dim: int) -> int:
+    """First measure of the tail: the split with the fewest state bytes, ties
+    going to the longer tail. For three or more measures the tail is never
+    empty, since moving the last measure into the head never saves bytes."""
+    return min(range(2, len(sizes) + 1), key=lambda k: _split_bytes(sizes, dim, k))
 
 
 def state_bytes(sizes, dim: int) -> int:
     """Bytes the arrays of a PricingState over measures of these sizes hold."""
-    k = tail_start(sizes)
-    n_e, n_lo = math.prod(sizes[:k]), math.prod(sizes[k:])
-    return 8 * (n_e * (dim + 3) + n_lo * (dim + 2) + 2 * sizes[0] * sizes[1])
+    return _split_bytes(sizes, dim, tail_start(sizes, dim))
 
 
 @dataclass
@@ -137,7 +135,7 @@ def init_reduced_costs(
 
     solve checks state_bytes against its cap before calling this.
     """
-    k = tail_start(inst_perm.sizes)
+    k = tail_start(inst_perm.sizes, inst_perm.dim)
     sq_e, p = _point_sums(inst_perm, range(k))
     sq_l, z = _point_sums(inst_perm, range(k, inst_perm.n))
     a_static = sq_e - np.einsum("ij,ij->i", p, p)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import column_support, min_over_vertices
-from wbary import driver, pricing
+from wbary import driver, pricing, simplex
 from wbary.driver import STEP_LABELS, SolveConfig, solve, solve_direct
 from wbary.model import (
     CapacityError,
@@ -228,7 +228,7 @@ class TestMemoryAccounting:
         master_rows = 4 + 4
         assert res.peak_memory_bytes == state + 8 * (master_rows + 1) * res.iterations
         # a smaller tail moves the second trailing measure into the head
-        monkeypatch.setattr(pricing, "TAIL_MAX", 4)
+        monkeypatch.setattr(pricing, "tail_start", lambda sizes, dim: 3)
         res = solve(inst)
         n_e, n_lo = 64, 4
         state = 8 * (n_e * (dim + 1 + 2) + n_lo * (dim + 1 + 1) + 2 * n_unique)
@@ -250,18 +250,56 @@ class TestMemoryAccounting:
         skewed = random_instance(12, [2, 2, 70_000, 70_000], dim=1)
         with pytest.raises(CapacityError):
             solve(skewed)
-        monkeypatch.setattr(driver, "MEMORY_CAP", 1_000_000)
+        # the pricing state of [6] * 8 alone (93,888 bytes) is over this cap
+        monkeypatch.setattr(driver, "MEMORY_CAP", 80_000)
         inst = random_instance(12, [6] * 8)
         with pytest.raises(CapacityError):
             solve(inst)
+        monkeypatch.setattr(driver, "MEMORY_CAP", 1_000_000)
         # the two-measure route passes the same check
         with pytest.raises(CapacityError):
             solve(random_instance(12, [400, 400]))
 
+    def test_byte_cap_counts_the_dense_simplex_matrices(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simplex run over the cap")
+
+        monkeypatch.setattr(driver, "MEMORY_CAP", 1_000_000)
+        five = random_instance(12, [8] * 5)
+        with monkeypatch.context() as mp:
+            mp.setattr(simplex, "solve_columns", refuse)
+            # the polish's B, its inverse and a rank-one temporary over 304
+            # rows need 24 * 304**2 = 2.2 MB, though the pricing state is small
+            small_pair = SolveConfig(pair_variant="small")
+            with pytest.raises(CapacityError):
+                solve(random_instance(12, [2, 2, 300]), small_pair)
+            with pytest.raises(CapacityError):
+                solve_direct(random_instance(12, [2, 300]))
+            # the relocation LP: 200 rows by 1600 variables, 3.5 MB with its basis
+            with pytest.raises(CapacityError):
+                solve(five, SolveConfig(start="2app"))
+        assert solve(five).converged
+
+    def test_a_measure_beyond_2_16_points_goes_to_the_tail(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated over the cap")
+
+        monkeypatch.setattr(pricing, "init_reduced_costs", refuse)
+        monkeypatch.setattr(simplex, "solve_columns", refuse)
+        # a tail of the last measure: 280,000 head rows against 70,000 columns
+        assert pricing.state_bytes((2, 2, 70_000, 70_000), 1) == 10_640_064
+        skewed = random_instance(12, [2, 2, 70_000, 70_000], dim=1)
+        # what the cap refuses is the dense basis over all 140,004 points
+        need = 10_640_064 + 24 * 140_004**2
+        with pytest.raises(CapacityError, match=f"{need} bytes"):
+            solve(skewed, SolveConfig(pair_variant="any"))
+
     def test_byte_cap_counts_the_pricing_state(self, monkeypatch):
         inst = random_instance(11, [4, 4, 4, 4])
         ref = solve_direct(inst)
-        held = pricing.state_bytes(inst.sizes, inst.dim)
+        # the pricing state, and the polish's B, its inverse and one
+        # rank-one temporary over one row per input point
+        held = pricing.state_bytes(inst.sizes, inst.dim) + 24 * sum(inst.sizes) ** 2
         monkeypatch.setattr(driver, "MEMORY_CAP", held)
         res = solve(inst)
         assert res.converged

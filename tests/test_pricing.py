@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -111,23 +112,37 @@ class TestInit:
         assert np.allclose(diag, 0.0, atol=1e-12)
         assert state.best.min() == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("tail_max", [2**16, 3, 0])  # head of 0, 1 or 2 measures
-    def test_state_bytes_counts_every_array(self, monkeypatch, tail_max):
-        monkeypatch.setattr(pricing, "TAIL_MAX", tail_max)
+    @pytest.mark.parametrize("tail", [2, 3, 4])  # head of 0, 1 or 2 measures
+    def test_state_bytes_counts_every_array(self, monkeypatch, tail):
+        monkeypatch.setattr(pricing, "tail_start", lambda sizes, dim: tail)
         _, _, st, state = setup(np.random.default_rng(1), [2, 3, 2, 3])
+        assert state.tail == tail
         arrays = (state.pe, state.zb, state.a, state.a_static, state.b_static,
                   state.best, state.best_index)
         assert sum(x.nbytes for x in arrays) == pricing.state_bytes(st.sizes, 2)
 
-    def test_tail_is_the_longest_suffix_within_tail_max(self, monkeypatch):
-        assert tail_start([4, 4, 4, 4, 3]) == 2
-        monkeypatch.setattr(pricing, "TAIL_MAX", 12)
-        assert tail_start([4, 4, 4, 4, 3]) == 3  # tail 4 * 3, head 4
-        monkeypatch.setattr(pricing, "TAIL_MAX", 11)
-        assert tail_start([4, 4, 4, 4, 3]) == 4  # tail 3
-        monkeypatch.setattr(pricing, "TAIL_MAX", 2)
-        assert tail_start([4, 4, 4, 4, 3]) == 5  # empty tail
-        assert tail_start([4, 4]) == 2  # no trailing measure
+    def test_tail_minimises_the_state_bytes(self):
+        def nbytes(sizes, dim, k):
+            """[P, 1], a and a_static per head row; [-2 Z; b] and b_static per
+            tail column; best and best_index per unique column."""
+            n_e, n_lo = math.prod(sizes[:k]), math.prod(sizes[k:])
+            return 8 * (n_e * (dim + 1) + 2 * n_e + n_lo * (dim + 1) + n_lo
+                        + 2 * sizes[0] * sizes[1])
+
+        rng = np.random.default_rng(17)
+        ties = 0
+        for _ in range(500):
+            sizes = rng.integers(1, 10, int(rng.integers(3, 9))).tolist()
+            dim = int(rng.integers(1, 4))
+            by_tail = [nbytes(sizes, dim, k) for k in range(2, len(sizes) + 1)]
+            least = min(by_tail)
+            k = tail_start(sizes, dim)
+            assert nbytes(sizes, dim, k) == least == pricing.state_bytes(sizes, dim)
+            assert k == 2 + by_tail.index(least)  # ties go to the longer tail
+            assert k < len(sizes)  # the tail is never empty
+            ties += by_tail.count(least) > 1
+        assert ties > 0  # some draw has equal splits, so the tie rule was tested
+        assert tail_start([4, 4], 2) == 2  # no trailing measure
 
 
 class TestUpdates:
@@ -153,7 +168,7 @@ class TestUpdates:
         assert np.all(state.b_static[changed] - state.zb[-1, changed] == 0.25)
         assert np.array_equal(state.a, state.a_static)
         # the first one in the head: it moves n_e / 2 entries of a instead
-        monkeypatch.setattr(pricing, "TAIL_MAX", 3)
+        monkeypatch.setattr(pricing, "tail_start", lambda sizes, dim: 3)
         _, part, st, state = setup(rng, [2, 3, 2, 3])
         update_reduced_costs(state, np.zeros(master_rows), y_new, part, st)
         changed = np.flatnonzero(state.a_static - state.a)
@@ -163,8 +178,8 @@ class TestUpdates:
 
     def test_incremental_matches_recompute(self, monkeypatch):
         rng = np.random.default_rng(4)
-        for tail_max in (2**16, 2, 1):  # head of 0, 1 or 2 measures
-            monkeypatch.setattr(pricing, "TAIL_MAX", tail_max)
+        for tail in (2, 3, 4):  # head of 0, 1 or 2 measures
+            monkeypatch.setattr(pricing, "tail_start", lambda sizes, dim: tail)
             _, part, st, state = setup(rng, [3, 2, 4, 2])
             master_rows = sum(st.sizes[2:])
             y = np.zeros(master_rows)
@@ -215,10 +230,10 @@ class TestBruteForceDifferential:
             y = rng.integers(-8, 9, sum(st.sizes[2:])) / 8.0
             best, index = brute_force_pricing(inst_p, y, exact=True)
             # head group empty, one measure, two measures
-            for tail_max, tail in ((2**16, 2), (st.sizes[3], 3), (0, 4)):
-                monkeypatch.setattr(pricing, "TAIL_MAX", tail_max)
-                assert tail_start(st.sizes) == tail
+            for tail in (2, 3, 4):
+                monkeypatch.setattr(pricing, "tail_start", lambda sizes, dim: tail)
                 state = init_reduced_costs(inst_p, part, st)
+                assert state.tail == tail
                 recompute_reduced_costs(state, y, part, st)
                 n_lo = state.zb.shape[1]
                 # tiles hold part of a row, one row, several rows, everything
@@ -238,8 +253,8 @@ class TestBruteForceDifferential:
             st = make_strides(inst_p.sizes)
             y = rng.normal(0, 0.5, sum(st.sizes[2:]))
             best, index = brute_force_pricing(inst_p, y)
-            for tail_max in (2**16, st.sizes[-1], 0):
-                monkeypatch.setattr(pricing, "TAIL_MAX", tail_max)
+            for tail in (2, 4, 5):  # head of 0, 2 or 3 measures
+                monkeypatch.setattr(pricing, "tail_start", lambda sizes, dim: tail)
                 state = init_reduced_costs(inst_p, part, st)
                 recompute_reduced_costs(state, y, part, st)
                 best_costs(state, part)
@@ -291,7 +306,7 @@ class TestBestCosts:
             assert np.array_equal(state.best, [7.0, 1.0])
             assert np.array_equal(state.best_index, [0, 2])
         # an empty tail: every entry is a row of its own, and ties are over d_hi
-        monkeypatch.setattr(pricing, "TAIL_MAX", 0)
+        monkeypatch.setattr(pricing, "tail_start", lambda sizes, dim: 3)
         _, part, st, state = setup(rng, [2, 1, 2])
         assert state.zb.shape[1] == 1
         state.a[:] = [7.0, 7.0, 1.0, 1.0]
