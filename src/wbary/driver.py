@@ -94,10 +94,11 @@ class SolveResult:
     converged: bool
     timings: dict[str, float]
     # Not a measurement: the size of the arrays the solve holds when it
-    # returns (pricing state with its minima, and master columns; the cost
-    # matrix for two measures; costs and combination rows for solve_direct).
-    # It leaves out temporaries, such as the pricing tiles and the dense
-    # simplex matrices that MEMORY_CAP also counts, so it undercounts the
+    # returns (pricing state with its minima, and the master's column store
+    # at its allocated width plus its basis inverse; the cost matrix for two
+    # measures; costs and combination rows for solve_direct). It leaves out
+    # temporaries, such as the pricing tiles and the basis matrix rebuilt at
+    # each inversion, that MEMORY_CAP also counts, so it undercounts the
     # true peak.
     peak_memory_bytes: int
     trace: list[TraceEntry] = field(default_factory=list)
@@ -276,7 +277,8 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
     w = master_mod.recover_solution(rm)
     return _result(
         w, inst_p, partition.perm, strides_p, wall_start, timings,
-        held + rm._A.nbytes, iteration, converged, trace, pricing_calls,
+        held + rm.kernel.cols.store.nbytes + rm.kernel.Binv.nbytes, iteration,
+        converged, trace, pricing_calls,
     )
 
 

@@ -3,8 +3,10 @@
 The master LP keeps one row per support point of every measure outside the
 pricing pair, plus a convexity row. Its columns are never read from a stored
 constraint matrix: each new vertex has few nonzeros, and their rows come
-straight from the index arithmetic. Warm starts reuse the previous basis, so
-a re-solve after one appended column typically takes a handful of pivots.
+straight from the index arithmetic. The master keeps one simplex kernel from
+its first solve to its last. Each column is appended to it, and a re-solve
+starts from the optimal basis and inverse the kernel holds, so it typically
+takes a handful of pivots.
 
 Every column's entries in one measure's block of rows sum to its convexity
 entry, so each block holds one row implied by the others. The simplex gets
@@ -41,15 +43,14 @@ from .model import (
 class MasterState:
     inst: Instance  # permuted so that the pricing pair leads
     strides: Strides
-    columns: list[SparseMass]  # admitted vertices; cost and rows in _cost, _A
+    columns: list[SparseMass]  # admitted vertices; their rows are in kernel
     rhs: np.ndarray  # master-row masses plus the trailing convexity 1
+    _rows: np.ndarray  # rows of rhs the simplex sees
+    kernel: simplex.Kernel  # over those rows
+    costs: list[float] = field(default_factory=list)  # one per column
     mu: np.ndarray | None = None
     objective: float = np.nan
-    basis: simplex.Basis | None = None
     last_pivots: int = 0
-    _A: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    _cost: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    _rows: np.ndarray | None = None  # rows of _A and rhs the simplex sees
 
 
 def column_coeffs(p: SparseMass, strides_perm: Strides, master_rows: int) -> np.ndarray:
@@ -69,50 +70,42 @@ def init_rm(p1: SparseMass, inst_perm: Instance, strides_perm: Strides) -> Maste
     rhs = np.concatenate(
         [m.masses for m in inst_perm.measures[2:]] + [np.ones(1)]
     )
-    state = MasterState(inst_perm, strides_perm, columns=[], rhs=rhs)
-    state._A = np.zeros((master_rows + 1, 0))
-    state._cost = np.zeros(0)
-    block_ends = np.cumsum(inst_perm.sizes[2:]) - 1
-    state._rows = np.delete(np.arange(master_rows + 1), block_ends)
-    add_column(state, p1, column_coeffs(p1, strides_perm, master_rows))
-    resid = np.abs(state._A[:, 0] - rhs).max()
+    coeffs = column_coeffs(p1, strides_perm, master_rows)
+    resid = np.abs(np.append(coeffs, 1.0) - rhs).max()
     if resid > 1e-9:
         raise ContractError(f"initial vertex violates the master rows by {resid}")
+    block_ends = np.cumsum(inst_perm.sizes[2:]) - 1
+    rows = np.delete(np.arange(master_rows + 1), block_ends)
+    kernel = simplex.Kernel(simplex.DenseColumns(np.empty((rows.size, 0))), rhs[rows])
+    state = MasterState(inst_perm, strides_perm, [], rhs, rows, kernel)
+    add_column(state, p1, coeffs)
     return state
 
 
 def add_column(state: MasterState, p: SparseMass, coeffs: np.ndarray):
     """Append vertex p given its master-row entries (column_coeffs)."""
     state.columns.append(p)
-    full = np.concatenate([coeffs, [1.0]])
-    state._A = np.hstack([state._A, full[:, None]])
+    state.kernel.cols.append(np.append(coeffs, 1.0)[state._rows])
     index = np.fromiter(p.entries, dtype=np.int64, count=len(p))
     costs = cost_vector(state.inst, state.strides, index)
-    cost = sum(q * c for q, c in zip(p.entries.values(), costs))
-    state._cost = np.append(state._cost, cost)
-
-
-def master_lp(state: MasterState) -> simplex.DenseLP:
-    """The master as the simplex sees it: without the implied row of each block."""
-    return simplex.DenseLP(state._cost, state._A[state._rows], state.rhs[state._rows])
+    state.costs.append(sum(q * c for q, c in zip(p.entries.values(), costs)))
 
 
 def solve_rm(state: MasterState) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Optimize the current master, warm-starting from the previous basis.
+    """Optimize the current master from the basis of its last solve.
 
     Returns (mu, y, sigma, objective), with y over every master row: the dual
     of each dropped row is zero. Shifting a block's duals by a constant and
     sigma by its negative leaves every reduced cost unchanged, so this is a
     dual optimum of the full master too.
     """
-    sol = simplex.solve(master_lp(state), warm=state.basis)
+    sol = simplex.solve_columns(state.kernel, state.costs)
     if sol.status != simplex.OPTIMAL:
         raise RuntimeError(
             f"master problem returned {sol.status}; it must stay feasible"
         )
     state.mu = sol.x
     state.objective = sol.objective
-    state.basis = sol.basis
     state.last_pivots = sol.pivots
     duals = np.zeros(state.rhs.shape[0])
     duals[state._rows] = sol.duals
@@ -152,7 +145,8 @@ def full_lp(
         rows[i] += strides.row_offsets[i]
     provider = simplex.UnitColumns(rows, nrows=strides.row_offsets[-1])
     rhs = np.concatenate([m.masses for m in inst.measures])
-    sol = simplex.solve_columns(provider, cost_vector(inst, strides, support), rhs)
+    kernel = simplex.Kernel(provider, rhs)
+    sol = simplex.solve_columns(kernel, cost_vector(inst, strides, support))
     if sol.status != simplex.OPTIMAL:
         return sol.status, SparseMass()
     keep = np.flatnonzero(sol.x > MASS_TOL)

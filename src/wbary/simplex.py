@@ -1,23 +1,30 @@
 """Dense two-phase primal simplex for equality-form LPs.
 
-Solves  min c^T x  s.t.  A x = b, x >= 0  with warm starting. Columns are
-accessed through a small provider protocol so the same pivoting kernel works
-for an in-memory dense matrix and for implicitly generated 0/1 columns.
+Solves  min c^T x  s.t.  A x = b, x >= 0. Columns are accessed through a
+small provider protocol so the same pivoting kernel works for an in-memory
+dense matrix and for implicitly generated 0/1 columns.
+
+A Kernel holds the columns, the basis and its inverse. Phase one runs the
+first time a kernel is solved. A kernel that returned an optimum keeps its
+basis and a fresh inverse, so columns appended to a DenseColumns store after
+that enter as nonbasic at zero, the basis stays feasible, and the next solve
+runs phase two only. This is how the restricted master is re-solved.
 
 Redundant rows are tolerated: artificial variables that cannot be pivoted out
 after phase one stay basic at level zero and are encoded in the basis with
-negative codes (code -1-r means the artificial of row r), which keeps warm
-starts valid while structural columns are appended.
+negative codes (code -1-r means the artificial of row r), which keeps the
+basis valid while structural columns are appended.
 
 The kernel keeps the inverse of the basis matrix B. Each pivot reads the basic
 values, the duals and the entering direction off it in O(m^2), then updates it
 by a rank-one product-form step (Dantzig & Orchard-Hays): the leaving row is
-divided by the pivot element and eliminated from every other row. B itself is
-re-inverted from its columns in three cases: every REFACTOR_EVERY pivots;
-before a decision that ends a phase (optimal, unbounded, or a basic value
-below -1e-7), so that every such decision rests on a fresh inverse; and
-before pivoting on an element smaller than SMALL_PIVOT times the largest
-entry of the direction, which would otherwise leave B near singular.
+divided by the pivot element and eliminated from every other row. B itself
+is not kept: it is rebuilt from the basic codes and re-inverted in three
+cases: every REFACTOR_EVERY pivots; before a decision that ends a phase
+(optimal, unbounded, or a basic value below -1e-7), so that every such
+decision rests on a fresh inverse; and before pivoting on an element smaller
+than SMALL_PIVOT times the largest entry of the direction, which would
+otherwise leave B near singular.
 """
 
 from __future__ import annotations
@@ -52,28 +59,35 @@ class DenseLP:
 
 
 @dataclass
-class Basis:
-    """Basic column codes, one per row; negative codes are artificials."""
-
-    basic: np.ndarray
-
-
-@dataclass
 class LPSolution:
     x: np.ndarray | None
     duals: np.ndarray | None
     objective: float
-    basis: Basis | None
     status: str
     pivots: int = 0
 
 
 class DenseColumns:
-    """Column provider backed by an explicit dense matrix."""
+    """Column provider backed by an explicit dense matrix.
+
+    A contiguous float matrix is used without a copy. Appended columns go to a
+    C-order store whose width doubles when it is full; ``A`` is the view of
+    its filled columns.
+    """
 
     def __init__(self, A: np.ndarray):
-        self.A = np.ascontiguousarray(A, dtype=float)
-        self.nrows, self.ncols = self.A.shape
+        self.store = np.ascontiguousarray(A, dtype=float)
+        self.nrows, self.ncols = self.store.shape
+        self.A = self.store
+
+    def append(self, col: np.ndarray):
+        if self.ncols == self.store.shape[1]:
+            wider = np.empty((self.nrows, max(1, 2 * self.ncols)))
+            wider[:, : self.ncols] = self.store
+            self.store = wider
+        self.store[:, self.ncols] = col
+        self.ncols += 1
+        self.A = self.store[:, : self.ncols]
 
     def apply_yT(self, y: np.ndarray) -> np.ndarray:
         return y @ self.A
@@ -105,17 +119,17 @@ class UnitColumns:
         return col
 
 
-class _Kernel:
+class Kernel:
+    """The columns and right-hand side of an LP, with its basis once solved."""
+
     def __init__(self, cols, rhs):
         self.cols = cols
         self.m = cols.nrows
-        self.k = cols.ncols
         self.b = np.asarray(rhs, dtype=float).copy()
         self.signs = np.where(self.b < 0.0, -1.0, 1.0)
         self.pivots = 0
         self.basic = None  # (m,) int64 codes
-        self.B = None  # (m, m) basis matrix
-        self.Binv = None  # (m, m) its inverse, updated in place per pivot
+        self.Binv = None  # (m, m) inverse of the basis matrix, updated per pivot
         self.updates = 0  # pivots applied to Binv since it was last inverted
 
     def column_of(self, code: int) -> np.ndarray:
@@ -126,16 +140,12 @@ class _Kernel:
         col[r] = self.signs[r]
         return col
 
-    def set_basis(self, basic: np.ndarray):
-        self.basic = basic.astype(np.int64).copy()
-        self.B = np.empty((self.m, self.m))
-        for pos, code in enumerate(self.basic):
-            self.B[:, pos] = self.column_of(int(code))
-        self._invert()
-
     def _invert(self):
+        B = np.empty((self.m, self.m))
+        for pos, code in enumerate(self.basic):
+            B[:, pos] = self.column_of(int(code))
         try:
-            self.Binv = np.linalg.inv(self.B)
+            self.Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular basis matrix") from exc
         self.updates = 0
@@ -161,7 +171,7 @@ class _Kernel:
         # otherwise artificials leave first, by row, then structurals.
         code = self.basic
         if bland:
-            return np.where(code >= 0, code, self.k - 1 - code)
+            return np.where(code >= 0, code, self.cols.ncols - 1 - code)
         return np.where(code < 0, -1 - code, self.m + code)
 
     def run_phase(self, cost: np.ndarray, art_cost: float):
@@ -214,7 +224,6 @@ class _Kernel:
             ):
                 continue
             self.basic[leave_pos] = enter
-            self.B[:, leave_pos] = col_in
             row = self.Binv[leave_pos] / w[leave_pos]
             self.Binv -= np.outer(w, row)
             self.Binv[leave_pos] = row
@@ -231,50 +240,33 @@ class _Kernel:
                 bland = False
 
 
-def solve_columns(
-    cols,
-    cost: np.ndarray,
-    rhs: np.ndarray,
-    warm: Basis | None = None,
-) -> LPSolution:
-    """Two-phase primal simplex over an abstract column provider."""
-    cost = np.asarray(cost, dtype=float)
-    kern = _Kernel(cols, rhs)
-    m, k = kern.m, kern.k
+def solve_columns(kern: Kernel, cost) -> LPSolution:
+    """Two-phase primal simplex on a kernel; phase one only if it has no basis.
 
-    started = False
-    if warm is not None and len(warm.basic) == m:
-        wb = np.asarray(warm.basic, dtype=np.int64)
-        if np.all((wb < k) & (wb >= -m)):
-            try:
-                kern.set_basis(wb)
-                xB = kern.basic_values()
-                if xB.min() >= -FEAS_TOL:
-                    started = True
-            except NumericalError:
-                started = False
-    if not started:
-        kern.set_basis(np.array([-1 - r for r in range(m)], dtype=np.int64))
-        phase1_cost = np.zeros(k)
-        xB, _ = kern.run_phase(phase1_cost, art_cost=1.0)
+    A kernel may be solved again after an optimal return, with columns
+    appended and costs given for them; the pivots reported are this call's.
+    """
+    cost = np.asarray(cost, dtype=float)
+    start = kern.pivots
+    if kern.basic is None:
+        kern.basic = -1 - np.arange(kern.m, dtype=np.int64)
+        kern._invert()
+        xB, _ = kern.run_phase(np.zeros(kern.cols.ncols), art_cost=1.0)
         if xB is None:
             raise NumericalError("phase one reported an unbounded direction")
         art_mass = xB[kern.basic < 0].sum() if np.any(kern.basic < 0) else 0.0
         if art_mass > FEAS_TOL * (1.0 + np.abs(kern.b).sum()):
-            return LPSolution(None, None, np.inf, None, INFEASIBLE, kern.pivots)
+            return LPSolution(None, None, np.inf, INFEASIBLE, kern.pivots - start)
 
     xB, y = kern.run_phase(cost, art_cost=0.0)
     if xB is None:
-        return LPSolution(None, None, -np.inf, None, UNBOUNDED, kern.pivots)
-    x = np.zeros(k)
+        return LPSolution(None, None, -np.inf, UNBOUNDED, kern.pivots - start)
+    x = np.zeros(kern.cols.ncols)
     struct = kern.basic >= 0
     x[kern.basic[struct]] = xB[struct]
-    objective = float(cost @ x)
-    return LPSolution(
-        x, y, objective, Basis(kern.basic.copy()), OPTIMAL, kern.pivots
-    )
+    return LPSolution(x, y, float(cost @ x), OPTIMAL, kern.pivots - start)
 
 
-def solve(lp: DenseLP, warm: Basis | None = None) -> LPSolution:
+def solve(lp: DenseLP) -> LPSolution:
     """Solve a dense equality-form LP."""
-    return solve_columns(DenseColumns(lp.A), lp.cost, lp.rhs, warm)
+    return solve_columns(Kernel(DenseColumns(lp.A), lp.rhs), lp.cost)

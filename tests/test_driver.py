@@ -180,6 +180,16 @@ class TestLoopBehavior:
         assert len(counts) > 5
         assert np.mean(counts[1:]) <= 10.0
 
+    def test_master_of_two_hundred_rows_matches_direct(self):
+        # About 200 master rows and 698 master solves: the master's column
+        # store doubles ten times, and B^-1 is re-inverted every
+        # REFACTOR_EVERY pivots between the solves' fresh inverses.
+        inst = random_instance(12, [2, 2, 200])
+        res = solve(inst, SolveConfig(pair_variant="small"))
+        assert res.converged
+        assert res.iterations > 512
+        assert abs(res.objective - solve_direct(inst).objective) <= 1e-9
+
 
 class TestCertificate:
     """The trace's lower bound is a valid, monotone certificate of the gap."""
@@ -220,20 +230,26 @@ class TestMemoryAccounting:
         assert res.n_combinations == 256
         # pair of 4 x 4 points; both trailing measures in the tail. Held: [P, 1]
         # and a, a_static over n_e = 16 rows, [-2Z; b] and b_static over
-        # n_lo = 16 columns, two unique-column arrays of 16 entries, and one
-        # master column per iteration (8 master rows plus the convexity row)
+        # n_lo = 16 columns, two unique-column arrays of 16 entries; and the
+        # master's column store, one column per iteration at a power-of-two
+        # width, and its basis inverse, both over 7 rows (8 master rows plus
+        # the convexity row, less the implied row of each trailing measure)
         n_e, n_lo, n_unique, dim = 16, 16, 16, 2
         state = 8 * (n_e * (dim + 1 + 2) + n_lo * (dim + 1 + 1) + 2 * n_unique)
         assert state == 1408 == pricing.state_bytes(inst.sizes, dim)
-        master_rows = 4 + 4
-        assert res.peak_memory_bytes == state + 8 * (master_rows + 1) * res.iterations
+        rows = 4 + 4 + 1 - 2
+
+        def master(iterations):
+            return 8 * rows * (1 << (iterations - 1).bit_length()) + 8 * rows * rows
+
+        assert res.peak_memory_bytes == state + master(res.iterations)
         # a smaller tail moves the second trailing measure into the head
         monkeypatch.setattr(pricing, "tail_start", lambda sizes, dim: 3)
         res = solve(inst)
         n_e, n_lo = 64, 4
         state = 8 * (n_e * (dim + 1 + 2) + n_lo * (dim + 1 + 1) + 2 * n_unique)
         assert state == pricing.state_bytes(inst.sizes, dim)
-        assert res.peak_memory_bytes == state + 8 * (master_rows + 1) * res.iterations
+        assert res.peak_memory_bytes == state + master(res.iterations)
         # two measures: the cost matrix alone
         pair = random_instance(11, [4, 4])
         assert solve(pair).peak_memory_bytes == 8 * 16

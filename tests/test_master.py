@@ -8,7 +8,6 @@ from wbary.master import (
     barycenter_points,
     column_coeffs,
     init_rm,
-    master_lp,
     recover_solution,
     solve_rm,
 )
@@ -52,7 +51,7 @@ class TestInitRM:
         solve_rm(rm)
         assert rm.mu.shape == (1,)
         assert rm.mu[0] == pytest.approx(1.0)
-        assert rm.objective == pytest.approx(rm._cost[0])
+        assert rm.objective == pytest.approx(rm.costs[0])
 
     def test_infeasible_start_rejected(self):
         rng = np.random.default_rng(1)
@@ -70,7 +69,8 @@ class TestAddColumn:
         rm = init_rm(p1, inst_p, st)
         single = SparseMass({7: 1.0})
         add(rm, single, st)
-        coeffs = rm._A[:-1, -1]
+        coeffs = column_coeffs(single, st, rm.rhs.shape[0] - 1)
+        assert np.array_equal(rm.kernel.cols.A[:, -1], np.append(coeffs, 1.0)[rm._rows])
         pos = 0
         for t in range(2, inst_p.n):
             block = coeffs[pos : pos + inst_p.sizes[t]]
@@ -86,7 +86,7 @@ class TestAddColumn:
         add(rm, p1, st)
         mu, y, sigma, obj = solve_rm(rm)
         assert mu.sum() == pytest.approx(1.0)
-        assert obj == pytest.approx(rm._cost[0])
+        assert obj == pytest.approx(rm.costs[0])
 
 
 class TestMasterRows:
@@ -98,7 +98,7 @@ class TestMasterRows:
         rm = init_rm(greedy_vertex(inst_p, st), inst_p, st)
         for h in range(st.total):
             add(rm, SparseMass({h: 1.0}), st)
-        A = master_lp(rm).A
+        A = rm.kernel.cols.A
         assert A.shape[1] == st.total + 1
         assert np.linalg.matrix_rank(A) == A.shape[0]
 
@@ -111,18 +111,24 @@ class TestMasterRows:
         mu, y, sigma, obj = solve_rm(rm)
         assert y.shape == (sum(inst_p.sizes[2:]),)
         # every column with positive weight prices to zero against (y, sigma)
-        reduced = rm._cost - y @ rm._A[:-1] - sigma
+        A = np.array([column_coeffs(p, st, y.shape[0]) for p in rm.columns]).T
+        reduced = np.array(rm.costs) - y @ A - sigma
         assert np.all(reduced >= -1e-9)
         assert np.allclose(reduced[mu > 1e-12], 0.0, atol=1e-9)
 
 
 class TestSolveRM:
-    def test_resolve_without_new_column_is_free(self):
+    def test_resolve_without_new_column_is_free(self, monkeypatch):
         rng = np.random.default_rng(4)
         inst_p, part, st = build(rng, [3, 2, 2])
         p1 = greedy_vertex(inst_p, st)
         rm = init_rm(p1, inst_p, st)
         solve_rm(rm)
+
+        def refuse(*args):
+            raise AssertionError("a re-solve inverted the basis again")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
         again_mu, _, _, again_obj = solve_rm(rm)
         assert rm.last_pivots == 0
         assert again_obj == pytest.approx(rm.objective)

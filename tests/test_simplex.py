@@ -8,15 +8,17 @@ from oracles import (
     highs_optimum,
     transport_lp_arrays,
 )
-from wbary import simplex
+from wbary import master, simplex
+from wbary.driver import SolveConfig, solve as solve_cg
 from wbary.initial import two_approx
 from wbary.model import DiscreteMeasure, Instance
 from wbary.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    Basis,
+    DenseColumns,
     DenseLP,
+    Kernel,
     UnitColumns,
     solve,
     solve_columns,
@@ -98,11 +100,21 @@ def random_lps_with_exact_optima():
     return cases
 
 
+def assert_fresh_inverse(kern):
+    """An optimal return leaves B^-1 freshly inverted: a later solve of the
+    same kernel starts from it, so no rank-one update may stand."""
+    assert kern.updates == 0
+    B = np.column_stack([kern.column_of(int(code)) for code in kern.basic])
+    assert np.abs(kern.Binv @ B - np.eye(kern.m)).max() <= 1e-9
+
+
 def check_against_exact(cases):
     for cost, A, b, status, obj in cases:
-        sol = solve(DenseLP(cost, A, b))
+        kern = Kernel(DenseColumns(A), b)
+        sol = solve_columns(kern, cost)
         assert sol.status == {"optimal": OPTIMAL, "unbounded": UNBOUNDED}[status]
         if status == "optimal":
+            assert_fresh_inverse(kern)
             assert abs(sol.objective - obj) <= 1e-8 * (1 + abs(obj))
             assert np.linalg.norm(A @ sol.x - b, ord=np.inf) <= 1e-9 * (
                 1 + np.abs(b).max()
@@ -120,6 +132,29 @@ class TestRandomVsExactOracle:
         # any decision; the answers must not change.
         monkeypatch.setattr(simplex, "REFACTOR_EVERY", 1)
         check_against_exact(random_lps_with_exact_optima)
+
+
+class TestFreshInverseAtOptimum:
+    def test_master_solves_of_a_deep_instance(self, monkeypatch):
+        # `wbary gen --n 5 --size 8 --seed 0`, solved with the large pair;
+        # the master's kernel is re-solved after every pricing.
+        rng = np.random.default_rng(0)
+        measures = tuple(DiscreteMeasure(rng.random((8, 2)), np.full(8, 1 / 8)) for _ in range(5))
+        inst = Instance(measures, np.full(5, 1 / 5))
+        original = master.solve_rm
+        solves = []
+
+        def checked(rm):
+            out = original(rm)
+            assert_fresh_inverse(rm.kernel)
+            solves.append(rm.last_pivots)
+            return out
+
+        monkeypatch.setattr(master, "solve_rm", checked)
+        res = solve_cg(inst, SolveConfig(pair_variant="large"))
+        assert res.converged
+        assert len(solves) == res.iterations > 50
+        assert sum(solves) > simplex.REFACTOR_EVERY
 
 
 class TestDuality:
@@ -149,10 +184,10 @@ class TestWarmStart:
         x0 = np.abs(rng.uniform(0.1, 1.0, size=8))
         b = A @ x0
         cost = rng.uniform(0.0, 1.0, size=8)
-        lp = DenseLP(cost, A, b)
-        first = solve(lp)
+        kern = Kernel(DenseColumns(A), b)
+        first = solve_columns(kern, cost)
         assert first.status == OPTIMAL
-        again = solve(lp, warm=first.basis)
+        again = solve_columns(kern, cost)
         assert again.status == OPTIMAL
         assert again.pivots == 0
         assert again.objective == pytest.approx(first.objective)
@@ -163,17 +198,35 @@ class TestWarmStart:
         x0 = np.abs(rng.uniform(0.1, 1.0, size=6))
         b = A @ x0
         cost = rng.uniform(0.2, 1.0, size=6)
-        first = solve(DenseLP(cost, A, b))
-        A2 = np.hstack([A, rng.uniform(0.5, 1.5, size=(3, 1))])
+        kern = Kernel(DenseColumns(A), b)
+        first = solve_columns(kern, cost)
+        new = rng.uniform(0.5, 1.5, size=3)
+        kern.cols.append(new)
         cost2 = np.append(cost, 0.01)  # attractive new column
-        second = solve(DenseLP(cost2, A2, b), warm=first.basis)
+        second = solve_columns(kern, cost2)
         assert second.status == OPTIMAL
         assert second.objective <= first.objective + 1e-12
+        cold = solve(DenseLP(cost2, np.column_stack([A, new]), b))
+        assert second.objective == pytest.approx(cold.objective, abs=1e-12)
+        assert second.pivots == kern.pivots - first.pivots
 
-    def test_invalid_warm_basis_falls_back(self):
-        lp = DenseLP(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
-        sol = solve(lp, warm=Basis(np.array([99])))
-        assert sol.status == OPTIMAL
+
+class TestDenseColumns:
+    def test_contiguous_matrix_is_not_copied(self):
+        A = np.arange(6.0).reshape(2, 3)
+        assert DenseColumns(A).A is A
+
+    def test_append_doubles_the_store_and_keeps_a_view(self):
+        cols = DenseColumns(np.empty((2, 0)))
+        widths = []
+        for j in range(5):
+            cols.append(np.array([j, -j], dtype=float))
+            widths.append(cols.store.shape[1])
+        assert widths == [1, 2, 4, 4, 8]
+        assert cols.ncols == 5 and np.shares_memory(cols.A, cols.store)
+        assert np.array_equal(cols.A, [[0, 1, 2, 3, 4], [0, -1, -2, -3, -4]])
+        y = np.array([2.0, 1.0])
+        assert np.array_equal(cols.apply_yT(y), [0, 1, 2, 3, 4])
 
 
 class TestDegenerate:
@@ -207,7 +260,7 @@ class TestUnitColumns:
             dense[rows[:, j], j] = 1.0
         cost = rng.uniform(0, 1, size=4)
         b = np.array([0.5, 0.5, 0.3, 0.7])
-        s1 = solve_columns(cols, cost, b)
+        s1 = solve_columns(Kernel(cols, b), cost)
         s2 = solve(DenseLP(cost, dense, b))
         assert s1.status == s2.status == OPTIMAL
         assert s1.objective == pytest.approx(s2.objective, abs=1e-10)
