@@ -6,13 +6,15 @@ first master solve it prices at smoothed duals pi = alpha * pi_hat +
 duals with the best Lagrangian bound L(pi) = pi . b + min over columns of
 (c - pi . A) so far. alpha adapts to the subgradient b - A_p of each priced
 column p (Pessoa, Sadykov, Uchoa & Vanderbeck 2018); a column that would not
-enter the master at y is a misprice, and pricing repeats once at y. The loop
-stops when the master objective is within tol of the best bound, a certified
-gap, then re-solves the full LP over the generated supports for a basic
-optimum. One or two input measures never enter the loop: a single measure is
-its own barycenter, and for two measures the whole problem is one balanced
-transportation problem. Every path turns its optimal plan into a SolveResult
-through the same helper.
+enter the master at y is a misprice, and pricing repeats once at y. Each
+pricing but the first starts its transport simplex from the basis the one
+before it ended at: only the costs change, so that basis stays feasible. The
+loop stops when the master objective is within tol of the best bound, a
+certified gap, then re-solves the full LP over the generated supports for a
+basic optimum. One or two input measures never enter the loop: a single
+measure is its own barycenter, and for two measures the whole problem is one
+balanced transportation problem. Every path turns its optimal plan into a
+SolveResult through the same helper.
 """
 
 from __future__ import annotations
@@ -215,8 +217,9 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
     b = rm.rhs[:-1]
     pricing_calls = 0
 
-    def price(pi: np.ndarray):
-        """Column minimizing the reduced cost at pi, with its rows and L(pi)."""
+    def price(pi: np.ndarray, basis: dict | None):
+        """Column minimizing the reduced cost at pi, with its rows, L(pi) and
+        the transport basis it ended at; the transport starts from basis."""
         nonlocal pricing_calls
         t0 = time.perf_counter()
         pricing_mod.recompute_reduced_costs(state, pi, partition, strides_p)
@@ -227,16 +230,19 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         timings["calc-best-costs"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        transport_obj, plan = pricing_mod.solve_pricing(state, partition, supplies, demands)
+        transport_obj, plan = pricing_mod.solve_pricing(
+            state, partition, supplies, demands, basis
+        )
         p = pricing_mod.expand_column(plan, state, len(demands))
         a_p = master_mod.column_coeffs(p, strides_p, b.shape[0])
         timings["solve-pricing"] += time.perf_counter() - t0
         pricing_calls += 1
-        return p, a_p, transport_obj, float(pi @ b) + transport_obj
+        return p, a_p, transport_obj, float(pi @ b) + transport_obj, plan.basis
 
     alpha = ALPHA_START
     best_lb = -math.inf
     center = None  # the duals of best_lb
+    basis = None  # the last optimal transport basis: pricing starts from it
     trace: list[TraceEntry] = []
     converged = False
     iteration = 0
@@ -248,7 +254,7 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         iteration += 1
 
         pi = y if center is None else alpha * center + (1 - alpha) * y
-        p, a_p, transport_obj, lb = price(pi)
+        p, a_p, transport_obj, lb, basis = price(pi, basis)
         if center is not None:
             if (b - a_p) @ (y - center) > 0:
                 alpha = max(0.0, alpha - 0.1)
@@ -259,7 +265,7 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         # A misprice: p, priced at pi, would not enter the master at y.
         misprice = transport_obj + (pi - y) @ a_p - sigma >= -simplex.OPT_TOL
         if misprice and pi is not y and rm_obj - best_lb > cfg.tol:
-            p, a_p, _, lb = price(y)
+            p, a_p, _, lb, basis = price(y, basis)
             if lb > best_lb:
                 best_lb, center = lb, y
 

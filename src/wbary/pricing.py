@@ -225,16 +225,17 @@ def solve_pricing(
     partition: Partition,
     supplies: np.ndarray,
     demands: np.ndarray,
+    basis: dict | None = None,
 ) -> tuple[float, TransportPlan]:
     """Minimize the compressed reduced costs over the pair's transport polytope.
 
     The objective is min over columns p of (c_p - duals . A_p) at the duals
-    a and b were last rebuilt at, without the convexity dual.
+    a and b were last rebuilt at, without the convexity dual. The transport
+    simplex starts from basis, the plan.basis of an earlier pricing with these
+    supplies and demands, or from the northwest corner when it is None.
     """
-    size_a = len(supplies)
-    size_b = len(demands)
-    costs = state.best.reshape(size_a, size_b)
-    plan = solve_transportation(TransportationProblem(supplies, demands, costs))
+    costs = state.best.reshape(len(supplies), len(demands))
+    plan = solve_transportation(TransportationProblem(supplies, demands, costs), basis)
     return plan.objective, plan
 
 

@@ -95,6 +95,9 @@ class DenseColumns:
     def column(self, j: int) -> np.ndarray:
         return self.A[:, j].copy()
 
+    def columns(self, js: np.ndarray) -> np.ndarray:
+        return self.A[:, js]
+
 
 class UnitColumns:
     """Columns holding a single 1 in each of a fixed number of rows.
@@ -118,6 +121,11 @@ class UnitColumns:
         col[self.rows[:, j]] = 1.0
         return col
 
+    def columns(self, js: np.ndarray) -> np.ndarray:
+        cols = np.zeros((self.nrows, len(js)))
+        cols[self.rows[:, js], np.arange(len(js))] = 1.0
+        return cols
+
 
 class Kernel:
     """The columns and right-hand side of an LP, with its basis once solved."""
@@ -132,20 +140,20 @@ class Kernel:
         self.Binv = None  # (m, m) inverse of the basis matrix, updated per pivot
         self.updates = 0  # pivots applied to Binv since it was last inverted
 
-    def column_of(self, code: int) -> np.ndarray:
-        if code >= 0:
-            return self.cols.column(code)
-        r = -1 - code
-        col = np.zeros(self.m)
-        col[r] = self.signs[r]
-        return col
+    def basis_matrix(self) -> np.ndarray:
+        """B, read from the columns in one indexed read; the artificial of
+        row r is the unit column of r with the sign of its right-hand side."""
+        B = np.zeros((self.m, self.m))
+        struct = self.basic >= 0
+        B[:, struct] = self.cols.columns(self.basic[struct])
+        art = np.flatnonzero(~struct)
+        rows = -1 - self.basic[art]
+        B[rows, art] = self.signs[rows]
+        return B
 
     def _invert(self):
-        B = np.empty((self.m, self.m))
-        for pos, code in enumerate(self.basic):
-            B[:, pos] = self.column_of(int(code))
         try:
-            self.Binv = np.linalg.inv(B)
+            self.Binv = np.linalg.inv(self.basis_matrix())
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular basis matrix") from exc
         self.updates = 0

@@ -1,13 +1,16 @@
 """Exact solver for the balanced transportation problem.
 
-Primal transportation simplex: northwest-corner starting basis,
-most-negative entering cell with lexicographic tie-breaking, and zero-flow
-basic cells for degeneracy. Each pivot walks the basis once: a depth-first
+Primal transportation simplex: most-negative entering cell with
+lexicographic tie-breaking, and zero-flow basic cells for degeneracy. A solve
+starts from a given basis, such as the one a solve with the same supplies and
+demands returned: only the costs differ, so it is still primal feasible. It
+is checked, and a bad one raises ContractError. Without one, the solve starts
+from the northwest corner. Each pivot walks the basis once: a depth-first
 pass from row 0 roots the spanning tree there and gives the dual (u, v)
 potentials with each node's parent and depth. The entering cell's cycle is the
 tree path from its row to its column, found by climbing both ends to their
 lowest common ancestor. Costs may be negative. All ties resolve to the lowest
-(row, col) pair so repeated runs produce identical plans.
+(row, col) pair, so runs from the same start produce identical plans.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ class TransportationProblem:
 class TransportPlan:
     flows: list[tuple[int, int, float]]  # (row, col, mass), lexicographic
     objective: float
+    basis: dict[tuple[int, int], float]  # every basic cell, zero flows too
+    pivots: int  # pivots of this solve
 
 
 def _northwest_corner(supplies, demands):
@@ -57,6 +62,31 @@ def _northwest_corner(supplies, demands):
             i += 1
         else:
             j += 1
+    return cells
+
+
+def _checked_basis(basis, supplies, demands):
+    """A copy of a given basis, once it is shown to be a feasible basic flow:
+    m + k - 1 cells in range, no negative flow, and row and column sums
+    within BALANCE_TOL of the marginals. A connected tree is left to
+    _basis_tree."""
+    m, k = len(supplies), len(demands)
+    cells = dict(basis)
+    if len(cells) != m + k - 1:
+        raise ContractError(f"a basis needs {m + k - 1} cells, got {len(cells)}")
+    row_sums, col_sums = [0.0] * m, [0.0] * k
+    for (i, j), q in cells.items():
+        if not (0 <= i < m and 0 <= j < k):
+            raise ContractError("a basis cell lies outside the cost matrix")
+        if not q >= 0.0:
+            raise ContractError("a basis holds a negative flow")
+        row_sums[i] += q
+        col_sums[j] += q
+    if (
+        np.abs(np.subtract(row_sums, supplies)).max() > BALANCE_TOL
+        or np.abs(np.subtract(col_sums, demands)).max() > BALANCE_TOL
+    ):
+        raise ContractError("basis flows do not meet the marginals")
     return cells
 
 
@@ -108,8 +138,12 @@ def _cycle_path(parent, depth, m, row, col):
     return [(x, y - m) if x < m else (y, x - m) for x, y in zip(nodes, nodes[1:])]
 
 
-def solve_transportation(tp: TransportationProblem) -> TransportPlan:
-    """Optimal basic flow for a balanced transportation problem."""
+def solve_transportation(
+    tp: TransportationProblem, basis: dict | None = None
+) -> TransportPlan:
+    """Optimal basic flow for a balanced transportation problem, from a given
+    feasible basis (cell -> flow, as TransportPlan.basis) or the northwest
+    corner."""
     supplies = np.asarray(tp.supplies, dtype=float)
     demands = np.asarray(tp.demands, dtype=float)
     costs = np.asarray(tp.costs, dtype=float)
@@ -123,7 +157,11 @@ def solve_transportation(tp: TransportationProblem) -> TransportPlan:
             f"unbalanced problem: supply {supplies.sum()!r} vs demand {demands.sum()!r}"
         )
 
-    cells = _northwest_corner(supplies, demands)
+    if basis is None:
+        cells = _northwest_corner(supplies, demands)
+    else:
+        cells = _checked_basis(basis, supplies, demands)
+    pivots = 0
     bland = False
     degen_streak = 0
     while True:
@@ -153,6 +191,7 @@ def solve_transportation(tp: TransportationProblem) -> TransportPlan:
             cells[c] += theta
         del cells[leave]
         cells[(ei, ej)] = theta
+        pivots += 1
         if theta <= FLOW_TOL:
             degen_streak += 1
             if degen_streak > BLAND_AFTER:
@@ -163,4 +202,4 @@ def solve_transportation(tp: TransportationProblem) -> TransportPlan:
 
     flows = sorted((i, j, q) for (i, j), q in cells.items() if q > FLOW_TOL)
     objective = float(sum(q * costs[i, j] for i, j, q in flows))
-    return TransportPlan(flows, objective)
+    return TransportPlan(flows, objective, cells, pivots)

@@ -104,8 +104,36 @@ def assert_fresh_inverse(kern):
     """An optimal return leaves B^-1 freshly inverted: a later solve of the
     same kernel starts from it, so no rank-one update may stand."""
     assert kern.updates == 0
-    B = np.column_stack([kern.column_of(int(code)) for code in kern.basic])
+    B = column_by_column(kern)
     assert np.abs(kern.Binv @ B - np.eye(kern.m)).max() <= 1e-9
+
+
+def column_by_column(kern):
+    """The basis matrix built one basic code at a time: the provider's column,
+    or for code -1-r the unit column of row r signed like its right-hand side."""
+    B = np.zeros((kern.m, kern.m))
+    for pos, code in enumerate(kern.basic):
+        if code >= 0:
+            B[:, pos] = kern.cols.column(int(code))
+        else:
+            B[-1 - code, pos] = kern.signs[-1 - code]
+    return B
+
+
+class TestBasisMatrix:
+    @pytest.mark.parametrize("provider", ["dense", "unit"])
+    def test_gathered_matches_column_by_column(self, provider):
+        rng = np.random.default_rng(31)
+        m, k = 6, 12
+        if provider == "dense":
+            cols = DenseColumns(rng.uniform(-1.0, 1.0, size=(m, k)))
+        else:
+            cols = UnitColumns(rng.integers(0, m, size=(2, k)), nrows=m)
+        kern = Kernel(cols, rng.uniform(-1.0, 1.0, size=m))
+        assert np.any(kern.signs < 0)
+        # four structural columns in scrambled order, two signed artificials
+        kern.basic = np.array([7, -3, 0, 11, -6, 4], dtype=np.int64)
+        assert np.array_equal(kern.basis_matrix(), column_by_column(kern))
 
 
 def check_against_exact(cases):

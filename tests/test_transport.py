@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import transport_lp_arrays
-from wbary.model import ContractError
+from wbary import pricing
+from wbary.driver import SolveConfig, solve as solve_cg
+from wbary.model import ContractError, DiscreteMeasure, Instance
 from wbary.simplex import DenseLP, solve
 from wbary.transport import TransportationProblem, solve_transportation
 
@@ -177,3 +179,110 @@ class TestStructure:
         tp = TransportationProblem(np.full(m, 1.0 / m), np.full(k, 1.0 / k),
                                    np.array(costs, dtype=float))
         assert solve_transportation(tp).flows == flows
+
+
+class TestWarmStart:
+    def test_chains_of_costs_match_cold_and_oracle(self):
+        # Each solve starts from the basis the solve before it returned, as
+        # pricing does: same marginals, new costs.
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            make = (random_balanced, uniform_integer)[trial % 2]
+            m, k = (int(x) for x in rng.integers(1, 11, size=2))
+            tp = make(rng, m, k)
+            basis = None
+            for link in range(int(rng.integers(5, 11))):
+                where = f"{make.__name__} trial {trial} link {link}"
+                tp.costs = make(rng, m, k).costs
+                given = None if basis is None else dict(basis)
+                plan = solve_transportation(tp, basis)
+                assert basis == given, where  # the given basis is not modified
+                cold = solve_transportation(tp)
+                assert abs(plan.objective - cold.objective) <= 1e-12 * (
+                    1 + abs(cold.objective)
+                ), where
+                c, A, b = transport_lp_arrays(tp.supplies, tp.demands, tp.costs)
+                lp_sol = solve(DenseLP(c, A, b))
+                assert abs(plan.objective - lp_sol.objective) <= 1e-9 * (
+                    1 + abs(lp_sol.objective)
+                ), where
+                assert plan_residual(tp, plan) <= 1e-9, where
+                assert len(plan.basis) == m + k - 1, where
+                basis = plan.basis
+
+    def test_optimal_basis_takes_no_pivot(self):
+        tp = random_balanced(np.random.default_rng(3), 7, 5)
+        cold = solve_transportation(tp)
+        assert cold.pivots > 0
+        again = solve_transportation(tp, cold.basis)
+        assert again.pivots == 0
+        assert again.flows == cold.flows
+        assert again.basis == cold.basis
+
+    def test_pricing_of_a_deep_instance_pivots_less(self, monkeypatch):
+        # `wbary gen --n 5 --size 8 --seed 0`, solved with the large pair:
+        # the pricings of one solve against the same cost matrices solved cold.
+        rng = np.random.default_rng(0)
+        measures = tuple(DiscreteMeasure(rng.random((8, 2)), np.full(8, 1 / 8)) for _ in range(5))
+        inst = Instance(measures, np.full(5, 1 / 5))
+        original = pricing.solve_pricing
+        priced = []
+
+        def recording(state, partition, supplies, demands, basis=None):
+            out = original(state, partition, supplies, demands, basis)
+            costs = state.best.reshape(len(supplies), len(demands)).copy()
+            priced.append((TransportationProblem(supplies, demands, costs), out[1].pivots))
+            return out
+
+        monkeypatch.setattr(pricing, "solve_pricing", recording)
+        res = solve_cg(inst, SolveConfig(pair_variant="large"))
+        assert res.converged and len(priced) == res.pricing_calls > 50
+        warm = sum(pivots for _, pivots in priced)
+        cold = sum(solve_transportation(tp).pivots for tp, _ in priced)
+        assert warm <= 0.3 * cold
+        print(f"\ntransport pivots per pricing: warm {warm / len(priced):.2f}, "
+              f"cold {cold / len(priced):.2f}")
+
+
+class TestBadWarmBasis:
+    @pytest.fixture
+    def tp_and_basis(self):
+        tp = random_balanced(np.random.default_rng(5), 4, 3)
+        return tp, solve_transportation(tp).basis
+
+    def test_wrong_cell_count(self, tp_and_basis):
+        tp, basis = tp_and_basis
+        del basis[min(basis)]
+        with pytest.raises(ContractError, match="cells"):
+            solve_transportation(tp, basis)
+
+    def test_cell_out_of_range(self, tp_and_basis):
+        tp, basis = tp_and_basis
+        cell = min(basis)
+        basis[(cell[0], 3)] = basis.pop(cell)
+        with pytest.raises(ContractError, match="outside"):
+            solve_transportation(tp, basis)
+
+    def test_negative_flow(self, tp_and_basis):
+        tp, basis = tp_and_basis
+        basis[min(basis)] = -1e-3
+        with pytest.raises(ContractError, match="negative"):
+            solve_transportation(tp, basis)
+
+    def test_basis_from_other_marginals(self, tp_and_basis):
+        tp, _ = tp_and_basis
+        other = random_balanced(np.random.default_rng(6), 4, 3)
+        other.costs = tp.costs
+        with pytest.raises(ContractError, match="marginals"):
+            solve_transportation(tp, solve_transportation(other).basis)
+
+    def test_disconnected_basis(self):
+        # Two 2 x 2 blocks and a cycle inside the first: m + k - 1 cells that
+        # meet the marginals but do not span the rows and columns.
+        tp = TransportationProblem(
+            np.full(4, 0.25), np.full(4, 0.25), np.zeros((4, 4))
+        )
+        basis = {(0, 0): 0.125, (0, 1): 0.125, (1, 0): 0.125, (1, 1): 0.125,
+                 (2, 2): 0.25, (2, 3): 0.0, (3, 3): 0.25}
+        with pytest.raises(ContractError, match="disconnected"):
+            solve_transportation(tp, basis)
