@@ -157,11 +157,11 @@ def _two_measure_result(inst: Instance) -> SolveResult:
     return _result(w, inst, (0, 1), strides, wall_start, timings, costs.nbytes)
 
 
-def _kernel_bytes(rows: int, cols: int = 0) -> int:
-    """Bytes of a dense simplex solve with this many rows: B, its inverse and
-    one rank-one temporary, plus a dense constraint matrix of cols columns.
-    The polish has one row per input point, the master fewer."""
-    return 8 * rows * cols + 24 * rows * rows
+def _kernel_bytes(rows: int) -> int:
+    """Bytes of a dense simplex basis with this many rows: B, its inverse and
+    one rank-one temporary. The polish has one row per input point, the
+    master fewer."""
+    return 24 * rows * rows
 
 
 def _check_cap(inst: Instance, need: int):
@@ -187,9 +187,12 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         need = held + _kernel_bytes(sum(inst.sizes))
         if cfg.start == "2app":
             # the relocation LP over at most S candidate points: (n - 1) S
-            # + S rows and S variables per point of each measure
+            # + S rows, and S sparse columns per point of each measure, with
+            # n nonzeros for measure 0 and 2 for the others; indptr, and the
+            # row, value and column of each nonzero
             S = sum(inst.sizes)
-            need += _kernel_bytes(inst.n * S, S * S)
+            nnz = S * (inst.n * sizes_p[0] + 2 * (S - sizes_p[0]))
+            need += _kernel_bytes(inst.n * S) + 8 * (S * S + 1) + 24 * nnz
     _check_cap(inst, need)
     if inst.n == 2:
         return _two_measure_result(inst)

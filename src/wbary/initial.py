@@ -6,7 +6,9 @@ vertex of the full transport polytope with a small support. The alternative
 first solves a relocation LP whose support is restricted to the union of the
 input support points (its cost is at most twice optimal) and then repairs
 that solution so every support point sends its whole mass to one destination
-per measure.
+per measure. Each column of the relocation LP has 2 or n nonzeros, so it is
+built in compressed sparse column form and solved without a dense
+constraint matrix.
 """
 
 from __future__ import annotations
@@ -124,23 +126,32 @@ def two_approx(inst: Instance) -> ApproxBarycenter:
             d2 = np.einsum("ij,ij->i", cand[s] - pts, cand[s] - pts)
             cost[var(i, s, 0) : var(i, s, 0) + sizes[i]] = inst.lambdas[i] * d2
 
+    # Rows: the coupling row (i - 1) S + s of candidate s for each measure
+    # i >= 1, then one marginal row per point of each measure. A measure-0
+    # column has -1 in every coupling row of its candidate, any other column
+    # +1 in its own; every column has +1 in its marginal row.
     nrows = (n - 1) * S + sum(sizes)
-    A = np.zeros((nrows, nvars))
-    rhs = np.zeros(nrows)
-    row = 0
-    for i in range(1, n):  # outflow of s into measure i equals outflow into measure 0
-        for s in range(S):
-            A[row, var(i, s, 0) : var(i, s, 0) + sizes[i]] = 1.0
-            A[row, var(0, s, 0) : var(0, s, 0) + sizes[0]] = -1.0
-            row += 1
+    marginal = (n - 1) * S + np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    rows, vals, nnz = [], [], []
     for i in range(n):
-        for j in range(sizes[i]):
-            for s in range(S):
-                A[row, var(i, s, j)] = 1.0
-            rhs[row] = inst.measures[i].masses[j]
-            row += 1
+        s = np.repeat(np.arange(S), sizes[i])
+        j = np.tile(np.arange(sizes[i]), S)
+        if i == 0:
+            coupling = [(t - 1) * S + s for t in range(1, n)]
+            signs = [-1.0] * (n - 1) + [1.0]
+        else:
+            coupling = [(i - 1) * S + s]
+            signs = [1.0, 1.0]
+        rows.append(np.column_stack(coupling + [marginal[i] + j]).ravel())
+        vals.append(np.tile(signs, S * sizes[i]))
+        nnz.append(np.full(S * sizes[i], len(signs)))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(nnz))])
+    cols = simplex.SparseColumns(
+        indptr, np.concatenate(rows), np.concatenate(vals), nrows
+    )
+    rhs = np.concatenate([np.zeros((n - 1) * S)] + [m.masses for m in inst.measures])
 
-    sol = simplex.solve(simplex.DenseLP(cost, A, rhs))
+    sol = simplex.solve_columns(simplex.Kernel(cols, rhs), cost)
     if sol.status != simplex.OPTIMAL:
         raise RuntimeError(f"relocation LP ended with status {sol.status}")
 

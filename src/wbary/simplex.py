@@ -1,8 +1,13 @@
 """Dense two-phase primal simplex for equality-form LPs.
 
 Solves  min c^T x  s.t.  A x = b, x >= 0. Columns are accessed through a
-small provider protocol so the same pivoting kernel works for an in-memory
-dense matrix and for implicitly generated 0/1 columns.
+small provider protocol (``apply_yT``, ``column``, ``columns``), so the same
+pivoting kernel works on three column stores: DenseColumns, an in-memory
+dense matrix that columns can be appended to (the restricted master);
+UnitColumns, implicitly generated 0/1 columns with one 1 per measure (the
+polish and the direct LP); and SparseColumns, a compressed sparse column
+matrix (the 2-approximation's relocation LP, whose columns have 2 or n
+nonzeros).
 
 A Kernel holds the columns, the basis and its inverse. Phase one runs the
 first time a kernel is solved. A kernel that returned an optimum keeps its
@@ -18,13 +23,17 @@ basis valid while structural columns are appended.
 The kernel keeps the inverse of the basis matrix B. Each pivot reads the basic
 values, the duals and the entering direction off it in O(m^2), then updates it
 by a rank-one product-form step (Dantzig & Orchard-Hays): the leaving row is
-divided by the pivot element and eliminated from every other row. B itself
-is not kept: it is rebuilt from the basic codes and re-inverted in three
-cases: every REFACTOR_EVERY pivots; before a decision that ends a phase
-(optimal, unbounded, or a basic value below -1e-7), so that every such
-decision rests on a fresh inverse; and before pivoting on an element smaller
-than SMALL_PIVOT times the largest entry of the direction, which would
-otherwise leave B near singular.
+divided by the pivot element and eliminated from every other row. Only rows
+where the direction w is nonzero change; when fewer than half of them are
+nonzero (sparse columns give sparse directions) just those rows are updated,
+otherwise the whole matrix is, which is faster for a dense w. Both forms do
+the same arithmetic on every row that changes. B itself is not kept: it is
+rebuilt from the basic codes and re-inverted in three cases: every
+REFACTOR_EVERY pivots; before a decision that ends a phase (optimal,
+unbounded, or a basic value below -1e-7), so that every such decision rests
+on a fresh inverse; and before pivoting on an element smaller than
+SMALL_PIVOT times the largest entry of the direction, which would otherwise
+leave B near singular.
 """
 
 from __future__ import annotations
@@ -47,15 +56,6 @@ SMALL_PIVOT = 1e-6  # pivot below this share of max|w| needs a fresh inverse
 
 class NumericalError(RuntimeError):
     """The solver lost numerical control (singular basis, stalled pivoting)."""
-
-
-@dataclass
-class DenseLP:
-    """Equality-form LP data: min cost @ x, A @ x = rhs, x >= 0."""
-
-    cost: np.ndarray
-    A: np.ndarray
-    rhs: np.ndarray
 
 
 @dataclass
@@ -124,6 +124,45 @@ class UnitColumns:
     def columns(self, js: np.ndarray) -> np.ndarray:
         cols = np.zeros((self.nrows, len(js)))
         cols[self.rows[:, js], np.arange(len(js))] = 1.0
+        return cols
+
+
+class SparseColumns:
+    """Columns in compressed sparse column form.
+
+    Column j holds ``vals[indptr[j]:indptr[j + 1]]`` in the rows
+    ``rows[indptr[j]:indptr[j + 1]]``; no row appears twice in one column.
+    """
+
+    def __init__(
+        self, indptr: np.ndarray, rows: np.ndarray, vals: np.ndarray, nrows: int
+    ):
+        self.indptr = indptr
+        self.rows = rows
+        self.vals = vals
+        self.nrows = nrows
+        self.ncols = len(indptr) - 1
+        self.col_of = np.repeat(np.arange(self.ncols), np.diff(indptr))
+
+    def apply_yT(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(
+            self.col_of, weights=y[self.rows] * self.vals, minlength=self.ncols
+        )
+
+    def column(self, j: int) -> np.ndarray:
+        col = np.zeros(self.nrows)
+        lo, hi = self.indptr[j], self.indptr[j + 1]
+        col[self.rows[lo:hi]] = self.vals[lo:hi]
+        return col
+
+    def columns(self, js: np.ndarray) -> np.ndarray:
+        lo = self.indptr[js]
+        counts = self.indptr[js + 1] - lo
+        # entry k of the gathered columns sits at lo[c] + (k - first[c])
+        first = np.cumsum(counts) - counts
+        at = np.arange(counts.sum()) + np.repeat(lo - first, counts)
+        cols = np.zeros((self.nrows, len(js)))
+        cols[self.rows[at], np.repeat(np.arange(len(js)), counts)] = self.vals[at]
         return cols
 
 
@@ -233,7 +272,11 @@ class Kernel:
                 continue
             self.basic[leave_pos] = enter
             row = self.Binv[leave_pos] / w[leave_pos]
-            self.Binv -= np.outer(w, row)
+            touched = np.flatnonzero(w)
+            if 2 * touched.size < self.m:
+                self.Binv[touched] -= np.outer(w[touched], row)
+            else:
+                self.Binv -= np.outer(w, row)
             self.Binv[leave_pos] = row
             self.updates += 1
             if self.updates >= REFACTOR_EVERY:
@@ -273,8 +316,3 @@ def solve_columns(kern: Kernel, cost) -> LPSolution:
     struct = kern.basic >= 0
     x[kern.basic[struct]] = xB[struct]
     return LPSolution(x, y, float(cost @ x), OPTIMAL, kern.pivots - start)
-
-
-def solve(lp: DenseLP) -> LPSolution:
-    """Solve a dense equality-form LP."""
-    return solve_columns(Kernel(DenseColumns(lp.A), lp.rhs), lp.cost)

@@ -2,15 +2,20 @@
 
 Everything here favors transparency over speed: exact rational arithmetic,
 Bland's rule, and brute-force enumeration. Larger LPs go to HiGHS through
-scipy.optimize.linprog. None of it shares code with the package under test.
+scipy.optimize.linprog. None of it shares code with the package under test,
+except DenseLP and solve at the end: they run the package's simplex kernel on
+an explicit dense matrix, so tests can pose it small LPs directly.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
+
+from wbary.simplex import DenseColumns, Kernel, LPSolution, solve_columns
 
 
 def fraction_simplex(cost, A, b):
@@ -237,3 +242,17 @@ def brute_force_pricing(inst_perm, y, exact=False):
         best.append(low)
         index.append(u * n_dup + values.index(low))
     return best, index
+
+
+@dataclass
+class DenseLP:
+    """Equality-form LP data: min cost @ x, A @ x = rhs, x >= 0."""
+
+    cost: np.ndarray
+    A: np.ndarray
+    rhs: np.ndarray
+
+
+def solve(lp: DenseLP) -> LPSolution:
+    """Solve a dense equality-form LP with the package's simplex kernel."""
+    return solve_columns(Kernel(DenseColumns(lp.A), lp.rhs), lp.cost)

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    DenseLP,
     approx_transport_cost,
     assignment_best,
     barycenter_lp_arrays,
     column_support,
     highs_optimum,
     satisfies_marginals,
+    solve as lp_solve,
     transport_lp_arrays,
 )
 from wbary import driver
@@ -28,7 +30,6 @@ from wbary.model import (
     Instance,
     make_strides,
 )
-from wbary.simplex import DenseLP, solve as lp_solve
 from wbary.transport import TransportationProblem, solve_transportation
 
 VARIANTS = [

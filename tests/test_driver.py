@@ -291,7 +291,8 @@ class TestMemoryAccounting:
                 solve(random_instance(12, [2, 2, 300]), small_pair)
             with pytest.raises(CapacityError):
                 solve_direct(random_instance(12, [2, 300]))
-            # the relocation LP: 200 rows by 1600 variables, 3.5 MB with its basis
+            # the relocation LP: a basis over 200 rows and 1600 sparse columns,
+            # 1.07 MB
             with pytest.raises(CapacityError):
                 solve(five, SolveConfig(start="2app"))
         assert solve(five).converged

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import (
+    DenseLP,
     approx_transport_cost,
     assignment_best,
     fraction_simplex,
     highs_optimum,
+    solve,
     transport_lp_arrays,
 )
 from wbary import master, simplex
@@ -17,10 +21,9 @@ from wbary.simplex import (
     OPTIMAL,
     UNBOUNDED,
     DenseColumns,
-    DenseLP,
     Kernel,
+    SparseColumns,
     UnitColumns,
-    solve,
     solve_columns,
 )
 
@@ -300,11 +303,13 @@ def relocation_lp(inst):
     """The 2-approximation's LP, built independently of wbary.initial.
 
     Variables y[i][s, j] (measure-major, then candidate s, then point j) move
-    mass from candidate s, any input point (all distinct here), to point j of
-    measure i. Every candidate sends the same mass into each measure, and
-    each point receives its own mass.
+    mass from candidate s, a distinct input point in order of first
+    occurrence, to point j of measure i. Every candidate sends the same mass
+    into each measure, and each point receives its own mass.
     """
-    cand = np.concatenate([m.points for m in inst.measures])
+    points = np.concatenate([m.points for m in inst.measures])
+    _, first = np.unique(points, axis=0, return_index=True)
+    cand = points[np.sort(first)]
     S = len(cand)
     sizes = inst.sizes
     cost = np.concatenate(
@@ -370,3 +375,109 @@ class TestLongRunsVsHighs:
         ref = highs_optimum(c, A, b)
         assert abs(sol.objective - ref) <= 1e-9 * (1 + abs(ref))
         assert abs(approx_transport_cost(two_approx(inst), inst) - ref) <= 1e-9 * (1 + abs(ref))
+
+
+def random_csc(rng, nrows, ncols):
+    """CSC arrays of a random matrix with some empty columns, and the matrix."""
+    dense = np.zeros((nrows, ncols))
+    indptr, rows, vals = [0], [], []
+    for j in range(ncols):
+        nnz = 0 if rng.random() < 0.2 else int(rng.integers(1, nrows + 1))
+        r = np.sort(rng.choice(nrows, size=nnz, replace=False))
+        v = rng.uniform(-2.0, 2.0, size=nnz)
+        dense[r, j] = v
+        rows.extend(r)
+        vals.extend(v)
+        indptr.append(len(rows))
+    return np.array(indptr), np.array(rows, dtype=np.int64), np.array(vals), dense
+
+
+def shared_points_instance(rng):
+    """Measures drawing their points from one small pool, so candidates repeat."""
+    pool = rng.random((int(rng.integers(4, 8)), 2))
+    measures = []
+    for _ in range(int(rng.integers(3, 5))):
+        pts = pool[rng.choice(len(pool), size=int(rng.integers(2, 5)), replace=False)]
+        u = rng.uniform(0.2, 1.0, len(pts))
+        measures.append(DiscreteMeasure(pts, u / u.sum()))
+    return Instance(tuple(measures), np.full(len(measures), 1.0 / len(measures)))
+
+
+def relocation_kernel(inst, monkeypatch):
+    """The kernel two_approx solves, with its cost vector."""
+    seen = []
+
+    def record(kern, cost):
+        seen.append((kern, np.asarray(cost)))
+        return solve_columns(kern, cost)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(simplex, "solve_columns", record)
+        two_approx(inst)
+    (found,) = seen
+    return found
+
+
+class TestSparseColumns:
+    def test_matches_dense_on_random_data(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            nrows, ncols = (int(v) for v in rng.integers(1, 12, size=2))
+            indptr, rows, vals, dense = random_csc(rng, nrows, ncols)
+            cols = SparseColumns(indptr, rows, vals, nrows)
+            for j in range(ncols):
+                assert np.array_equal(cols.column(j), dense[:, j])
+            js = rng.integers(0, ncols, size=int(rng.integers(0, 2 * ncols)))
+            assert np.array_equal(cols.columns(js), dense[:, js])
+            y = rng.uniform(-1.0, 1.0, size=nrows)
+            assert np.abs(cols.apply_yT(y) - y @ dense).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("sizes", [(8, 6, 5, 4, 3, 3, 3), (10, 8, 6, 5, 4, 3, 3)])
+    def test_relocation_provider_equals_independent_matrix(self, sizes, monkeypatch):
+        inst = random_masses_instance(sizes, 0)
+        kern, cost = relocation_kernel(inst, monkeypatch)
+        c, A, b = relocation_lp(inst)
+        assert isinstance(kern.cols, SparseColumns)
+        assert kern.cols.nrows == A.shape[0] and kern.cols.ncols == A.shape[1]
+        for j in range(A.shape[1]):
+            assert np.array_equal(kern.cols.column(j), A[:, j])
+        assert np.array_equal(kern.cols.columns(np.arange(A.shape[1])), A)
+        assert np.array_equal(cost, c)
+        assert np.array_equal(kern.b, b)
+
+    def test_shared_points_match_highs(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            inst = shared_points_instance(rng)
+            points = np.concatenate([m.points for m in inst.measures])
+            assert len(np.unique(points, axis=0)) < len(points)
+            c, A, b = relocation_lp(inst)
+            ref = highs_optimum(c, A, b)
+            cost = approx_transport_cost(two_approx(inst), inst)
+            assert abs(cost - ref) <= 1e-9 * (1 + abs(ref))
+
+
+class TestRankOneUpdate:
+    def test_rows_only_update_equals_full_update(self):
+        rng = np.random.default_rng(23)
+        for m in (1, 5, 22, 60):
+            Binv = rng.uniform(-1.0, 1.0, size=(m, m))
+            w = np.where(rng.random(m) < 0.3, rng.uniform(-1.0, 1.0, size=m), 0.0)
+            w[0] = 0.5
+            row = rng.uniform(-1.0, 1.0, size=m)
+            full = Binv - np.outer(w, row)
+            rows_only = Binv.copy()
+            touched = np.flatnonzero(w)
+            rows_only[touched] -= np.outer(w[touched], row)
+            assert np.array_equal(full + 0.0, rows_only + 0.0)
+
+    def test_relocation_lp_peak_memory(self):
+        # the dense constraint matrix alone would be 273 x 1521 doubles, 3.3 MB
+        inst = random_masses_instance((10, 8, 6, 5, 4, 3, 3), 0)
+        tracemalloc.start()
+        try:
+            two_approx(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0e6

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import transport_lp_arrays
+from oracles import DenseLP, solve, transport_lp_arrays
 from wbary import pricing
 from wbary.driver import SolveConfig, solve as solve_cg
 from wbary.model import ContractError, DiscreteMeasure, Instance
-from wbary.simplex import DenseLP, solve
 from wbary.transport import TransportationProblem, solve_transportation
 
 
