@@ -3,10 +3,11 @@
 The master LP keeps one row per support point of every measure outside the
 pricing pair, plus a convexity row. Its columns are never read from a stored
 constraint matrix: each new vertex has few nonzeros, and their rows come
-straight from the index arithmetic. The master keeps one simplex kernel from
-its first solve to its last. Each column is appended to it, and a re-solve
-starts from the optimal basis and inverse the kernel holds, so it typically
-takes a handful of pivots.
+straight from its decoded combination indices (``model.digits``), as do the
+full LP's rows. The master keeps one simplex kernel from its first solve to
+its last. Each column is appended to it, and a re-solve starts from the
+optimal basis and inverse the kernel holds, so it typically takes a handful
+of pivots.
 
 Every column's entries in one measure's block of rows sum to its convexity
 entry, so each block holds one row implied by the others. The simplex gets
@@ -32,10 +33,9 @@ from .model import (
     Instance,
     SparseMass,
     Strides,
-    combination_cost,
     cost_vector,
-    tuple_of,
-    weighted_mean,
+    digits,
+    mean_points,
 )
 
 
@@ -54,14 +54,18 @@ class MasterState:
 
 
 def column_coeffs(p: SparseMass, strides_perm: Strides, master_rows: int) -> np.ndarray:
-    """A vertex's entries in the master rows, without the convexity row."""
-    coeffs = np.zeros(master_rows)
-    offsets = strides_perm.row_offsets
-    for h, q in p.entries.items():
-        digits = tuple_of(h, strides_perm).indices
-        for t in range(2, len(digits)):
-            coeffs[offsets[t] - offsets[2] + digits[t]] += q
-    return coeffs
+    """A vertex's entries in the master rows, without the convexity row.
+
+    One bincount over the trailing measures' rows: each row sums its masses
+    in the vertex's entry order.
+    """
+    index = np.fromiter(p.entries, dtype=np.int64, count=len(p))
+    masses = np.fromiter(p.entries.values(), dtype=float, count=len(p))
+    offsets = np.asarray(strides_perm.row_offsets[2:-1]) - strides_perm.row_offsets[2]
+    rows = digits(index, strides_perm)[2:] + offsets[:, None]
+    return np.bincount(
+        rows.ravel(), weights=np.tile(masses, rows.shape[0]), minlength=master_rows
+    )
 
 
 def init_rm(p1: SparseMass, inst_perm: Instance, strides_perm: Strides) -> MasterState:
@@ -138,15 +142,13 @@ def full_lp(
     the entries with x above MASS_TOL, which are empty unless the status is
     optimal.
     """
-    rows = np.empty((inst.n, support.size), dtype=np.int64)
-    for i in range(inst.n):
-        np.floor_divide(support, strides.suffix_products[i], out=rows[i])
-        rows[i] %= strides.sizes[i]
-        rows[i] += strides.row_offsets[i]
+    cost = cost_vector(inst, strides, support)  # its digits freed before rows
+    rows = digits(support, strides)
+    rows += np.asarray(strides.row_offsets[:-1])[:, None]
     provider = simplex.UnitColumns(rows, nrows=strides.row_offsets[-1])
     rhs = np.concatenate([m.masses for m in inst.measures])
     kernel = simplex.Kernel(provider, rhs)
-    sol = simplex.solve_columns(kernel, cost_vector(inst, strides, support))
+    sol = simplex.solve_columns(kernel, cost)
     if sol.status != simplex.OPTIMAL:
         return sol.status, SparseMass()
     keep = np.flatnonzero(sol.x > MASS_TOL)
@@ -174,17 +176,19 @@ def barycenter_points(
     """Points of a plan in ascending combination order, and its objective.
 
     Measure t of ``inst_perm`` is measure ``perm[t]`` of the input; every
-    assignment lists point indices in input order.
+    assignment lists point indices in input order. The objective sums mass
+    times ``cost_vector`` cost in that order, the costs the LPs were solved on.
     """
+    entries = w.sorted_items()
+    index = np.array([h for h, _ in entries], dtype=np.int64)
+    d = digits(index, strides_perm)
+    coords = mean_points(inst_perm, d)
+    costs = cost_vector(inst_perm, strides_perm, index).tolist()
+    original = np.empty_like(d)
+    original[list(perm)] = d
     points = []
     objective = 0.0
-    for h, mass in w.sorted_items():
-        combo = tuple_of(h, strides_perm)
-        original = [0] * inst_perm.n
-        for t, j in enumerate(combo.indices):
-            original[perm[t]] = j
-        objective += mass * combination_cost(combo, inst_perm)
-        points.append(
-            BarycenterPoint(weighted_mean(combo, inst_perm), mass, tuple(original))
-        )
+    for (_, mass), cost, x, a in zip(entries, costs, coords, original.T.tolist()):
+        objective += mass * cost
+        points.append(BarycenterPoint(x, mass, tuple(a)))
     return points, objective

@@ -6,6 +6,11 @@ support point picked from every measure. Combinations are addressed by a
 single flat index built from suffix products of the measure sizes, so the
 exponentially large constraint matrix never has to be stored; any column of
 it can be regenerated from the index alone.
+
+``digits`` is the one decode from flat indices to point indices, and
+``cost_vector`` the one cost formula: the full LP, the master columns and
+the reported objective all cost combinations through it. Only pricing scores
+them another way, by the reduced costs of its split state (pricing.py).
 """
 
 from __future__ import annotations
@@ -157,25 +162,6 @@ def make_strides(sizes) -> Strides:
     return Strides(sizes, tuple(suffix), total, tuple(offsets))
 
 
-@dataclass(frozen=True)
-class Combination:
-    """One support point chosen from every measure, plus its flat index."""
-
-    indices: tuple[int, ...]
-    index: int
-
-
-def tuple_of(h: int, strides: Strides) -> Combination:
-    """Decode a flat index into per-measure point indices."""
-    if not 0 <= h < strides.total:
-        raise IndexError(f"combination index {h} out of range [0, {strides.total})")
-    digits = tuple(
-        (h // strides.suffix_products[i]) % strides.sizes[i]
-        for i in range(len(strides.sizes))
-    )
-    return Combination(digits, h)
-
-
 def index_of(indices, strides: Strides) -> int:
     """Encode per-measure point indices into the flat combination index."""
     indices = tuple(int(j) for j in indices)
@@ -187,38 +173,42 @@ def index_of(indices, strides: Strides) -> int:
     return sum(j * strides.suffix_products[i] for i, j in enumerate(indices))
 
 
-def weighted_mean(c: Combination, inst: Instance) -> np.ndarray:
-    """Weight-averaged location of the points in a combination."""
-    out = np.zeros(inst.dim)
-    for i, j in enumerate(c.indices):
-        out += inst.lambdas[i] * inst.measures[i].points[j]
+def digits(index: np.ndarray, strides: Strides) -> np.ndarray:
+    """Decode flat combination indices: row i holds measure i's point indices.
+
+    Returns an (n, k) int64 array for k indices, the inverse of index_of.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    out = index // np.asarray(strides.suffix_products, dtype=np.int64)[:, None]
+    out %= np.asarray(strides.sizes, dtype=np.int64)[:, None]
     return out
 
 
-def combination_cost(c: Combination, inst: Instance) -> float:
-    """Weighted total squared distance from the combination's mean point."""
-    mean = weighted_mean(c, inst)
-    cost = 0.0
-    for i, j in enumerate(c.indices):
-        diff = mean - inst.measures[i].points[j]
-        cost += inst.lambdas[i] * float(diff @ diff)
-    return cost
+def mean_points(inst: Instance, d: np.ndarray) -> np.ndarray:
+    """Weighted mean location of each decoded combination, (k, dim)."""
+    mean = np.zeros((d.shape[1], inst.dim))
+    for lam, m, j in zip(inst.lambdas, inst.measures, d):
+        mean += lam * m.points[j]
+    return mean
 
 
 def cost_vector(inst: Instance, strides: Strides, index: np.ndarray) -> np.ndarray:
     """Per-unit transport cost of the combinations in an int64 index array.
 
-    Uses the identity  sum_i l_i |x_i|^2 - |mean|^2,  one vectorized pass per
-    measure over the whole index array.
+    Two passes over the decoded points: the weighted mean, then
+    sum_i l_i |x_i - mean|^2. The expanded form sum_i l_i |x_i|^2 - |mean|^2
+    is one pass, but it subtracts two numbers of the size of |x|^2, which
+    cancel to a cost of the size of the spread: at offsets of 1e7 that
+    loses every digit of it.
     """
-    index = np.asarray(index, dtype=np.int64)
-    acc_sq = np.zeros(index.shape[0])
-    acc_mean = np.zeros((index.shape[0], inst.dim))
-    for i, m in enumerate(inst.measures):
-        j = (index // strides.suffix_products[i]) % strides.sizes[i]
-        acc_sq += inst.lambdas[i] * m.sqnorms[j]
-        acc_mean += inst.lambdas[i] * m.points[j]
-    return acc_sq - np.einsum("ij,ij->i", acc_mean, acc_mean)
+    d = digits(index, strides)
+    mean = mean_points(inst, d)
+    cost = np.zeros(d.shape[1])
+    for lam, m, j in zip(inst.lambdas, inst.measures, d):
+        diff = m.points[j] - mean
+        # A batched matmul rounds each row as diff @ diff does; einsum may not.
+        cost += lam * (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+    return cost
 
 
 @dataclass

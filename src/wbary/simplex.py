@@ -191,6 +191,7 @@ class Kernel:
         return B
 
     def _invert(self):
+        self.Binv = None  # free the old inverse before B and its inverse exist
         try:
             self.Binv = np.linalg.inv(self.basis_matrix())
         except np.linalg.LinAlgError as exc:

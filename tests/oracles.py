@@ -173,6 +173,17 @@ def digits_of(h, sizes):
     return tuple(int(j) for j in np.unravel_index(h, tuple(sizes)))
 
 
+def combination_cost(assignment, points, weights):
+    """Weighted squared distance of one point per measure to their weighted
+    mean, in two scalar passes; ``points[i][assignment[i]]`` is measure i's."""
+    chosen = [np.asarray(points[i][j], dtype=float) for i, j in enumerate(assignment)]
+    mean = sum(weights[i] * x for i, x in enumerate(chosen))
+    cost = 0.0
+    for i, x in enumerate(chosen):
+        cost += float(weights[i]) * float(np.sum((x - mean) ** 2))
+    return cost
+
+
 def column_support(h, strides):
     """Rows holding a one in column h of the full constraint matrix, one per
     measure block, in increasing order."""

@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from oracles import combination_cost
 from wbary.cli import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
     main,
 )
-from wbary.model import combination_cost, Combination
 
 
 def run_cli(capsys, *argv):
@@ -108,8 +108,9 @@ class TestSolveCommand:
         assert code == 0
         inst = load_instance(str(path))
         doc = json.loads(out_path.read_text())
+        points = [m.points for m in inst.measures]
         recomputed = sum(
-            p["mass"] * combination_cost(Combination(tuple(p["assignment"]), 0), inst)
+            p["mass"] * combination_cost(p["assignment"], points, inst.lambdas)
             for p in doc["barycenter"]
         )
         assert abs(doc["objective"] - recomputed) <= 1e-9

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import approx_transport_cost, column_support, satisfies_marginals
+from oracles import (
+    approx_transport_cost,
+    column_support,
+    combination_cost,
+    digits_of,
+    satisfies_marginals,
+)
 from wbary.driver import solve_direct
 from wbary.initial import ApproxBarycenter, greedy_vertex, repair_to_vertex, two_approx
 from wbary.model import (
@@ -9,7 +15,6 @@ from wbary.model import (
     DiscreteMeasure,
     Instance,
     make_strides,
-    tuple_of,
 )
 
 
@@ -66,7 +71,7 @@ class TestGreedy:
         w = greedy_vertex(inst, st)
         assert len(w) == 5
         for h, q in w.sorted_items():
-            digits = tuple_of(h, st).indices
+            digits = digits_of(h, st.sizes)
             assert len(set(digits)) == 1  # (j, j, j)
             assert q == pytest.approx(0.2)
 
@@ -165,6 +170,5 @@ class TestRepair:
 
 
 def _combo_cost(h, strides, inst):
-    from wbary.model import combination_cost
-
-    return combination_cost(tuple_of(h, strides), inst)
+    points = [m.points for m in inst.measures]
+    return combination_cost(digits_of(h, strides.sizes), points, inst.lambdas)

@@ -1,20 +1,24 @@
 import numpy as np
 import pytest
 
-from oracles import column_support, marginal_residual, satisfies_marginals
+from oracles import (
+    column_support,
+    combination_cost,
+    digits_of,
+    marginal_residual,
+    satisfies_marginals,
+)
 from wbary.model import (
     CapacityError,
-    Combination,
     ContractError,
     DiscreteMeasure,
     Instance,
     SparseMass,
-    combination_cost,
     cost_vector,
+    digits,
     index_of,
     make_strides,
-    tuple_of,
-    weighted_mean,
+    mean_points,
 )
 
 
@@ -81,20 +85,22 @@ class TestIndexing:
         with pytest.raises(IndexError):
             column_support(6, st)
         with pytest.raises(IndexError):
-            tuple_of(-1, st)
-        with pytest.raises(IndexError):
             index_of((2, 0), st)
 
     def test_known_encodings(self):
         st = make_strides([2, 3, 2, 3])
-        assert tuple_of(0, st).indices == (0, 0, 0, 0)
+        d = digits(np.array([0, 35]), st)
+        assert d.tolist() == [[0, 1], [0, 2], [0, 1], [0, 2]]
         assert index_of((1, 2, 1, 2), st) == 35
 
     def test_bijection_exhaustive(self):
         for sizes in [(2, 3, 2, 3), (4,), (5, 5, 5), (2, 2, 2, 2, 2, 2)]:
             st = make_strides(sizes)
+            d = digits(np.arange(st.total), st)
+            assert d.shape == (len(sizes), st.total) and d.dtype == np.int64
             for h in range(st.total):
-                assert index_of(tuple_of(h, st).indices, st) == h
+                assert index_of(d[:, h], st) == h
+                assert tuple(d[:, h].tolist()) == digits_of(h, sizes)
 
     def test_one_row_per_block_increasing(self):
         rng = np.random.default_rng(0)
@@ -112,9 +118,15 @@ class TestIndexing:
         st = make_strides([2, 3, 2, 3])
         for h in range(st.total):
             for h2 in range(st.total):
-                d1, d2 = tuple_of(h, st).indices, tuple_of(h2, st).indices
+                d1, d2 = digits_of(h, st.sizes), digits_of(h2, st.sizes)
                 if d1[:2] == d2[:2]:
                     assert column_support(h, st)[:2] == column_support(h2, st)[:2]
+
+
+def means_and_costs(inst):
+    st = make_strides(inst.sizes)
+    index = np.arange(st.total)
+    return mean_points(inst, digits(index, st)), cost_vector(inst, st, index)
 
 
 class TestCosts:
@@ -127,37 +139,43 @@ class TestCosts:
             ),
             np.array([1 / 3, 1 / 3, 1 / 3]),
         )
-        c = Combination((0, 0, 0), 0)
-        assert np.allclose(weighted_mean(c, inst), [1.0, 1.0])
-        assert combination_cost(c, inst) == pytest.approx(4.0, abs=1e-12)
+        means, costs = means_and_costs(inst)
+        assert np.allclose(means, [[1.0, 1.0]])
+        assert costs[0] == pytest.approx(4.0, abs=1e-12)
+
+    def test_cost_is_translation_invariant(self):
+        pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+        for shift in (1e7, 1e8):
+            inst = Instance(
+                tuple(uniform_measure([p + shift]) for p in pts),
+                np.array([1 / 3, 1 / 3, 1 / 3]),
+            )
+            assert means_and_costs(inst)[1][0] == pytest.approx(4.0, abs=1e-6)
 
     def test_degenerate_weight(self):
         inst = Instance(
             (uniform_measure([[2.0, 2.0]]), uniform_measure([[9.0, 9.0]])),
             np.array([1.0, 0.0]),
         )
-        c = Combination((0, 0), 0)
-        assert np.allclose(weighted_mean(c, inst), [2.0, 2.0])
+        assert np.allclose(means_and_costs(inst)[0], [[2.0, 2.0]])
 
     def test_convex_combination(self):
         inst = Instance(
             (uniform_measure([[0.0, 0.0]]), uniform_measure([[4.0, 0.0]])),
             np.array([0.25, 0.75]),
         )
-        assert np.allclose(weighted_mean(Combination((0, 0), 0), inst), [3.0, 0.0])
+        assert np.allclose(means_and_costs(inst)[0], [[3.0, 0.0]])
 
     def test_identical_points_zero_cost(self):
         inst = Instance(
             (uniform_measure([[1.0, 2.0]]), uniform_measure([[1.0, 2.0]])),
             np.array([0.5, 0.5]),
         )
-        assert combination_cost(Combination((0, 0), 0), inst) == pytest.approx(0.0)
+        assert means_and_costs(inst)[1][0] == pytest.approx(0.0)
 
     def test_single_measure_zero_cost(self):
         inst = Instance((uniform_measure([[1.0, 1.0], [2.0, 5.0]]),), np.array([1.0]))
-        st = make_strides(inst.sizes)
-        for h in range(st.total):
-            assert combination_cost(tuple_of(h, st), inst) == pytest.approx(0.0)
+        assert np.allclose(means_and_costs(inst)[1], 0.0)
 
     def test_cost_vector_matches_direct_form(self):
         rng = np.random.default_rng(3)
@@ -165,8 +183,9 @@ class TestCosts:
             inst = random_instance(rng, rng.integers(1, 5, size=3).tolist())
             st = make_strides(inst.sizes)
             vec = cost_vector(inst, st, np.arange(st.total))
+            points = [m.points for m in inst.measures]
             for h in range(st.total):
-                direct = combination_cost(tuple_of(h, st), inst)
+                direct = combination_cost(digits_of(h, st.sizes), points, inst.lambdas)
                 assert abs(vec[h] - direct) <= 1e-9 * (1.0 + abs(direct))
 
     def test_cost_vector_of_any_index_subset_equals_whole(self):

@@ -481,3 +481,20 @@ class TestRankOneUpdate:
         finally:
             tracemalloc.stop()
         assert peak < 3.0e6
+
+    def test_reinversion_frees_the_old_inverse(self):
+        m = 300
+        rng = np.random.default_rng(24)
+        A = rng.uniform(-1.0, 1.0, size=(m, m)) + m * np.eye(m)
+        kern = Kernel(DenseColumns(A), np.ones(m))
+        kern.basic = np.arange(m)
+        tracemalloc.start()
+        try:
+            kern._invert()  # the inverse the second call replaces, traced
+            tracemalloc.reset_peak()
+            kern._invert()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # B and its inverse; the old inverse beside them would make three
+        assert peak < 2.5 * 8 * m * m
