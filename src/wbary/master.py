@@ -35,7 +35,7 @@ from .model import (
     Strides,
     cost_vector,
     digits,
-    mean_points,
+    mean_costs,
 )
 
 
@@ -177,18 +177,16 @@ def barycenter_points(
 
     Measure t of ``inst_perm`` is measure ``perm[t]`` of the input; every
     assignment lists point indices in input order. The objective sums mass
-    times ``cost_vector`` cost in that order, the costs the LPs were solved on.
+    times ``mean_costs`` cost in that order, the costs the LPs were solved on.
     """
     entries = w.sorted_items()
     index = np.array([h for h, _ in entries], dtype=np.int64)
     d = digits(index, strides_perm)
-    coords = mean_points(inst_perm, d)
-    costs = cost_vector(inst_perm, strides_perm, index).tolist()
-    original = np.empty_like(d)
-    original[list(perm)] = d
+    coords, costs = mean_costs(inst_perm, d)
+    assignments = d[np.argsort(perm)].T.tolist()  # row perm[t] is row t of d
     points = []
     objective = 0.0
-    for (_, mass), cost, x, a in zip(entries, costs, coords, original.T.tolist()):
+    for (_, mass), cost, x, a in zip(entries, costs.tolist(), coords, assignments):
         objective += mass * cost
         points.append(BarycenterPoint(x, mass, tuple(a)))
     return points, objective

@@ -8,9 +8,10 @@ exponentially large constraint matrix never has to be stored; any column of
 it can be regenerated from the index alone.
 
 ``digits`` is the one decode from flat indices to point indices, and
-``cost_vector`` the one cost formula: the full LP, the master columns and
-the reported objective all cost combinations through it. Only pricing scores
-them another way, by the reduced costs of its split state (pricing.py).
+``mean_costs`` the one cost formula: the full LP, the master columns (both
+through ``cost_vector``) and the reported objective cost combinations with
+it. Only pricing scores them another way, by the reduced costs of its split
+state (pricing.py).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 MASS_TOL = 1e-12
 INDEX_LIMIT = 2**63  # flat indices are kept in signed 64-bit arrays
-BLOCK = 1 << 20  # entries per tile of the pricing pass
+BLOCK = 1 << 20  # entries per tile of the pricing pass and of cost_vector
 
 
 class CapacityError(RuntimeError):
@@ -184,31 +185,34 @@ def digits(index: np.ndarray, strides: Strides) -> np.ndarray:
     return out
 
 
-def mean_points(inst: Instance, d: np.ndarray) -> np.ndarray:
-    """Weighted mean location of each decoded combination, (k, dim)."""
-    mean = np.zeros((d.shape[1], inst.dim))
-    for lam, m, j in zip(inst.lambdas, inst.measures, d):
-        mean += lam * m.points[j]
-    return mean
-
-
 def cost_vector(inst: Instance, strides: Strides, index: np.ndarray) -> np.ndarray:
-    """Per-unit transport cost of the combinations in an int64 index array.
+    """Per-unit transport cost of the combinations in an int64 index array,
+    decoded and costed by ``mean_costs`` one tile at a time."""
+    index = np.asarray(index, dtype=np.int64)
+    cost = np.empty(index.shape[0])
+    for s in range(0, index.shape[0], BLOCK):
+        cost[s : s + BLOCK] = mean_costs(inst, digits(index[s : s + BLOCK], strides))[1]
+    return cost
 
-    Two passes over the decoded points: the weighted mean, then
+
+def mean_costs(inst: Instance, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean points (k, dim) and costs (k,) of decoded combinations.
+
+    Two passes over the points: the weighted mean, then
     sum_i l_i |x_i - mean|^2. The expanded form sum_i l_i |x_i|^2 - |mean|^2
     is one pass, but it subtracts two numbers of the size of |x|^2, which
     cancel to a cost of the size of the spread: at offsets of 1e7 that
     loses every digit of it.
     """
-    d = digits(index, strides)
-    mean = mean_points(inst, d)
+    mean = np.zeros((d.shape[1], inst.dim))
+    for lam, m, j in zip(inst.lambdas, inst.measures, d):
+        mean += lam * m.points.take(j, axis=0)
     cost = np.zeros(d.shape[1])
     for lam, m, j in zip(inst.lambdas, inst.measures, d):
-        diff = m.points[j] - mean
+        diff = m.points.take(j, axis=0) - mean
         # A batched matmul rounds each row as diff @ diff does; einsum may not.
         cost += lam * (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-    return cost
+    return mean, cost
 
 
 @dataclass

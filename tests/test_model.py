@@ -8,6 +8,7 @@ from oracles import (
     marginal_residual,
     satisfies_marginals,
 )
+from wbary import model
 from wbary.model import (
     CapacityError,
     ContractError,
@@ -18,7 +19,7 @@ from wbary.model import (
     digits,
     index_of,
     make_strides,
-    mean_points,
+    mean_costs,
 )
 
 
@@ -126,7 +127,9 @@ class TestIndexing:
 def means_and_costs(inst):
     st = make_strides(inst.sizes)
     index = np.arange(st.total)
-    return mean_points(inst, digits(index, st)), cost_vector(inst, st, index)
+    means, costs = mean_costs(inst, digits(index, st))
+    assert np.array_equal(costs, cost_vector(inst, st, index))
+    return means, costs
 
 
 class TestCosts:
@@ -175,7 +178,7 @@ class TestCosts:
 
     def test_single_measure_zero_cost(self):
         inst = Instance((uniform_measure([[1.0, 1.0], [2.0, 5.0]]),), np.array([1.0]))
-        assert np.allclose(means_and_costs(inst)[1], 0.0)
+        assert np.allclose(means_and_costs(inst)[1], 0.0, rtol=0.0, atol=1e-12)
 
     def test_cost_vector_matches_direct_form(self):
         rng = np.random.default_rng(3)
@@ -196,6 +199,14 @@ class TestCosts:
         subset = rng.permutation(st.total)[:7]
         assert np.array_equal(cost_vector(inst, st, subset), whole[subset])
         assert cost_vector(inst, st, np.zeros(0, dtype=np.int64)).shape == (0,)
+
+    def test_tiled_costs_equal_one_tile(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        inst = random_instance(rng, [3, 4, 5])
+        st = make_strides(inst.sizes)
+        whole = cost_vector(inst, st, np.arange(st.total))
+        monkeypatch.setattr(model, "BLOCK", 7)
+        assert np.array_equal(cost_vector(inst, st, np.arange(st.total)), whole)
 
 
 class TestSparseMass:
