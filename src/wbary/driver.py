@@ -32,6 +32,7 @@ from . import pricing as pricing_mod
 from . import simplex
 from .master import BarycenterPoint
 from .model import (
+    BLOCK,
     CapacityError,
     Instance,
     SparseMass,
@@ -39,7 +40,7 @@ from .model import (
     cost_vector,
     make_strides,
 )
-from .initial import greedy_vertex, repair_to_vertex, two_approx
+from .initial import greedy_vertex, relocation_bytes, repair_to_vertex, two_approx
 from .transport import TransportationProblem, solve_transportation
 
 STEP_LABELS = (
@@ -54,7 +55,8 @@ STEP_LABELS = (
 ALPHA_START = 0.5
 
 # Bytes allowed for the pricing state and the dense simplex matrices (the
-# cost matrix for two measures), checked before either is allocated.
+# cost build and the transport simplex's matrices for two measures), checked
+# before either is allocated.
 MEMORY_CAP = 2_000_000_000
 
 # Largest combination count solve_direct materializes.
@@ -157,13 +159,6 @@ def _two_measure_result(inst: Instance) -> SolveResult:
     return _result(w, inst, (0, 1), strides, wall_start, timings, costs.nbytes)
 
 
-def _kernel_bytes(rows: int) -> int:
-    """Bytes of a dense simplex basis with this many rows: B, its inverse and
-    one rank-one temporary. The polish has one row per input point, the
-    master fewer."""
-    return 24 * rows * rows
-
-
 def _check_cap(inst: Instance, need: int):
     if need > MEMORY_CAP:
         raise CapacityError(
@@ -181,18 +176,18 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
     partition = pricing_mod.choose_partition(inst, cfg.pair_variant)
     sizes_p = tuple(inst.sizes[i] for i in partition.perm)
     if inst.n == 2:  # the transportation kernel, no dense simplex
-        held = need = 8 * math.prod(inst.sizes)
+        # the transport simplex holds the costs, the reduced costs of its
+        # last pivot and two temporaries of the next, 32 bytes per
+        # combination, more than the index and costs of the cost build; the
+        # build adds one tile's digits, means, differences and costs
+        N = math.prod(inst.sizes)
+        need = 32 * N + 8 * (inst.n + 3 * inst.dim + 2) * min(N, BLOCK)
     else:
         held = pricing_mod.state_bytes(sizes_p, inst.dim)
-        need = held + _kernel_bytes(sum(inst.sizes))
+        # the polish has one basis row per input point, the master fewer
+        need = held + simplex.kernel_bytes(sum(inst.sizes))
         if cfg.start == "2app":
-            # the relocation LP over at most S candidate points: (n - 1) S
-            # + S rows, and S sparse columns per point of each measure, with
-            # n nonzeros for measure 0 and 2 for the others; indptr, and the
-            # row, value and column of each nonzero
-            S = sum(inst.sizes)
-            nnz = S * (inst.n * sizes_p[0] + 2 * (S - sizes_p[0]))
-            need += _kernel_bytes(inst.n * S) + 8 * (S * S + 1) + 24 * nnz
+            need += relocation_bytes(sizes_p)
     _check_cap(inst, need)
     if inst.n == 2:
         return _two_measure_result(inst)
@@ -310,7 +305,7 @@ def solve_direct(inst: Instance) -> SolveResult:
         )
     # The full LP holds n int64 row indices per combination beside its cost.
     peak_memory_bytes = (inst.n + 1) * 8 * total
-    _check_cap(inst, peak_memory_bytes + _kernel_bytes(sum(inst.sizes)))
+    _check_cap(inst, peak_memory_bytes + simplex.kernel_bytes(sum(inst.sizes)))
     status, w = master_mod.full_lp(np.arange(total, dtype=np.int64), inst, strides)
     if status != simplex.OPTIMAL:
         raise RuntimeError(f"direct solve returned status {status}")

@@ -1,14 +1,16 @@
 """Feasible starting vertices for the restricted master problem.
 
-Two constructions are offered. The greedy sweep walks one pointer through
-each measure, always assigning the minimum remaining mass, which yields a
-vertex of the full transport polytope with a small support. The alternative
-first solves a relocation LP whose support is restricted to the union of the
-input support points (its cost is at most twice optimal) and then repairs
-that solution so every support point sends its whole mass to one destination
-per measure. Each column of the relocation LP has 2 or n nonzeros, so it is
-built in compressed sparse column form and solved without a dense
-constraint matrix.
+Both constructions end in one minimum-remaining-mass sweep: a pointer walks
+each of n nonnegative vectors, and each step places the smallest entry at the
+pointers on their combination. The greedy start sweeps the measures' masses,
+which yields a vertex of the full transport polytope with a small support.
+The 2-approximation first solves a relocation LP whose support is restricted
+to the union of the input support points (its cost is at most twice optimal)
+and hands over its plans, one (S, |P_i|) array per measure; the repair then
+sweeps each support point's plan rows, splitting its mass into combinations
+that send their whole mass to one point per measure. Each column of the
+relocation LP has 2 or n nonzeros, so it is built in compressed sparse column
+form and solved without a dense constraint matrix.
 """
 
 from __future__ import annotations
@@ -19,39 +21,47 @@ import numpy as np
 
 from . import simplex
 from .model import (
+    MASS_TOL,
     ContractError,
     Instance,
     SparseMass,
     Strides,
     index_of,
-    make_strides,
 )
 
-ZERO_TOL = 1e-12
+
+def _sweep(vectors, total: float, strides: Strides, w: SparseMass):
+    """Add to w the minimum-remaining-mass sweep over one vector per measure.
+
+    Each pointer skips entries at most MASS_TOL but never passes its vector's
+    last entry; each step places the smallest entry at the pointers on their
+    combination. The sweep stops once total - MASS_TOL is placed, or when that
+    smallest entry is at most MASS_TOL (sub-tolerance drift from LP rounding).
+    """
+    remaining = [np.array(v, dtype=float) for v in vectors]
+    pointers = [0] * len(remaining)
+    placed = 0.0
+    while placed < total - MASS_TOL:
+        for i, r in enumerate(remaining):
+            while r[pointers[i]] <= MASS_TOL and pointers[i] + 1 < len(r):
+                pointers[i] += 1
+        mass = min(r[p] for r, p in zip(remaining, pointers))
+        if mass <= MASS_TOL:
+            break
+        w.add(index_of(pointers, strides), mass)
+        placed += mass
+        for r, p in zip(remaining, pointers):
+            r[p] -= mass
 
 
-def greedy_vertex(inst: Instance, strides: Strides | None = None) -> SparseMass:
+def greedy_vertex(inst: Instance, strides: Strides) -> SparseMass:
     """Feasible vertex built by the minimum-remaining-mass sweep.
 
     The support size L always satisfies max_i |P_i| <= L <= sum_i |P_i| - n + 1
     and the chosen columns are linearly independent.
     """
-    if strides is None:
-        strides = make_strides(inst.sizes)
-    n = inst.n
-    remaining = [m.masses.copy() for m in inst.measures]
-    pointers = [0] * n
     w = SparseMass()
-    assigned = 0.0
-    while assigned < 1.0 - ZERO_TOL:
-        mass = min(remaining[i][pointers[i]] for i in range(n))
-        h = index_of(pointers, strides)
-        w.add(h, mass)
-        assigned += mass
-        for i in range(n):
-            remaining[i][pointers[i]] -= mass
-            if remaining[i][pointers[i]] <= ZERO_TOL and pointers[i] + 1 < inst.sizes[i]:
-                pointers[i] += 1
+    _sweep([m.masses for m in inst.measures], 1.0, strides, w)
     return w
 
 
@@ -59,30 +69,31 @@ def greedy_vertex(inst: Instance, strides: Strides | None = None) -> SparseMass:
 class ApproxBarycenter:
     """A feasible measure supported on the original input points.
 
-    ``flows[i][s]`` lists (point index, mass) pairs sent from support point s
-    into measure i; per measure they sum to ``mass[s]`` and per target point
-    to that point's mass.
+    ``plans[i][s, j]`` is the mass support point s sends to point j of
+    measure i; each plan's rows sum to ``mass`` and its columns to that
+    measure's masses.
     """
 
     support: np.ndarray  # (S, dim)
     mass: np.ndarray  # (S,)
-    flows: list[list[list[tuple[int, float]]]]  # [measure][support point]
+    plans: list[np.ndarray]  # one (S, size_i) array per measure
 
-    def validate(self, inst: Instance, tol: float = 1e-9):
+    def validate(self, inst: Instance):
+        tol = 1e-9
         if abs(self.mass.sum() - 1.0) > tol:
             raise ContractError("approximate barycenter mass does not sum to 1")
-        for i, measure_flows in enumerate(self.flows):
-            into = np.zeros(inst.sizes[i])
-            for s, pairs in enumerate(measure_flows):
-                out = sum(q for _, q in pairs)
-                if abs(out - self.mass[s]) > tol:
-                    raise ContractError(
-                        f"support point {s} sends {out} into measure {i}, "
-                        f"holds {self.mass[s]}"
-                    )
-                for j, q in pairs:
-                    into[j] += q
-            if np.abs(into - inst.measures[i].masses).max() > tol:
+        if [p.shape for p in self.plans] != [(len(self.mass), s) for s in inst.sizes]:
+            raise ContractError("plans do not match the support and the measures")
+        for i, (plan, m) in enumerate(zip(self.plans, inst.measures)):
+            out = plan.sum(axis=1)
+            bad = np.flatnonzero(np.abs(out - self.mass) > tol)
+            if bad.size:
+                s = bad[0]
+                raise ContractError(
+                    f"support point {s} sends {out[s]} into measure {i}, "
+                    f"holds {self.mass[s]}"
+                )
+            if np.abs(plan.sum(axis=0) - m.masses).max() > tol:
                 raise ContractError(f"measure {i} marginals violated")
 
 
@@ -97,6 +108,20 @@ def _candidate_points(inst: Instance) -> np.ndarray:
     return np.array(list(seen.values()))
 
 
+def relocation_bytes(sizes) -> int:
+    """Bytes two_approx allocates for the relocation LP of measures with these
+    sizes, measure 0 first, over at most S = sum(sizes) candidate points.
+
+    The LP has (n - 1) S + S rows and S sparse columns per point of each
+    measure, with n nonzeros for measure 0 and 2 for the others. Counted: the
+    simplex basis over those rows, indptr with the row, value and column of
+    each nonzero, and the cost vector and solution over S * S variables.
+    """
+    n, S = len(sizes), sum(sizes)
+    nnz = S * (n * sizes[0] + 2 * (S - sizes[0]))
+    return simplex.kernel_bytes(n * S) + 8 * (S * S + 1) + 24 * nnz + 16 * S * S
+
+
 def two_approx(inst: Instance) -> ApproxBarycenter:
     """Best measure supported on the union of input points, with transport.
 
@@ -108,23 +133,12 @@ def two_approx(inst: Instance) -> ApproxBarycenter:
     n = inst.n
     sizes = inst.sizes
 
-    # Variable layout: y[i][s][j] flattened measure-major.
-    offsets = []
-    pos = 0
-    for i in range(n):
-        offsets.append(pos)
-        pos += S * sizes[i]
-    nvars = pos
-
-    def var(i, s, j):
-        return offsets[i] + s * sizes[i] + j
-
-    cost = np.empty(nvars)
-    for i in range(n):
-        pts = inst.measures[i].points
-        for s in range(S):
-            d2 = np.einsum("ij,ij->i", cand[s] - pts, cand[s] - pts)
-            cost[var(i, s, 0) : var(i, s, 0) + sizes[i]] = inst.lambdas[i] * d2
+    # Variables y[i][s][j], measure-major, then candidate, then point.
+    cost = []
+    for lam, m in zip(inst.lambdas, inst.measures):
+        d = cand[:, None, :] - m.points[None, :, :]
+        cost.append(lam * np.einsum("sjk,sjk->sj", d, d).ravel())
+    cost = np.concatenate(cost)
 
     # Rows: the coupling row (i - 1) S + s of candidate s for each measure
     # i >= 1, then one marginal row per point of each measure. A measure-0
@@ -155,57 +169,24 @@ def two_approx(inst: Instance) -> ApproxBarycenter:
     if sol.status != simplex.OPTIMAL:
         raise RuntimeError(f"relocation LP ended with status {sol.status}")
 
-    mass = np.zeros(S)
-    for s in range(S):
-        mass[s] = sol.x[var(0, s, 0) : var(0, s, 0) + sizes[0]].sum()
-    keep = np.flatnonzero(mass > ZERO_TOL)
-    flows = [
-        [
-            [
-                (j, float(sol.x[var(i, s, j)]))
-                for j in range(sizes[i])
-                if sol.x[var(i, s, j)] > ZERO_TOL
-            ]
-            for s in keep
-        ]
-        for i in range(n)
-    ]
-    return ApproxBarycenter(cand[keep], mass[keep], flows)
+    blocks = np.split(sol.x, np.cumsum([S * size for size in sizes])[:-1])
+    plans = [x.reshape(S, size) for x, size in zip(blocks, sizes)]
+    mass = plans[0].sum(axis=1)
+    keep = np.flatnonzero(mass > MASS_TOL)
+    return ApproxBarycenter(cand[keep], mass[keep], [p[keep] for p in plans])
 
 
 def repair_to_vertex(
-    apx: ApproxBarycenter, inst: Instance, strides: Strides | None = None
+    apx: ApproxBarycenter, inst: Instance, strides: Strides
 ) -> SparseMass:
     """Split each approximate support point into whole-mass combinations.
 
-    Walks every support point, repeatedly choosing the lowest-index
-    destination with remaining flow in each measure and assigning the minimum
-    remaining amount; the assigned mass lands at the weighted mean of the
-    chosen combination, which never increases the transport cost.
+    Sweeps every support point's plan rows, lowest point index first in each
+    measure; the mass of each step lands at the weighted mean of its
+    combination, which never increases the transport cost.
     """
     apx.validate(inst)
-    if strides is None:
-        strides = make_strides(inst.sizes)
-    n = inst.n
     w = SparseMass()
-    for s in range(len(apx.mass)):
-        rem = [dict(apx.flows[i][s]) for i in range(n)]
-        left = float(apx.mass[s])
-        while left > ZERO_TOL:
-            combo = []
-            chunk = left
-            for i in range(n):
-                live = [jj for jj, q in rem[i].items() if q > ZERO_TOL]
-                if not live:  # sub-tolerance drift from LP rounding
-                    chunk = 0.0
-                    break
-                j = min(live)
-                combo.append(j)
-                chunk = min(chunk, rem[i][j])
-            if chunk <= ZERO_TOL:
-                break
-            w.add(index_of(combo, strides), chunk)
-            left -= chunk
-            for i in range(n):
-                rem[i][combo[i]] -= chunk
+    for s, total in enumerate(apx.mass):
+        _sweep([plan[s] for plan in apx.plans], total, strides, w)
     return w

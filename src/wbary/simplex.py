@@ -166,6 +166,12 @@ class SparseColumns:
         return cols
 
 
+def kernel_bytes(rows: int) -> int:
+    """Bytes of a Kernel's dense matrices over this many rows: B, its inverse
+    and one rank-one temporary."""
+    return 24 * rows * rows
+
+
 class Kernel:
     """The columns and right-hand side of an LP, with its basis once solved."""
 

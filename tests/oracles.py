@@ -207,12 +207,12 @@ def satisfies_marginals(w, inst, strides, tol=1e-9):
 
 
 def approx_transport_cost(apx, inst):
-    """Weighted transport cost of a 2-approximation's flows into every measure."""
+    """Weighted transport cost of a 2-approximation's plans into every measure."""
     cost = 0.0
-    for i, measure_flows in enumerate(apx.flows):
+    for i, plan in enumerate(apx.plans):
         pts = inst.measures[i].points
-        for s, pairs in enumerate(measure_flows):
-            for j, q in pairs:
+        for s, row in enumerate(plan):
+            for j, q in enumerate(row):
                 diff = apx.support[s] - pts[j]
                 cost += inst.lambdas[i] * q * float(diff @ diff)
     return cost

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,27 @@ class TestMemoryAccounting:
         with pytest.raises(CapacityError):
             solve(random_instance(12, [400, 400]))
 
+    def test_pair_charge_bounds_the_peak(self, monkeypatch):
+        # two 300-point measures on one line in the same order: the squared
+        # distance is a Monge cost, so the northwest corner is optimal and
+        # the transport makes no pivot; the cost build sets the peak
+        rng = np.random.default_rng(12)
+        ms = []
+        for _ in range(2):
+            t = np.sort(rng.random(300))
+            u = rng.uniform(0.2, 1.0, 300)
+            ms.append(DiscreteMeasure(np.column_stack([t, t]), u / u.sum()))
+        inst = Instance(tuple(ms), np.array([0.5, 0.5]))
+        tracemalloc.start()
+        try:
+            assert solve(inst).converged
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(driver, "MEMORY_CAP", peak)
+        with pytest.raises(CapacityError):
+            solve(inst)
+
     def test_byte_cap_counts_the_dense_simplex_matrices(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("simplex run over the cap")
@@ -291,8 +314,8 @@ class TestMemoryAccounting:
                 solve(random_instance(12, [2, 2, 300]), small_pair)
             with pytest.raises(CapacityError):
                 solve_direct(random_instance(12, [2, 300]))
-            # the relocation LP: a basis over 200 rows and 1600 sparse columns,
-            # 1.07 MB
+            # the relocation LP: a basis over 200 rows and 1600 sparse columns
+            # with their costs and solution, 1.10 MB
             with pytest.raises(CapacityError):
                 solve(five, SolveConfig(start="2app"))
         assert solve(five).converged

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,13 @@ from oracles import (
     satisfies_marginals,
 )
 from wbary.driver import solve_direct
-from wbary.initial import ApproxBarycenter, greedy_vertex, repair_to_vertex, two_approx
+from wbary.initial import (
+    ApproxBarycenter,
+    greedy_vertex,
+    relocation_bytes,
+    repair_to_vertex,
+    two_approx,
+)
 from wbary.model import (
     ContractError,
     DiscreteMeasure,
@@ -107,6 +115,16 @@ class TestTwoApprox:
         assert approx_transport_cost(apx, inst) == pytest.approx(0.0, abs=1e-10)
         assert len(apx.mass) == 3
 
+    def test_relocation_bytes_bound_the_peak(self):
+        inst = random_instance(np.random.default_rng(0), [8] * 5, uniform=True)
+        tracemalloc.start()
+        try:
+            two_approx(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= relocation_bytes(inst.sizes)
+
     def test_ratio_within_factor_two(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
@@ -157,16 +175,37 @@ class TestRepair:
         assert satisfies_marginals(w, inst, st)
         assert len(w) <= 29
 
-    def test_inconsistent_flows_rejected(self):
-        m = DiscreteMeasure(np.zeros((1, 2)), np.array([1.0]))
+    def test_one_full_point_repairs_to_the_greedy_vertex(self):
+        # one support point holding all the mass, whose plans are the
+        # measures' masses: the repair runs the greedy sweep
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            inst = random_instance(rng, rng.integers(1, 6, size=n).tolist())
+            st = make_strides(inst.sizes)
+            apx = ApproxBarycenter(
+                support=np.zeros((1, 2)),
+                mass=np.array([1.0]),
+                plans=[m.masses[None, :] for m in inst.measures],
+            )
+            repaired = repair_to_vertex(apx, inst, st)
+            assert repaired.entries == greedy_vertex(inst, st).entries
+
+    @pytest.mark.parametrize("plan, match", [
+        ([[0.5, 0.0]], "support point 0 sends"),  # sends only half the held mass
+        ([[1.0, 0.0]], "marginals violated"),  # the measure holds 0.5 at each point
+        ([[1.0]], "plans do not match"),  # one column for two points
+    ], ids=["row-sum", "marginal", "shape"])
+    def test_inconsistent_plans_rejected(self, plan, match):
+        m = DiscreteMeasure(np.zeros((2, 2)), np.array([0.5, 0.5]))
         inst = Instance((m,), np.array([1.0]))
         bad = ApproxBarycenter(
             support=np.zeros((1, 2)),
             mass=np.array([1.0]),
-            flows=[[[(0, 0.5)]]],  # sends only half the held mass
+            plans=[np.array(plan)],
         )
-        with pytest.raises(ContractError):
-            repair_to_vertex(bad, inst)
+        with pytest.raises(ContractError, match=match):
+            repair_to_vertex(bad, inst, make_strides(inst.sizes))
 
 
 def _combo_cost(h, strides, inst):
