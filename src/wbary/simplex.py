@@ -1,7 +1,9 @@
 """Dense two-phase primal simplex for equality-form LPs.
 
 Solves  min c^T x  s.t.  A x = b, x >= 0. Columns are accessed through a
-small provider protocol (``apply_yT``, ``column``, ``columns``), so the same
+small provider protocol (``apply_yT(y)`` is y^T A, ``apply_x(x)`` is A x,
+``direction(Binv, j)`` is Binv times column j, formed from its nonzeros,
+and ``columns(js)`` gathers columns densely to build B), so the same
 pivoting kernel works on three column stores: DenseColumns, an in-memory
 dense matrix that columns can be appended to (the restricted master);
 UnitColumns, implicitly generated 0/1 columns with one 1 per measure (the
@@ -11,29 +13,39 @@ nonzeros).
 
 A Kernel holds the columns, the basis and its inverse. Phase one runs the
 first time a kernel is solved. A kernel that returned an optimum keeps its
-basis and a fresh inverse, so columns appended to a DenseColumns store after
-that enter as nonbasic at zero, the basis stays feasible, and the next solve
-runs phase two only. This is how the restricted master is re-solved.
+basis and inverse, so columns appended to a DenseColumns store after that
+enter as nonbasic at zero, the basis stays feasible, and the next solve runs
+phase two only. This is how the restricted master is re-solved.
 
 Redundant rows are tolerated: artificial variables that cannot be pivoted out
 after phase one stay basic at level zero and are encoded in the basis with
 negative codes (code -1-r means the artificial of row r), which keeps the
 basis valid while structural columns are appended.
 
-The kernel keeps the inverse of the basis matrix B. Each pivot reads the basic
-values, the duals and the entering direction off it in O(m^2), then updates it
-by a rank-one product-form step (Dantzig & Orchard-Hays): the leaving row is
-divided by the pivot element and eliminated from every other row. Only rows
-where the direction w is nonzero change; when fewer than half of them are
-nonzero (sparse columns give sparse directions) just those rows are updated,
-otherwise the whole matrix is, which is faster for a dense w. Both forms do
-the same arithmetic on every row that changes. B itself is not kept: it is
-rebuilt from the basic codes and re-inverted in three cases: every
-REFACTOR_EVERY pivots; before a decision that ends a phase (optimal,
-unbounded, or a basic value below -1e-7), so that every such decision rests
-on a fresh inverse; and before pivoting on an element smaller than
-SMALL_PIVOT times the largest entry of the direction, which would otherwise
-leave B near singular.
+The kernel keeps the inverse of the basis matrix B. The basic values x_B and
+the duals y are read off it in O(m^2) only at the start of a phase and right
+after an inversion; between inversions each pivot updates them in O(m)
+(x_B -= theta w, y += d_q times the new pivot row of the inverse, with d_q
+the entering reduced cost), and the basic costs c_B change in the one
+position that pivots. The entering direction w = B^-1 a_q is formed from the
+nonzeros of column q. The inverse itself takes a rank-one product-form step
+(Dantzig & Orchard-Hays): the leaving row is divided by the pivot element and
+eliminated from every other row. Only rows where w is nonzero change; when
+fewer than half of them are nonzero (sparse columns give sparse directions)
+just those rows are updated, otherwise the whole matrix is, which is faster
+for a dense w. Both forms do the same arithmetic on every row that changes.
+
+B itself is not kept: it is rebuilt from the basic codes and re-inverted
+every REFACTOR_EVERY pivots; before a decision that the updated values
+could get wrong (unbounded, or a basic value below -1e-7); before pivoting on
+an element smaller than SMALL_PIVOT times the largest entry of the
+direction, which would otherwise leave B near singular; and when an optimal
+decision on an updated inverse fails its residual check. That check costs
+one column product: the primal residual B x_B - b must stay within
+FEAS_TOL (1 + max|b|) and the dual residual c_B - y B, read off the reduced
+costs of the basic columns, within OPT_TOL (1 + max|c_B|). An optimum
+therefore returns on an inverse that may carry updates, but never on values
+that miss either bound.
 """
 
 from __future__ import annotations
@@ -92,6 +104,14 @@ class DenseColumns:
     def apply_yT(self, y: np.ndarray) -> np.ndarray:
         return y @ self.A
 
+    def apply_x(self, x: np.ndarray) -> np.ndarray:
+        return self.A @ x
+
+    def direction(self, Binv: np.ndarray, j: int) -> np.ndarray:
+        col = self.A[:, j]
+        nz = col.nonzero()[0]
+        return Binv[:, nz] @ col[nz]
+
     def column(self, j: int) -> np.ndarray:
         return self.A[:, j].copy()
 
@@ -115,6 +135,17 @@ class UnitColumns:
         for i in range(1, self.rows.shape[0]):
             acc += y[self.rows[i]]
         return acc
+
+    def apply_x(self, x: np.ndarray) -> np.ndarray:
+        nz = np.flatnonzero(x)
+        return np.bincount(
+            self.rows[:, nz].ravel(),
+            weights=np.tile(x[nz], self.rows.shape[0]),
+            minlength=self.nrows,
+        )
+
+    def direction(self, Binv: np.ndarray, j: int) -> np.ndarray:
+        return Binv[:, self.rows[:, j]].sum(axis=1)
 
     def column(self, j: int) -> np.ndarray:
         col = np.zeros(self.nrows)
@@ -148,6 +179,15 @@ class SparseColumns:
         return np.bincount(
             self.col_of, weights=y[self.rows] * self.vals, minlength=self.ncols
         )
+
+    def apply_x(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(
+            self.rows, weights=self.vals * x[self.col_of], minlength=self.nrows
+        )
+
+    def direction(self, Binv: np.ndarray, j: int) -> np.ndarray:
+        lo, hi = self.indptr[j], self.indptr[j + 1]
+        return Binv[:, self.rows[lo:hi]] @ self.vals[lo:hi]
 
     def column(self, j: int) -> np.ndarray:
         col = np.zeros(self.nrows)
@@ -211,80 +251,101 @@ class Kernel:
         self._invert()
         return True
 
-    def basic_values(self) -> np.ndarray:
-        return self.Binv @ self.b
-
-    def _phase_cost(self, cost: np.ndarray, art_cost: float) -> np.ndarray:
-        cB = np.full(self.m, art_cost)
+    def _structural_x(self, xB: np.ndarray) -> np.ndarray:
+        x = np.zeros(self.cols.ncols)
         struct = self.basic >= 0
-        cB[struct] = cost[self.basic[struct]]
-        return cB
+        x[self.basic[struct]] = xB[struct]
+        return x
 
-    def _leave_keys(self, bland: bool) -> np.ndarray:
+    def _residuals_hold(self, xB, y, cB, r_struct) -> bool:
+        """Whether B x_B = b and c_B = y B hold within FEAS_TOL and OPT_TOL,
+        given the reduced costs of the basic structural columns."""
+        art = np.flatnonzero(self.basic < 0)
+        rows = -1 - self.basic[art]
+        dual = np.append(r_struct, cB[art] - y[rows] * self.signs[rows])
+        if np.abs(dual).max() > OPT_TOL * (1.0 + np.abs(cB).max()):
+            return False
+        primal = self.cols.apply_x(self._structural_x(xB)) - self.b
+        primal[rows] += self.signs[rows] * xB[art]
+        return np.abs(primal).max() <= FEAS_TOL * (1.0 + np.abs(self.b).max())
+
+    def _leave_keys(self, code: np.ndarray, bland: bool) -> np.ndarray:
         # Bland's rule orders variables structural first, then artificial;
         # otherwise artificials leave first, by row, then structurals.
-        code = self.basic
         if bland:
             return np.where(code >= 0, code, self.cols.ncols - 1 - code)
         return np.where(code < 0, -1 - code, self.m + code)
 
     def run_phase(self, cost: np.ndarray, art_cost: float):
         """Pivot to optimality for the given objective. Returns (xB, y)."""
+        cB = np.full(self.m, art_cost)
+        struct = self.basic >= 0
+        cB[struct] = cost[self.basic[struct]]
+        no_limit = np.full(self.m, np.inf)  # ratio of a row where w <= PIVOT_TOL
+        xB = None
         bland = False
         degen_streak = 0
         while True:
-            xB = self.basic_values()
+            if xB is None or self.updates == 0:  # phase start or a new inverse
+                xB = self.Binv @ self.b
+                y = cB @ self.Binv
             if xB.min() < -1e-7:
                 if self._refreshed():
                     continue
                 raise NumericalError(f"basic solution went negative: {xB.min()}")
-            np.clip(xB, 0.0, None, out=xB)
-            y = self._phase_cost(cost, art_cost) @ self.Binv
+            np.maximum(xB, 0.0, out=xB)
             r = cost - self.cols.apply_yT(y)
-            r[self.basic[self.basic >= 0]] = 0.0
+            art = self.basic < 0
+            codes = self.basic[~art]
+            r_struct = r[codes]
+            r[codes] = 0.0
             if bland:
-                candidates = np.flatnonzero(r < -OPT_TOL)
+                candidates = (r < -OPT_TOL).nonzero()[0]
                 enter = int(candidates[0]) if candidates.size else None
             else:
-                enter = int(np.argmin(r))
+                enter = int(r.argmin())
                 if r[enter] >= -OPT_TOL:
                     enter = None
             if enter is None:
-                if self._refreshed():
+                if self.updates and not self._residuals_hold(xB, y, cB, r_struct):
+                    self._invert()
                     continue
                 return xB, y
-            col_in = self.cols.column(enter)
-            w = self.Binv @ col_in
+            w = self.cols.direction(self.Binv, enter)
 
             # Ratio test. Zero-level basic artificials with any nonzero
             # direction component must leave first so they never re-acquire
             # mass once the original equalities hold.
-            ratios = np.full(self.m, np.inf)
-            grow = w > PIVOT_TOL
-            ratios[grow] = xB[grow] / w[grow]
-            if art_cost == 0.0:
-                art_block = (self.basic < 0) & (np.abs(w) > PIVOT_TOL)
-                ratios[art_block & (xB <= FEAS_TOL)] = 0.0
+            ratios = np.divide(xB, w, out=no_limit.copy(), where=w > PIVOT_TOL)
+            if art_cost == 0.0 and art.any():
+                ratios[art & (np.abs(w) > PIVOT_TOL) & (xB <= FEAS_TOL)] = 0.0
             theta = ratios.min()
             if not np.isfinite(theta):
                 if self._refreshed():
                     continue
                 return None, None  # unbounded
-            tie = np.flatnonzero(ratios <= theta + 1e-10 * (1.0 + abs(theta)))
-            leave_pos = int(tie[np.argmin(self._leave_keys(bland)[tie])])
+            tie = (ratios <= theta + 1e-10 * (1.0 + abs(theta))).nonzero()[0]
+            leave_pos = int(tie[0])
+            if tie.size > 1:
+                keys = self._leave_keys(self.basic[tie], bland)
+                leave_pos = int(tie[keys.argmin()])
             if (
                 abs(w[leave_pos]) < SMALL_PIVOT * np.abs(w).max()
                 and self._refreshed()
             ):
                 continue
             self.basic[leave_pos] = enter
+            cB[leave_pos] = cost[enter]
             row = self.Binv[leave_pos] / w[leave_pos]
-            touched = np.flatnonzero(w)
+            touched = w.nonzero()[0]
             if 2 * touched.size < self.m:
-                self.Binv[touched] -= np.outer(w[touched], row)
+                self.Binv[touched] -= np.multiply.outer(w[touched], row)
             else:
-                self.Binv -= np.outer(w, row)
+                self.Binv -= np.multiply.outer(w, row)
             self.Binv[leave_pos] = row
+            xB -= theta * w
+            xB[leave_pos] = theta
+            y += r[enter] * row
             self.updates += 1
             if self.updates >= REFACTOR_EVERY:
                 self._invert()
@@ -308,7 +369,7 @@ def solve_columns(kern: Kernel, cost) -> LPSolution:
     start = kern.pivots
     if kern.basic is None:
         kern.basic = -1 - np.arange(kern.m, dtype=np.int64)
-        kern._invert()
+        kern.Binv = np.diag(kern.signs)  # the artificial basis is its own inverse
         xB, _ = kern.run_phase(np.zeros(kern.cols.ncols), art_cost=1.0)
         if xB is None:
             raise NumericalError("phase one reported an unbounded direction")
@@ -319,7 +380,5 @@ def solve_columns(kern: Kernel, cost) -> LPSolution:
     xB, y = kern.run_phase(cost, art_cost=0.0)
     if xB is None:
         return LPSolution(None, None, -np.inf, UNBOUNDED, kern.pivots - start)
-    x = np.zeros(kern.cols.ncols)
-    struct = kern.basic >= 0
-    x[kern.basic[struct]] = xB[struct]
+    x = kern._structural_x(xB)
     return LPSolution(x, y, float(cost @ x), OPTIMAL, kern.pivots - start)

@@ -184,8 +184,8 @@ class TestLoopBehavior:
 
     def test_master_of_two_hundred_rows_matches_direct(self):
         # About 200 master rows and 698 master solves: the master's column
-        # store doubles ten times, and B^-1 is re-inverted every
-        # REFACTOR_EVERY pivots between the solves' fresh inverses.
+        # store doubles ten times, and B^-1 is kept across the solves and
+        # re-inverted every REFACTOR_EVERY pivots or on a failed residual check.
         inst = random_instance(12, [2, 2, 200])
         res = solve(inst, SolveConfig(pair_variant="small"))
         assert res.converged

@@ -103,12 +103,16 @@ def random_lps_with_exact_optima():
     return cases
 
 
-def assert_fresh_inverse(kern):
-    """An optimal return leaves B^-1 freshly inverted: a later solve of the
-    same kernel starts from it, so no rank-one update may stand."""
-    assert kern.updates == 0
-    B = column_by_column(kern)
-    assert np.abs(kern.Binv @ B - np.eye(kern.m)).max() <= 1e-9
+def assert_optimal_residuals(kern, cost, x, y):
+    """An optimal return may keep rank-one updates in B^-1, but its solution
+    must satisfy A x = b and its duals must price every column: basic reduced
+    costs within OPT_TOL of zero and none below -OPT_TOL."""
+    A = kern.cols.columns(np.arange(kern.cols.ncols))
+    assert np.abs(A @ x - kern.b).max() <= 1e-9 * (1 + np.abs(kern.b).max())
+    red = np.asarray(cost) - y @ A
+    basic = kern.basic[kern.basic >= 0]
+    assert np.abs(red[basic]).max(initial=0.0) <= simplex.OPT_TOL
+    assert red.min(initial=0.0) >= -simplex.OPT_TOL
 
 
 def column_by_column(kern):
@@ -145,7 +149,7 @@ def check_against_exact(cases):
         sol = solve_columns(kern, cost)
         assert sol.status == {"optimal": OPTIMAL, "unbounded": UNBOUNDED}[status]
         if status == "optimal":
-            assert_fresh_inverse(kern)
+            assert_optimal_residuals(kern, cost, sol.x, sol.duals)
             assert abs(sol.objective - obj) <= 1e-8 * (1 + abs(obj))
             assert np.linalg.norm(A @ sol.x - b, ord=np.inf) <= 1e-9 * (
                 1 + np.abs(b).max()
@@ -165,7 +169,7 @@ class TestRandomVsExactOracle:
         check_against_exact(random_lps_with_exact_optima)
 
 
-class TestFreshInverseAtOptimum:
+class TestResidualsAtOptimum:
     def test_master_solves_of_a_deep_instance(self, monkeypatch):
         # `wbary gen --n 5 --size 8 --seed 0`, solved with the large pair;
         # the master's kernel is re-solved after every pricing.
@@ -174,11 +178,15 @@ class TestFreshInverseAtOptimum:
         inst = Instance(measures, np.full(5, 1 / 5))
         original = master.solve_rm
         solves = []
+        kept = []
 
         def checked(rm):
             out = original(rm)
-            assert_fresh_inverse(rm.kernel)
+            mu, y, sigma, _ = out
+            duals = np.append(y, sigma)[rm._rows]
+            assert_optimal_residuals(rm.kernel, rm.costs, mu, duals)
             solves.append(rm.last_pivots)
+            kept.append(rm.kernel.updates)
             return out
 
         monkeypatch.setattr(master, "solve_rm", checked)
@@ -186,6 +194,108 @@ class TestFreshInverseAtOptimum:
         assert res.converged
         assert len(solves) == res.iterations > 50
         assert sum(solves) > simplex.REFACTOR_EVERY
+        assert max(kept) > 0  # some optimum returned on an updated inverse
+
+
+def count_inversions(monkeypatch):
+    """Wrap Kernel._invert to count its calls; returns the counter list."""
+    calls = []
+    original = Kernel._invert
+
+    def counted(kern):
+        calls.append(kern)
+        original(kern)
+
+    monkeypatch.setattr(Kernel, "_invert", counted)
+    return calls
+
+
+def one_pivot_master():
+    """A three-row master solved once, its inverse freshly inverted, with an
+    appended column that prices in and leaves row 0 in one pivot."""
+    A = np.eye(3)
+    b = np.array([1.0, 2.0, 1.0])
+    cost = np.ones(3)
+    kern = Kernel(DenseColumns(A), b)
+    assert solve_columns(kern, cost).status == OPTIMAL
+    kern._invert()
+    new = np.array([1.0, 1.0, 0.0])
+    kern.cols.append(new)
+    cost2 = np.append(cost, 0.5)
+    return kern, cost2, np.column_stack([A, new]), b
+
+
+class TestKeptInverse:
+    def test_one_pivot_resolve_keeps_its_update(self, monkeypatch):
+        kern, cost, A, b = one_pivot_master()
+        calls = count_inversions(monkeypatch)
+        sol = solve_columns(kern, cost)
+        assert sol.status == OPTIMAL and sol.pivots == 1
+        assert kern.updates == 1 and calls == []
+        assert sol.objective == pytest.approx(highs_optimum(cost, A, b), abs=1e-12)
+        assert_optimal_residuals(kern, cost, sol.x, sol.duals)
+
+    def test_residual_check_catches_a_perturbed_inverse(self, monkeypatch):
+        kern, cost, A, b = one_pivot_master()
+        kern.Binv += 1e-6 * np.random.default_rng(3).uniform(0.5, 1.0, (3, 3))
+        calls = count_inversions(monkeypatch)
+        sol = solve_columns(kern, cost)
+        assert sol.status == OPTIMAL and sol.pivots == 1
+        assert len(calls) == 1 and kern.updates == 0
+        assert sol.objective == pytest.approx(highs_optimum(cost, A, b), abs=1e-12)
+        assert_optimal_residuals(kern, cost, sol.x, sol.duals)
+
+    def test_small_pair_master_keeps_its_inverse(self, monkeypatch):
+        # `[2, 2, 60]` with the small pair: a 61-row master re-solved after
+        # every pricing, mostly in one to five pivots.
+        rng = np.random.default_rng(12)
+        measures = []
+        for s in (2, 2, 60):
+            u = rng.uniform(0.2, 1.0, s)
+            measures.append(DiscreteMeasure(rng.random((s, 2)), u / u.sum()))
+        u = rng.uniform(0.2, 1.0, 3)
+        inst = Instance(tuple(measures), u / u.sum())
+        kernels = []
+        original = master.solve_rm
+
+        def recorded(rm):
+            kernels.append(rm.kernel)
+            return original(rm)
+
+        monkeypatch.setattr(master, "solve_rm", recorded)
+        calls = count_inversions(monkeypatch)
+        res = solve_cg(inst, SolveConfig(pair_variant="small"))
+        assert res.converged
+        master_inversions = sum(k is kernels[0] for k in calls)
+        assert len(kernels) == res.iterations > 40
+        assert 4 * master_inversions < len(kernels)
+
+
+class TestProviderProducts:
+    @pytest.mark.parametrize("provider", ["dense", "unit", "sparse"])
+    def test_products_match_the_dense_matrix(self, provider):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            m, k = (int(v) for v in rng.integers(1, 12, size=2))
+            if provider == "dense":
+                keep = rng.random((m, k)) < 0.5
+                dense = np.where(keep, rng.uniform(-2.0, 2.0, (m, k)), 0.0)
+                cols = DenseColumns(dense)
+            elif provider == "unit":
+                rows = np.stack([rng.permutation(m)[: min(m, 3)] for _ in range(k)], 1)
+                cols = UnitColumns(rows, nrows=m)
+                dense = np.zeros((m, k))
+                for j in range(k):
+                    dense[rows[:, j], j] = 1.0
+            else:
+                indptr, rows, vals, dense = random_csc(rng, m, k)
+                cols = SparseColumns(indptr, rows, vals, m)
+            x = np.where(rng.random(k) < 0.5, rng.uniform(0.0, 2.0, k), 0.0)
+            assert np.abs(cols.apply_x(x) - dense @ x).max() <= 1e-12
+            Binv = rng.uniform(-1.0, 1.0, size=(m, m))
+            for j in range(k):
+                w = cols.direction(Binv, j)
+                assert np.abs(w - Binv @ dense[:, j]).max() <= 1e-12
 
 
 class TestDuality:
