@@ -6,7 +6,6 @@ from .model import (
     ContractError,
     DiscreteMeasure,
     Instance,
-    SparseMass,
     make_strides,
 )
 
@@ -17,7 +16,6 @@ __all__ = [
     "Instance",
     "SolveConfig",
     "SolveResult",
-    "SparseMass",
     "make_strides",
     "solve",
     "solve_direct",

@@ -35,7 +35,7 @@ from .model import (
     BLOCK,
     CapacityError,
     Instance,
-    SparseMass,
+    Plan,
     Strides,
     cost_vector,
     make_strides,
@@ -118,7 +118,7 @@ def _zero_timings() -> dict[str, float]:
 
 
 def _result(
-    w: SparseMass, inst_perm: Instance, perm: tuple[int, ...], strides_perm: Strides,
+    w: Plan, inst_perm: Instance, perm: tuple[int, ...], strides_perm: Strides,
     wall_start: float, timings: dict[str, float], peak_memory_bytes: int,
     iterations: int = 0, converged: bool = True, trace: Sequence[TraceEntry] = (),
     pricing_calls: int = 0,
@@ -141,7 +141,7 @@ def _result(
 
 def _single_measure_result(inst: Instance) -> SolveResult:
     wall_start = time.perf_counter()
-    w = SparseMass(dict(enumerate(inst.measures[0].masses.tolist())))
+    w = Plan(np.arange(inst.sizes[0]), inst.measures[0].masses)
     return _result(w, inst, (0,), make_strides(inst.sizes), wall_start, _zero_timings(), 0)
 
 
@@ -153,7 +153,8 @@ def _two_measure_result(inst: Instance) -> SolveResult:
     plan = solve_transportation(
         TransportationProblem(m0.masses, m1.masses, costs.reshape(inst.sizes))
     )
-    w = SparseMass({i * inst.sizes[1] + j: q for i, j, q in plan.flows})
+    i, j, q = np.array(plan.flows).T
+    w = Plan((i * inst.sizes[1] + j).astype(np.int64), q)
     timings = _zero_timings()
     timings["solve-pricing"] = time.perf_counter() - wall_start
     return _result(w, inst, (0, 1), strides, wall_start, timings, costs.nbytes)

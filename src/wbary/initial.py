@@ -24,45 +24,49 @@ from .model import (
     MASS_TOL,
     ContractError,
     Instance,
-    SparseMass,
+    Plan,
     Strides,
     index_of,
 )
 
 
-def _sweep(vectors, total: float, strides: Strides, w: SparseMass):
-    """Add to w the minimum-remaining-mass sweep over one vector per measure.
+def _sweep(rows, strides: Strides) -> Plan:
+    """The minimum-remaining-mass sweep of each (vectors, total) in rows, with
+    one vector per measure, as one plan in first-placement order.
 
     Each pointer skips entries at most MASS_TOL but never passes its vector's
     last entry; each step places the smallest entry at the pointers on their
-    combination. The sweep stops once total - MASS_TOL is placed, or when that
-    smallest entry is at most MASS_TOL (sub-tolerance drift from LP rounding).
+    combination. A row's sweep stops once total - MASS_TOL is placed, or when
+    that smallest entry is at most MASS_TOL (sub-tolerance drift from LP
+    rounding). A combination placed twice holds the sum of both masses.
     """
-    remaining = [np.array(v, dtype=float) for v in vectors]
-    pointers = [0] * len(remaining)
-    placed = 0.0
-    while placed < total - MASS_TOL:
-        for i, r in enumerate(remaining):
-            while r[pointers[i]] <= MASS_TOL and pointers[i] + 1 < len(r):
-                pointers[i] += 1
-        mass = min(r[p] for r, p in zip(remaining, pointers))
-        if mass <= MASS_TOL:
-            break
-        w.add(index_of(pointers, strides), mass)
-        placed += mass
-        for r, p in zip(remaining, pointers):
-            r[p] -= mass
+    w: dict[int, float] = {}
+    for vectors, total in rows:
+        remaining = [np.array(v, dtype=float) for v in vectors]
+        pointers = [0] * len(remaining)
+        placed = 0.0
+        while placed < total - MASS_TOL:
+            for i, r in enumerate(remaining):
+                while r[pointers[i]] <= MASS_TOL and pointers[i] + 1 < len(r):
+                    pointers[i] += 1
+            mass = min(r[p] for r, p in zip(remaining, pointers))
+            if mass <= MASS_TOL:
+                break
+            h = index_of(pointers, strides)
+            w[h] = w.get(h, 0.0) + mass
+            placed += mass
+            for r, p in zip(remaining, pointers):
+                r[p] -= mass
+    return Plan(np.array(list(w), dtype=np.int64), np.array(list(w.values())))
 
 
-def greedy_vertex(inst: Instance, strides: Strides) -> SparseMass:
+def greedy_vertex(inst: Instance, strides: Strides) -> Plan:
     """Feasible vertex built by the minimum-remaining-mass sweep.
 
     The support size L always satisfies max_i |P_i| <= L <= sum_i |P_i| - n + 1
     and the chosen columns are linearly independent.
     """
-    w = SparseMass()
-    _sweep([m.masses for m in inst.measures], 1.0, strides, w)
-    return w
+    return _sweep([([m.masses for m in inst.measures], 1.0)], strides)
 
 
 @dataclass
@@ -176,9 +180,7 @@ def two_approx(inst: Instance) -> ApproxBarycenter:
     return ApproxBarycenter(cand[keep], mass[keep], [p[keep] for p in plans])
 
 
-def repair_to_vertex(
-    apx: ApproxBarycenter, inst: Instance, strides: Strides
-) -> SparseMass:
+def repair_to_vertex(apx: ApproxBarycenter, inst: Instance, strides: Strides) -> Plan:
     """Split each approximate support point into whole-mass combinations.
 
     Sweeps every support point's plan rows, lowest point index first in each
@@ -186,7 +188,4 @@ def repair_to_vertex(
     combination, which never increases the transport cost.
     """
     apx.validate(inst)
-    w = SparseMass()
-    for s, total in enumerate(apx.mass):
-        _sweep([plan[s] for plan in apx.plans], total, strides, w)
-    return w
+    return _sweep(zip(zip(*apx.plans), apx.mass), strides)

@@ -1,13 +1,14 @@
 """Restricted master problem over convex combinations of pricing vertices.
 
 The master LP keeps one row per support point of every measure outside the
-pricing pair, plus a convexity row. Its columns are never read from a stored
-constraint matrix: each new vertex has few nonzeros, and their rows come
-straight from its decoded combination indices (``model.digits``), as do the
-full LP's rows. The master keeps one simplex kernel from its first solve to
-its last. Each column is appended to it, and a re-solve starts from the
-optimal basis and inverse the kernel holds, so it typically takes a handful
-of pivots.
+pricing pair, plus a convexity row. Its columns are vertices, each a
+``model.Plan``, the one plan format: an index array of combinations and a
+mass array. They are never read from a stored constraint matrix: each new
+vertex has few nonzeros, and their rows come straight from its decoded
+combination indices (``model.digits``), as do the full LP's rows. The master
+keeps one simplex kernel from its first solve to its last. Each column is
+appended to it, and a re-solve starts from the optimal basis and inverse the
+kernel holds, so it typically takes a handful of pivots.
 
 Every column's entries in one measure's block of rows sum to its convexity
 entry, so each block holds one row implied by the others. The simplex gets
@@ -31,7 +32,7 @@ from .model import (
     MASS_TOL,
     ContractError,
     Instance,
-    SparseMass,
+    Plan,
     Strides,
     cost_vector,
     digits,
@@ -43,7 +44,7 @@ from .model import (
 class MasterState:
     inst: Instance  # permuted so that the pricing pair leads
     strides: Strides
-    columns: list[SparseMass]  # admitted vertices; their rows are in kernel
+    columns: list[Plan]  # admitted vertices; their rows are in kernel
     rhs: np.ndarray  # master-row masses plus the trailing convexity 1
     _rows: np.ndarray  # rows of rhs the simplex sees
     kernel: simplex.Kernel  # over those rows
@@ -53,22 +54,20 @@ class MasterState:
     last_pivots: int = 0
 
 
-def column_coeffs(p: SparseMass, strides_perm: Strides, master_rows: int) -> np.ndarray:
+def column_coeffs(p: Plan, strides_perm: Strides, master_rows: int) -> np.ndarray:
     """A vertex's entries in the master rows, without the convexity row.
 
     One bincount over the trailing measures' rows: each row sums its masses
     in the vertex's entry order.
     """
-    index = np.fromiter(p.entries, dtype=np.int64, count=len(p))
-    masses = np.fromiter(p.entries.values(), dtype=float, count=len(p))
     offsets = np.asarray(strides_perm.row_offsets[2:-1]) - strides_perm.row_offsets[2]
-    rows = digits(index, strides_perm)[2:] + offsets[:, None]
+    rows = digits(p.index, strides_perm)[2:] + offsets[:, None]
     return np.bincount(
-        rows.ravel(), weights=np.tile(masses, rows.shape[0]), minlength=master_rows
+        rows.ravel(), weights=np.tile(p.mass, rows.shape[0]), minlength=master_rows
     )
 
 
-def init_rm(p1: SparseMass, inst_perm: Instance, strides_perm: Strides) -> MasterState:
+def init_rm(p1: Plan, inst_perm: Instance, strides_perm: Strides) -> MasterState:
     """Master with the starting vertex as its only column, left for solve_rm."""
     master_rows = sum(inst_perm.sizes[2:])
     rhs = np.concatenate(
@@ -86,13 +85,12 @@ def init_rm(p1: SparseMass, inst_perm: Instance, strides_perm: Strides) -> Maste
     return state
 
 
-def add_column(state: MasterState, p: SparseMass, coeffs: np.ndarray):
+def add_column(state: MasterState, p: Plan, coeffs: np.ndarray):
     """Append vertex p given its master-row entries (column_coeffs)."""
     state.columns.append(p)
     state.kernel.cols.append(np.append(coeffs, 1.0)[state._rows])
-    index = np.fromiter(p.entries, dtype=np.int64, count=len(p))
-    costs = cost_vector(state.inst, state.strides, index)
-    state.costs.append(sum(q * c for q, c in zip(p.entries.values(), costs)))
+    costs = cost_vector(state.inst, state.strides, p.index)
+    state.costs.append(float(sum(p.mass * costs)))  # in entry order, unlike np.dot
 
 
 def solve_rm(state: MasterState) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -123,18 +121,18 @@ class BarycenterPoint:
     assignment: tuple[int, ...]  # point index per measure, original order
 
 
-def _combine(state: MasterState) -> SparseMass:
-    w = SparseMass()
-    for weight, col in zip(state.mu, state.columns):
-        if weight > 1e-12:
-            for h, q in col.entries.items():
-                w.add(h, weight * q)
-    return w
+def _combine(state: MasterState) -> Plan:
+    """The columns weighted by the master solution, terms at most MASS_TOL
+    dropped; a combination's terms add up in column order."""
+    used = [(mu, col) for mu, col in zip(state.mu, state.columns) if mu > 1e-12]
+    index = np.concatenate([col.index for _, col in used])
+    mass = np.concatenate([mu * col.mass for mu, col in used])
+    keep = mass > MASS_TOL
+    support, inverse = np.unique(index[keep], return_inverse=True)
+    return Plan(support, np.bincount(inverse, weights=mass[keep]))
 
 
-def full_lp(
-    support: np.ndarray, inst: Instance, strides: Strides
-) -> tuple[str, SparseMass]:
+def full_lp(support: np.ndarray, inst: Instance, strides: Strides) -> tuple[str, Plan]:
     """Basic optimum of the full barycenter LP restricted to some combinations.
 
     Keeps every measure row; combination ``support[j]`` is a unit column with
@@ -150,12 +148,12 @@ def full_lp(
     kernel = simplex.Kernel(provider, rhs)
     sol = simplex.solve_columns(kernel, cost)
     if sol.status != simplex.OPTIMAL:
-        return sol.status, SparseMass()
-    keep = np.flatnonzero(sol.x > MASS_TOL)
-    return sol.status, SparseMass({int(support[j]): float(sol.x[j]) for j in keep})
+        return sol.status, Plan(support[:0], np.zeros(0))
+    keep = sol.x > MASS_TOL
+    return sol.status, Plan(support[keep], sol.x[keep])
 
 
-def recover_solution(state: MasterState) -> SparseMass:
+def recover_solution(state: MasterState) -> Plan:
     """Basic optimum over the union of the admitted columns' supports.
 
     The converged master weights combine into an optimal but dense plan; the
@@ -163,15 +161,13 @@ def recover_solution(state: MasterState) -> SparseMass:
     sum |P_i| - n + 1 entries. Falls back to the combined weights when that
     re-solve does not report an optimum.
     """
-    support = np.array(
-        sorted({h for col in state.columns for h in col.entries}), dtype=np.int64
-    )
+    support = np.unique(np.concatenate([col.index for col in state.columns]))
     status, polished = full_lp(support, state.inst, state.strides)
     return polished if status == simplex.OPTIMAL else _combine(state)
 
 
 def barycenter_points(
-    w: SparseMass, inst_perm: Instance, perm: tuple[int, ...], strides_perm: Strides
+    w: Plan, inst_perm: Instance, perm: tuple[int, ...], strides_perm: Strides
 ) -> tuple[list[BarycenterPoint], float]:
     """Points of a plan in ascending combination order, and its objective.
 
@@ -179,14 +175,14 @@ def barycenter_points(
     assignment lists point indices in input order. The objective sums mass
     times ``mean_costs`` cost in that order, the costs the LPs were solved on.
     """
-    entries = w.sorted_items()
-    index = np.array([h for h, _ in entries], dtype=np.int64)
-    d = digits(index, strides_perm)
+    order = np.argsort(w.index, kind="stable")
+    d = digits(w.index[order], strides_perm)
     coords, costs = mean_costs(inst_perm, d)
     assignments = d[np.argsort(perm)].T.tolist()  # row perm[t] is row t of d
     points = []
     objective = 0.0
-    for (_, mass), cost, x, a in zip(entries, costs.tolist(), coords, assignments):
+    masses = w.mass[order].tolist()
+    for mass, cost, x, a in zip(masses, costs.tolist(), coords, assignments):
         objective += mass * cost
         points.append(BarycenterPoint(x, mass, tuple(a)))
     return points, objective

@@ -11,13 +11,15 @@ it can be regenerated from the index alone.
 ``mean_costs`` the one cost formula: the full LP, the master columns (both
 through ``cost_vector``) and the reported objective cost combinations with
 it. Only pricing scores them another way, by the reduced costs of its split
-state (pricing.py).
+state (pricing.py). ``Plan`` is the one plan format: start vertices, master
+columns and optimal plans are index and mass arrays, read directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -215,23 +217,8 @@ def mean_costs(inst: Instance, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, cost
 
 
-@dataclass
-class SparseMass:
-    """Sparse nonnegative mass vector over combination indices."""
+class Plan(NamedTuple):
+    """Mass on combinations: distinct flat indices and the mass at each."""
 
-    entries: dict[int, float] = field(default_factory=dict)
-
-    def add(self, h: int, mass: float):
-        """Accumulate mass at a combination, dropping sub-tolerance amounts."""
-        if mass <= MASS_TOL:
-            return
-        self.entries[h] = self.entries.get(h, 0.0) + mass
-
-    def total(self) -> float:
-        return sum(self.entries.values())
-
-    def sorted_items(self) -> list[tuple[int, float]]:
-        return sorted(self.entries.items())
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    index: np.ndarray  # (k,) int64, distinct
+    mass: np.ndarray  # (k,) float64

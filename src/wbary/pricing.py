@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .model import Instance, SparseMass, Strides
+from .model import Instance, Plan, Strides
 from .transport import TransportationProblem, TransportPlan, solve_transportation
 
 
@@ -239,10 +239,9 @@ def solve_pricing(
     return plan.objective, plan
 
 
-def expand_column(plan: TransportPlan, state: PricingState, size_b: int) -> SparseMass:
-    """Lift a transport plan back to full-space combination indices."""
-    p = SparseMass()
-    for i, j, q in plan.flows:
-        h = int(state.best_index[i * size_b + j])
-        p.add(h, q)
-    return p
+def expand_column(plan: TransportPlan, state: PricingState, size_b: int) -> Plan:
+    """Lift a transport plan's flows above MASS_TOL back to full-space
+    combination indices: each cell's minimizing combination."""
+    kept = [f for f in plan.flows if f[2] > model.MASS_TOL]
+    cells = [i * size_b + j for i, j, _ in kept]
+    return Plan(state.best_index[cells], np.array([q for _, _, q in kept]))

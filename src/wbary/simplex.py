@@ -112,9 +112,6 @@ class DenseColumns:
         nz = col.nonzero()[0]
         return Binv[:, nz] @ col[nz]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.A[:, j].copy()
-
     def columns(self, js: np.ndarray) -> np.ndarray:
         return self.A[:, js]
 
@@ -146,11 +143,6 @@ class UnitColumns:
 
     def direction(self, Binv: np.ndarray, j: int) -> np.ndarray:
         return Binv[:, self.rows[:, j]].sum(axis=1)
-
-    def column(self, j: int) -> np.ndarray:
-        col = np.zeros(self.nrows)
-        col[self.rows[:, j]] = 1.0
-        return col
 
     def columns(self, js: np.ndarray) -> np.ndarray:
         cols = np.zeros((self.nrows, len(js)))
@@ -188,12 +180,6 @@ class SparseColumns:
     def direction(self, Binv: np.ndarray, j: int) -> np.ndarray:
         lo, hi = self.indptr[j], self.indptr[j + 1]
         return Binv[:, self.rows[lo:hi]] @ self.vals[lo:hi]
-
-    def column(self, j: int) -> np.ndarray:
-        col = np.zeros(self.nrows)
-        lo, hi = self.indptr[j], self.indptr[j + 1]
-        col[self.rows[lo:hi]] = self.vals[lo:hi]
-        return col
 
     def columns(self, js: np.ndarray) -> np.ndarray:
         lo = self.indptr[js]

@@ -192,17 +192,22 @@ def column_support(h, strides):
     return tuple(int(offsets[i] + j) for i, j in enumerate(digits_of(h, sizes)))
 
 
+def plan_items(w):
+    """A plan's (combination, mass) pairs in ascending combination order."""
+    return sorted(zip(w.index.tolist(), w.mass.tolist()))
+
+
 def marginal_residual(w, inst, strides):
     """Largest violation of the per-point mass balance over all measures."""
     sums = [np.zeros(m.size) for m in inst.measures]
-    for h, mass in w.entries.items():
+    for h, mass in plan_items(w):
         for i, j in enumerate(digits_of(h, strides.sizes)):
             sums[i][j] += mass
     return max(float(np.abs(s - m.masses).max()) for s, m in zip(sums, inst.measures))
 
 
 def satisfies_marginals(w, inst, strides, tol=1e-9):
-    """True when the sparse mass vector transports each measure exactly."""
+    """True when the plan transports each measure exactly."""
     return marginal_residual(w, inst, strides) <= tol
 
 

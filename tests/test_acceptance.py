@@ -17,6 +17,7 @@ from oracles import (
     barycenter_lp_arrays,
     column_support,
     highs_optimum,
+    plan_items,
     satisfies_marginals,
     solve as lp_solve,
     transport_lp_arrays,
@@ -129,11 +130,11 @@ def test_criterion_3_greedy_support_bounds_and_rank():
         inst = make_instance(20_000 + trial, sizes, uniform=bool(rng.integers(2)))
         st = make_strides(sizes)
         w = greedy_vertex(inst, st)
-        L = len(w)
+        L = len(w.index)
         assert max(sizes) <= L <= sum(sizes) - n + 1, (sizes, L)
         assert satisfies_marginals(w, inst, st)
         cols = np.zeros((st.row_offsets[-1], L))
-        for jcol, (h, _) in enumerate(w.sorted_items()):
+        for jcol, (h, _) in enumerate(plan_items(w)):
             cols[list(column_support(h, st)), jcol] = 1.0
         assert np.linalg.matrix_rank(cols) == L, (sizes, L)
     print("\nC3 PASS: greedy support bounds and vertex rank on 1000 instances")

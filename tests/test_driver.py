@@ -47,6 +47,13 @@ class TestSmallCases:
         assert res.iterations == 0
         assert res.objective == pytest.approx(ref.objective, abs=1e-9)
 
+    @pytest.mark.parametrize("sizes", [[4], [3, 4], [3, 2, 3]], ids=["n1", "n2", "n3"])
+    @pytest.mark.parametrize("how", [solve, solve_direct], ids=["cg", "direct"])
+    def test_every_route_reports_builtin_floats(self, sizes, how):
+        res = how(random_instance(2, sizes))
+        assert type(res.objective) is float
+        assert all(type(p.mass) is float for p in res.barycenter)
+
     def test_single_point_measures(self):
         # Every measure has one point: the lone combination is forced.
         inst = random_instance(22, [1, 1, 1])

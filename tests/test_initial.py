@@ -8,6 +8,7 @@ from oracles import (
     column_support,
     combination_cost,
     digits_of,
+    plan_items,
     satisfies_marginals,
 )
 from wbary.driver import solve_direct
@@ -18,6 +19,7 @@ from wbary.initial import (
     repair_to_vertex,
     two_approx,
 )
+from wbary.master import init_rm
 from wbary.model import (
     ContractError,
     DiscreteMeasure,
@@ -41,8 +43,8 @@ def random_instance(rng, sizes, dim=2, uniform=False):
 
 def support_columns_rank(w, strides):
     rows = strides.row_offsets[-1]
-    cols = np.zeros((rows, len(w)))
-    for jcol, (h, _) in enumerate(w.sorted_items()):
+    cols = np.zeros((rows, len(w.index)))
+    for jcol, (h, _) in enumerate(plan_items(w)):
         cols[list(column_support(h, strides)), jcol] = 1.0
     return np.linalg.matrix_rank(cols)
 
@@ -55,20 +57,20 @@ class TestGreedy:
         st = make_strides(inst.sizes)
         assert st.suffix_products == (3, 1)
         w = greedy_vertex(inst, st)
-        assert w.sorted_items() == [
+        assert plan_items(w) == [
             (0, pytest.approx(0.25)),
             (1, pytest.approx(0.25)),
             (5, pytest.approx(0.5)),
         ]
-        assert 3 <= len(w) <= 4
+        assert 3 <= len(w.index) <= 4
 
     def test_single_measure(self):
         m = DiscreteMeasure(np.arange(8.0).reshape(4, 2), np.array([0.1, 0.2, 0.3, 0.4]))
         inst = Instance((m,), np.array([1.0]))
         st = make_strides(inst.sizes)
         w = greedy_vertex(inst, st)
-        assert len(w) == 4
-        for h, q in w.sorted_items():
+        assert len(w.index) == 4
+        for h, q in plan_items(w):
             assert q == pytest.approx(m.masses[h])
 
     def test_identical_equal_mass_measures_synchronize(self):
@@ -77,8 +79,8 @@ class TestGreedy:
         inst = Instance((m, m, m), np.array([0.3, 0.3, 0.4]))
         st = make_strides(inst.sizes)
         w = greedy_vertex(inst, st)
-        assert len(w) == 5
-        for h, q in w.sorted_items():
+        assert len(w.index) == 5
+        for h, q in plan_items(w):
             digits = digits_of(h, st.sizes)
             assert len(set(digits)) == 1  # (j, j, j)
             assert q == pytest.approx(0.2)
@@ -91,7 +93,7 @@ class TestGreedy:
             inst = random_instance(rng, sizes, uniform=bool(rng.integers(2)))
             st = make_strides(inst.sizes)
             w = greedy_vertex(inst, st)
-            L = len(w)
+            L = len(w.index)
             assert max(sizes) <= L <= sum(sizes) - n + 1
             assert satisfies_marginals(w, inst, st)
             assert support_columns_rank(w, st) == L  # vertex property
@@ -146,10 +148,10 @@ class TestRepair:
             st = make_strides(inst.sizes)
             apx = two_approx(inst)
             w = repair_to_vertex(apx, inst, st)
-            assert w.total() == pytest.approx(1.0, abs=1e-9)
+            assert w.mass.sum() == pytest.approx(1.0, abs=1e-9)
             assert satisfies_marginals(w, inst, st)
             repaired_cost = sum(
-                q * _combo_cost(h, st, inst) for h, q in w.entries.items()
+                q * _combo_cost(h, st, inst) for h, q in plan_items(w)
             )
             assert repaired_cost <= approx_transport_cost(apx, inst) + 1e-9
 
@@ -158,7 +160,7 @@ class TestRepair:
         inst = Instance((m,), np.array([1.0]))
         st = make_strides(inst.sizes)
         w = repair_to_vertex(two_approx(inst), inst, st)
-        assert w.sorted_items() == [
+        assert plan_items(w) == [
             (0, pytest.approx(0.2)),
             (1, pytest.approx(0.3)),
             (2, pytest.approx(0.5)),
@@ -173,7 +175,7 @@ class TestRepair:
         apx = two_approx(inst)
         w = repair_to_vertex(apx, inst, st)
         assert satisfies_marginals(w, inst, st)
-        assert len(w) <= 29
+        assert len(w.index) <= 29
 
     def test_one_full_point_repairs_to_the_greedy_vertex(self):
         # one support point holding all the mass, whose plans are the
@@ -189,7 +191,29 @@ class TestRepair:
                 plans=[m.masses[None, :] for m in inst.measures],
             )
             repaired = repair_to_vertex(apx, inst, st)
-            assert repaired.entries == greedy_vertex(inst, st).entries
+            greedy = greedy_vertex(inst, st)
+            assert np.array_equal(repaired.index, greedy.index)
+            assert np.array_equal(repaired.mass, greedy.mass)
+
+    def test_combinations_placed_twice_merge(self):
+        # two half-mass support points with the same half plans place every
+        # combination twice: the repair holds each once with both masses
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            n = int(rng.integers(3, 6))
+            inst = random_instance(rng, rng.integers(1, 6, size=n).tolist())
+            st = make_strides(inst.sizes)
+            apx = ApproxBarycenter(
+                support=np.zeros((2, 2)),
+                mass=np.array([0.5, 0.5]),
+                plans=[np.vstack([m.masses / 2, m.masses / 2]) for m in inst.measures],
+            )
+            repaired = repair_to_vertex(apx, inst, st)
+            greedy = greedy_vertex(inst, st)
+            assert np.unique(repaired.index).size == repaired.index.size
+            assert np.array_equal(repaired.index, greedy.index)
+            assert np.array_equal(repaired.mass, greedy.mass)
+            init_rm(repaired, inst, st)  # raises on a vertex off the master rows
 
     @pytest.mark.parametrize("plan, match", [
         ([[0.5, 0.0]], "support point 0 sends"),  # sends only half the held mass

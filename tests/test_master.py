@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import satisfies_marginals
+from oracles import plan_items, satisfies_marginals
 from wbary.initial import greedy_vertex
 from wbary.master import (
     add_column,
@@ -14,7 +14,7 @@ from wbary.master import (
 from wbary.model import (
     DiscreteMeasure,
     Instance,
-    SparseMass,
+    Plan,
     index_of,
     make_strides,
 )
@@ -34,6 +34,11 @@ def build(rng, sizes, variant="any", uniform=True):
     inst_p = inst.permuted(part.perm)
     st = make_strides(inst_p.sizes)
     return inst_p, part, st
+
+
+def unit_plan(h):
+    """All mass on combination h."""
+    return Plan(np.array([h], dtype=np.int64), np.ones(1))
 
 
 def add(rm, p, st):
@@ -56,7 +61,7 @@ class TestInitRM:
     def test_infeasible_start_rejected(self):
         rng = np.random.default_rng(1)
         inst_p, part, st = build(rng, [2, 2, 2])
-        bad = SparseMass({0: 1.0})  # ignores most marginals
+        bad = unit_plan(0)  # ignores most marginals
         with pytest.raises(Exception):
             init_rm(bad, inst_p, st)
 
@@ -67,7 +72,7 @@ class TestAddColumn:
         inst_p, part, st = build(rng, [2, 2, 3, 2], uniform=False)
         p1 = greedy_vertex(inst_p, st)
         rm = init_rm(p1, inst_p, st)
-        single = SparseMass({7: 1.0})
+        single = unit_plan(7)
         add(rm, single, st)
         coeffs = column_coeffs(single, st, rm.rhs.shape[0] - 1)
         assert np.array_equal(rm.kernel.cols.A[:, -1], np.append(coeffs, 1.0)[rm._rows])
@@ -97,7 +102,7 @@ class TestMasterRows:
         inst_p, part, st = build(rng, [2, 2, 3, 2], uniform=False)
         rm = init_rm(greedy_vertex(inst_p, st), inst_p, st)
         for h in range(st.total):
-            add(rm, SparseMass({h: 1.0}), st)
+            add(rm, unit_plan(h), st)
         A = rm.kernel.cols.A
         assert A.shape[1] == st.total + 1
         assert np.linalg.matrix_rank(A) == A.shape[0]
@@ -107,7 +112,7 @@ class TestMasterRows:
         inst_p, part, st = build(rng, [2, 2, 3, 2], uniform=False)
         rm = init_rm(greedy_vertex(inst_p, st), inst_p, st)
         for h in [3, 8, 17]:
-            add(rm, SparseMass({h: 1.0}), st)
+            add(rm, unit_plan(h), st)
         mu, y, sigma, obj = solve_rm(rm)
         assert y.shape == (sum(inst_p.sizes[2:]),)
         # every column with positive weight prices to zero against (y, sigma)
@@ -139,7 +144,7 @@ class TestSolveRM:
         p1 = greedy_vertex(inst_p, st)
         rm = init_rm(p1, inst_p, st)
         for h in [0, 5, 9, 15]:
-            add(rm, SparseMass({h: 1.0}), st)
+            add(rm, unit_plan(h), st)
             mu, y, sigma, obj = solve_rm(rm)
             assert mu.min() >= -1e-12
             assert mu.sum() == pytest.approx(1.0, abs=1e-9)
@@ -172,11 +177,11 @@ class TestRecover:
         assert satisfies_marginals(w, inst_p, st)
         # The points map back to the same plan through their assignments.
         points, _ = barycenter_points(w, inst_p, part.perm, st)
-        rebuilt = SparseMass()
+        rebuilt = []
         for p in points:
             digits = [p.assignment[part.perm[t]] for t in range(inst_p.n)]
-            rebuilt.add(index_of(digits, st), p.mass)
-        assert rebuilt.entries == w.entries
+            rebuilt.append((index_of(digits, st), p.mass))
+        assert rebuilt == plan_items(w)
 
     def test_assignments_follow_input_order(self):
         # Pricing permutes measures; reported assignments must not.
@@ -192,7 +197,7 @@ class TestRecover:
         rm = init_rm(p1, inst_p, st)
         w = recover_solution(rm)
         points, _ = barycenter_points(w, inst_p, part.perm, st)
-        assert [p.mass for p in points] == [q for _, q in w.sorted_items()]
+        assert [p.mass for p in points] == [q for _, q in plan_items(w)]
         for p in points:
             for orig in range(3):
                 assert 0 <= p.assignment[orig] < sizes[orig]
@@ -221,7 +226,7 @@ class TestRecover:
             return w
 
         def not_optimal(*args):
-            return simplex.INFEASIBLE, SparseMass()
+            return simplex.INFEASIBLE, Plan(np.zeros(0, dtype=np.int64), np.zeros(0))
 
         monkeypatch.setattr(master, "full_lp", not_optimal)
         monkeypatch.setattr(master, "recover_solution", recording)
@@ -231,10 +236,11 @@ class TestRecover:
         combined = {}
         for weight, col in zip(rm.mu, rm.columns):
             if weight > 1e-12:
-                for h, q in col.entries.items():
+                for h, q in plan_items(col):
                     combined[h] = combined.get(h, 0.0) + weight * q
-        assert w.entries.keys() == {h for h, q in combined.items() if q > 1e-12}
-        assert all(w.entries[h] == pytest.approx(combined[h], abs=1e-15) for h in w.entries)
+        entries = dict(plan_items(w))
+        assert entries.keys() == {h for h, q in combined.items() if q > 1e-12}
+        assert all(entries[h] == pytest.approx(combined[h], abs=1e-15) for h in entries)
         for i, m in enumerate(inst.measures):
             sums = np.zeros(m.size)
             for p in res.barycenter:

@@ -14,7 +14,7 @@ from wbary.model import (
     ContractError,
     DiscreteMeasure,
     Instance,
-    SparseMass,
+    Plan,
     cost_vector,
     digits,
     index_of,
@@ -209,23 +209,15 @@ class TestCosts:
         assert np.array_equal(cost_vector(inst, st, np.arange(st.total)), whole)
 
 
-class TestSparseMass:
-    def test_prunes_tiny_entries(self):
-        w = SparseMass()
-        w.add(3, 1e-13)
-        w.add(3, 0.5)
-        w.add(7, 0.5)
-        assert len(w) == 2
-        assert w.total() == pytest.approx(1.0)
-
+class TestPlan:
     def test_marginal_predicate(self):
         m1 = DiscreteMeasure(np.zeros((2, 1)), np.array([0.5, 0.5]))
         m2 = DiscreteMeasure(np.ones((2, 1)), np.array([0.25, 0.75]))
         inst = Instance((m1, m2), np.array([0.5, 0.5]))
         st = make_strides(inst.sizes)
-        w = SparseMass({0: 0.25, 1: 0.25, 3: 0.5})
+        w = Plan(np.array([0, 1, 3]), np.array([0.25, 0.25, 0.5]))
         assert satisfies_marginals(w, inst, st)
-        bad = SparseMass({0: 0.5, 3: 0.5})
+        bad = Plan(np.array([0, 3]), np.array([0.5, 0.5]))
         assert not satisfies_marginals(bad, inst, st)
         assert marginal_residual(bad, inst, st) == pytest.approx(0.25)
 

@@ -9,6 +9,7 @@ from oracles import (
     column_support,
     digits_of,
     enumerate_vertices,
+    plan_items,
     transport_lp_arrays,
 )
 from wbary import model, pricing
@@ -28,6 +29,7 @@ from wbary.pricing import (
     tail_start,
     update_reduced_costs,
 )
+from wbary.transport import TransportPlan
 
 
 def uniform_instance(rng, sizes, dim=2):
@@ -372,18 +374,27 @@ class TestSolvePricing:
             state, part, inst_p.measures[0].masses, inst_p.measures[1].masses
         )
         p = expand_column(plan, state, size_b=2)
-        assert p.total() == pytest.approx(1.0)
-        assert len(p) <= 3 + 2 - 1
-        for h in p.entries:
+        assert p.mass.sum() == pytest.approx(1.0)
+        assert len(p.index) <= 3 + 2 - 1
+        for h in p.index.tolist():
             assert h in set(state.best_index.tolist())
         # pair-row feasibility: aggregated digit masses match both pair measures
         sums = [np.zeros(3), np.zeros(2)]
-        for h, q in p.entries.items():
+        for h, q in plan_items(p):
             d = digits_of(h, st.sizes)
             sums[0][d[0]] += q
             sums[1][d[1]] += q
         assert np.allclose(sums[0], inst_p.measures[0].masses, atol=1e-9)
         assert np.allclose(sums[1], inst_p.measures[1].masses, atol=1e-9)
+
+    def test_expand_column_drops_flows_at_most_mass_tol(self):
+        rng = np.random.default_rng(14)
+        inst_p, part, st, state = setup(rng, [3, 2, 2])
+        flows = [(0, 0, 1e-13), (1, 1, 1e-11), (2, 0, 0.5)]
+        plan = TransportPlan(flows, objective=0.0, basis={}, pivots=0)
+        p = expand_column(plan, state, size_b=2)
+        assert p.index.tolist() == [state.best_index[3], state.best_index[4]]
+        assert p.mass.tolist() == [1e-11, 0.5]
 
     def test_reduced_cost_consistency_of_expansion(self):
         # cost(p) minus dual credit equals the transport part of the objective
@@ -398,10 +409,9 @@ class TestSolvePricing:
         obj, plan = solve_pricing(state, part, sup, dem)
         p = expand_column(plan, state, size_b=len(dem))
         offset = st.row_offsets[2]
-        index = np.fromiter(p.entries, dtype=np.int64)
-        cost_p = float(np.dot(list(p.entries.values()), cost_vector(inst_p, st, index)))
+        cost_p = float(np.dot(p.mass, cost_vector(inst_p, st, p.index)))
         dual_credit = 0.0
-        for h, q in p.entries.items():
+        for h, q in plan_items(p):
             for r in column_support(h, st)[2:]:
                 dual_credit += q * y[r - offset]
         assert cost_p - dual_credit == pytest.approx(obj, abs=1e-9)

@@ -121,7 +121,7 @@ def column_by_column(kern):
     B = np.zeros((kern.m, kern.m))
     for pos, code in enumerate(kern.basic):
         if code >= 0:
-            B[:, pos] = kern.cols.column(int(code))
+            B[:, pos] = kern.cols.columns(np.array([code]))[:, 0]
         else:
             B[-1 - code, pos] = kern.signs[-1 - code]
     return B
@@ -536,7 +536,7 @@ class TestSparseColumns:
             indptr, rows, vals, dense = random_csc(rng, nrows, ncols)
             cols = SparseColumns(indptr, rows, vals, nrows)
             for j in range(ncols):
-                assert np.array_equal(cols.column(j), dense[:, j])
+                assert np.array_equal(cols.columns(np.array([j]))[:, 0], dense[:, j])
             js = rng.integers(0, ncols, size=int(rng.integers(0, 2 * ncols)))
             assert np.array_equal(cols.columns(js), dense[:, js])
             y = rng.uniform(-1.0, 1.0, size=nrows)
@@ -550,7 +550,7 @@ class TestSparseColumns:
         assert isinstance(kern.cols, SparseColumns)
         assert kern.cols.nrows == A.shape[0] and kern.cols.ncols == A.shape[1]
         for j in range(A.shape[1]):
-            assert np.array_equal(kern.cols.column(j), A[:, j])
+            assert np.array_equal(kern.cols.columns(np.array([j]))[:, 0], A[:, j])
         assert np.array_equal(kern.cols.columns(np.arange(A.shape[1])), A)
         assert np.array_equal(cost, c)
         assert np.array_equal(kern.b, b)
