@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .driver import SolveConfig, SolveResult, solve, solve_direct
+from .driver import START_VARIANTS, SolveConfig, SolveResult, solve, solve_direct
 from .model import ContractError, DiscreteMeasure, Instance
 from .pricing import PAIR_VARIANTS
 
@@ -237,10 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="solve an instance file")
     ps.add_argument("--input", required=True, help="instance JSON (or CSV) path")
-    ps.add_argument("--start", choices=["greedy", "2app"], default="greedy")
-    ps.add_argument("--pair", choices=PAIR_VARIANTS, default="large")
-    ps.add_argument("--tol", type=float, default=1e-6)
-    ps.add_argument("--max-iter", type=int, default=100_000)
+    defaults = SolveConfig()
+    ps.add_argument("--start", choices=START_VARIANTS, default=defaults.start)
+    ps.add_argument("--pair", choices=PAIR_VARIANTS, default=defaults.pair_variant)
+    ps.add_argument("--tol", type=float, default=defaults.tol)
+    ps.add_argument("--max-iter", type=int, default=defaults.max_iter)
     ps.add_argument("--direct", action="store_true",
                     help="solve the full LP instead of column generation")
     ps.add_argument("--out", default=None, help="result JSON path (default stdout)")

@@ -41,7 +41,7 @@ from .model import (
     make_strides,
 )
 from .initial import greedy_vertex, relocation_bytes, repair_to_vertex, two_approx
-from .transport import TransportationProblem, solve_transportation
+from .transport import solve_transportation
 
 STEP_LABELS = (
     "setup-RM",
@@ -70,9 +70,12 @@ class TraceEntry(NamedTuple):
     lb: float  # best Lagrangian lower bound so far
 
 
+START_VARIANTS = ("greedy", "2app")
+
+
 @dataclass
 class SolveConfig:
-    start: str = "greedy"  # or "2app"
+    start: str = "greedy"  # or another of START_VARIANTS
     pair_variant: str = "large"  # or "any", "small"
     tol: float = 1e-6
     max_iter: int = 100_000
@@ -84,7 +87,7 @@ class SolveConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.start not in ("greedy", "2app"):
+        if self.start not in START_VARIANTS:
             raise ValueError(f"unknown start {self.start!r}")
         if self.pair_variant not in pricing_mod.PAIR_VARIANTS:
             raise ValueError(f"unknown pair variant {self.pair_variant!r}")
@@ -150,11 +153,7 @@ def _two_measure_result(inst: Instance) -> SolveResult:
     strides = make_strides(inst.sizes)
     costs = cost_vector(inst, strides, np.arange(strides.total))
     m0, m1 = inst.measures
-    plan = solve_transportation(
-        TransportationProblem(m0.masses, m1.masses, costs.reshape(inst.sizes))
-    )
-    i, j, q = np.array(plan.flows).T
-    w = Plan((i * inst.sizes[1] + j).astype(np.int64), q)
+    w = solve_transportation(m0.masses, m1.masses, costs.reshape(inst.sizes)).flows
     timings = _zero_timings()
     timings["solve-pricing"] = time.perf_counter() - wall_start
     return _result(w, inst, (0, 1), strides, wall_start, timings, costs.nbytes)
@@ -216,9 +215,9 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
     b = rm.rhs[:-1]
     pricing_calls = 0
 
-    def price(pi: np.ndarray, basis: dict | None):
-        """Column minimizing the reduced cost at pi, with its rows, L(pi) and
-        the transport basis it ended at; the transport starts from basis."""
+    def price(pi: np.ndarray, basis: Plan | None):
+        """Column minimizing the reduced cost at pi, its rows, the transport
+        objective, L(pi) and the final basis; the transport starts from basis."""
         nonlocal pricing_calls
         t0 = time.perf_counter()
         pricing_mod.recompute_reduced_costs(state, pi, partition, strides_p)
@@ -229,14 +228,12 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         timings["calc-best-costs"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        transport_obj, plan = pricing_mod.solve_pricing(
-            state, partition, supplies, demands, basis
-        )
-        p = pricing_mod.expand_column(plan, state, len(demands))
+        plan = pricing_mod.solve_pricing(state, partition, supplies, demands, basis)
+        p = pricing_mod.expand_column(plan, state)
         a_p = master_mod.column_coeffs(p, strides_p, b.shape[0])
         timings["solve-pricing"] += time.perf_counter() - t0
         pricing_calls += 1
-        return p, a_p, transport_obj, float(pi @ b) + transport_obj, plan.basis
+        return p, a_p, plan.objective, float(pi @ b) + plan.objective, plan.basis
 
     alpha = ALPHA_START
     best_lb = -math.inf

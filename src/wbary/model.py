@@ -12,7 +12,8 @@ it can be regenerated from the index alone.
 through ``cost_vector``) and the reported objective cost combinations with
 it. Only pricing scores them another way, by the reduced costs of its split
 state (pricing.py). ``Plan`` is the one plan format: start vertices, master
-columns and optimal plans are index and mass arrays, read directly.
+columns, optimal plans and transport flows and bases (over flat cells
+i * k + j) are index and mass arrays, read directly.
 """
 
 from __future__ import annotations

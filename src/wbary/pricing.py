@@ -20,8 +20,8 @@ No array of length N or n_duplicates is held: the state has (n_e + n_lo)
 rows of dim + 1 or fewer entries, and the split that minimises its bytes
 balances the groups to about sqrt(N) rows each where the sizes allow. The
 duals are whatever the driver prices at (smoothed, or the master duals);
-solve_pricing returns the transport objective alone, and the driver adds
-the dual terms it needs for reduced costs and bounds.
+solve_pricing returns the transport plan, whose objective leaves out the
+dual terms the driver adds for reduced costs and bounds.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import model
 from .model import Instance, Plan, Strides
-from .transport import TransportationProblem, TransportPlan, solve_transportation
+from .transport import TransportPlan, solve_transportation
 
 
 @dataclass(frozen=True)
@@ -225,23 +225,22 @@ def solve_pricing(
     partition: Partition,
     supplies: np.ndarray,
     demands: np.ndarray,
-    basis: dict | None = None,
-) -> tuple[float, TransportPlan]:
+    basis: Plan | None = None,
+) -> TransportPlan:
     """Minimize the compressed reduced costs over the pair's transport polytope.
 
-    The objective is min over columns p of (c_p - duals . A_p) at the duals
-    a and b were last rebuilt at, without the convexity dual. The transport
-    simplex starts from basis, the plan.basis of an earlier pricing with these
-    supplies and demands, or from the northwest corner when it is None.
+    The plan's objective is min over columns p of (c_p - duals . A_p) at the
+    duals a and b were last rebuilt at, without the convexity dual; its cells
+    index state.best. The transport simplex starts from basis, the plan.basis
+    of an earlier pricing with these supplies and demands, or the northwest
+    corner when it is None.
     """
     costs = state.best.reshape(len(supplies), len(demands))
-    plan = solve_transportation(TransportationProblem(supplies, demands, costs), basis)
-    return plan.objective, plan
+    return solve_transportation(supplies, demands, costs, basis)
 
 
-def expand_column(plan: TransportPlan, state: PricingState, size_b: int) -> Plan:
+def expand_column(plan: TransportPlan, state: PricingState) -> Plan:
     """Lift a transport plan's flows above MASS_TOL back to full-space
     combination indices: each cell's minimizing combination."""
-    kept = [f for f in plan.flows if f[2] > model.MASS_TOL]
-    cells = [i * size_b + j for i, j, _ in kept]
-    return Plan(state.best_index[cells], np.array([q for _, _, q in kept]))
+    keep = plan.flows.mass > model.MASS_TOL
+    return Plan(state.best_index[plan.flows.index[keep]], plan.flows.mass[keep])

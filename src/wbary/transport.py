@@ -1,16 +1,18 @@
 """Exact solver for the balanced transportation problem.
 
 Primal transportation simplex: most-negative entering cell with
-lexicographic tie-breaking, and zero-flow basic cells for degeneracy. A solve
-starts from a given basis, such as the one a solve with the same supplies and
+lexicographic tie-breaking, and zero-flow basic cells for degeneracy. Flows
+and bases are model.Plan arrays over the flat cells i * k + j. A solve starts
+from a given basis, such as the one a solve with the same supplies and
 demands returned: only the costs differ, so it is still primal feasible. It
 is checked, and a bad one raises ContractError. Without one, the solve starts
-from the northwest corner. Each pivot walks the basis once: a depth-first
-pass from row 0 roots the spanning tree there and gives the dual (u, v)
-potentials with each node's parent and depth. The entering cell's cycle is the
-tree path from its row to its column, found by climbing both ends to their
-lowest common ancestor. Costs may be negative. All ties resolve to the lowest
-(row, col) pair, so runs from the same start produce identical plans.
+from the northwest corner. Each pivot walks the basis, held in Python lists,
+once: a depth-first pass from row 0 roots the spanning tree there and gives
+the dual potentials and each node's parent, depth and joining basic cell. The
+entering cell's cycle is the tree path from its row to its column, found by
+climbing both ends to their lowest common ancestor. Costs may be negative.
+All ties resolve to the lowest flat cell, so runs from the same start produce
+identical plans, in any basis order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ContractError
+from .model import ContractError, Plan
 
 BALANCE_TOL = 1e-9
 FLOW_TOL = 1e-15
@@ -28,30 +30,23 @@ BLAND_AFTER = 50  # degenerate pivots in a row before the lex-lowest rule
 
 
 @dataclass
-class TransportationProblem:
-    supplies: np.ndarray  # (m,) positive
-    demands: np.ndarray  # (k,) positive
-    costs: np.ndarray  # (m, k)
-
-
-@dataclass
 class TransportPlan:
-    flows: list[tuple[int, int, float]]  # (row, col, mass), lexicographic
+    flows: Plan  # ascending flat cells with flow above FLOW_TOL
     objective: float
-    basis: dict[tuple[int, int], float]  # every basic cell, zero flows too
+    basis: Plan  # all m + k - 1 basic cells, ascending, zero flows too
     pivots: int  # pivots of this solve
 
 
 def _northwest_corner(supplies, demands):
     """Initial basis of exactly m + k - 1 cells along a staircase walk."""
     m, k = len(supplies), len(demands)
-    rs = supplies.copy()
-    rd = demands.copy()
-    cells = {}
+    rs, rd = supplies.tolist(), demands.tolist()
+    cells, flows = [], []
     i = j = 0
     while True:
         q = min(rs[i], rd[j])
-        cells[(i, j)] = q
+        cells.append(i * k + j)
+        flows.append(q)
         rs[i] -= q
         rd[j] -= q
         if i == m - 1 and j == k - 1:
@@ -62,91 +57,92 @@ def _northwest_corner(supplies, demands):
             i += 1
         else:
             j += 1
-    return cells
+    return cells, flows
 
 
 def _checked_basis(basis, supplies, demands):
-    """A copy of a given basis, once it is shown to be a feasible basic flow:
-    m + k - 1 cells in range, no negative flow, and row and column sums
-    within BALANCE_TOL of the marginals. A connected tree is left to
-    _basis_tree."""
+    """Lists of a given basis's cells and flows, once it is shown to be a
+    feasible basic flow: m + k - 1 cells in range, no negative flow, and row
+    and column sums within BALANCE_TOL of the marginals. A connected tree is
+    left to _basis_tree."""
     m, k = len(supplies), len(demands)
-    cells = dict(basis)
+    cells, flows = np.asarray(basis.index).tolist(), np.asarray(basis.mass).tolist()
+    if len(cells) != len(flows):
+        raise ContractError("a basis needs one flow per cell")
     if len(cells) != m + k - 1:
         raise ContractError(f"a basis needs {m + k - 1} cells, got {len(cells)}")
     row_sums, col_sums = [0.0] * m, [0.0] * k
-    for (i, j), q in cells.items():
-        if not (0 <= i < m and 0 <= j < k):
+    for c, q in zip(cells, flows):
+        if not 0 <= c < m * k:
             raise ContractError("a basis cell lies outside the cost matrix")
         if not q >= 0.0:
             raise ContractError("a basis holds a negative flow")
-        row_sums[i] += q
-        col_sums[j] += q
+        row_sums[c // k] += q
+        col_sums[c % k] += q
     if (
         np.abs(np.subtract(row_sums, supplies)).max() > BALANCE_TOL
         or np.abs(np.subtract(col_sums, demands)).max() > BALANCE_TOL
     ):
         raise ContractError("basis flows do not meet the marginals")
-    return cells
+    return cells, flows
 
 
-def _basis_tree(cells, costs, m, k):
-    """Potentials u, v (u[0] = 0) and the rooted basis tree.
+def _basis_tree(cells, cell_costs, m, k):
+    """Potentials (u then v, u[0] = 0) and the rooted basis tree.
 
-    One depth-first walk from row 0: node i < m is row i, node m + j is
-    column j, and each node gets its parent and depth in the tree.
+    One depth-first walk from row 0: node i < m is row i, node m + j is column
+    j, and each node gets its parent, its depth and the basis position of the
+    cell that joins it to its parent.
     """
     adj = [[] for _ in range(m + k)]
-    for (i, j) in cells:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    u = np.zeros(m)
-    v = np.zeros(k)
+    for pos, c in enumerate(cells):
+        i, j = divmod(c, k)
+        adj[i].append((m + j, pos))
+        adj[m + j].append((i, pos))
+    pot = [0.0] * (m + k)
     parent = [-1] * (m + k)
+    link = [-1] * (m + k)
     depth = [-1] * (m + k)
     depth[0] = 0
     stack = [0]
     while stack:
         node = stack.pop()
-        for nxt in adj[node]:
+        for nxt, pos in adj[node]:
             if depth[nxt] >= 0:
                 continue
             parent[nxt] = node
+            link[nxt] = pos
             depth[nxt] = depth[node] + 1
-            if node < m:
-                v[nxt - m] = costs[node, nxt - m] - u[node]
-            else:
-                u[nxt] = costs[nxt, node - m] - v[node - m]
+            pot[nxt] = cell_costs[pos] - pot[node]  # u_i + v_j = c_ij
             stack.append(nxt)
     if min(depth) < 0:
         raise ContractError("basis graph is disconnected")
-    return u, v, parent, depth
+    return np.array(pot), parent, link, depth
 
 
-def _cycle_path(parent, depth, m, row, col):
-    """Basic cells on the tree path row -> ... -> column, in walk order."""
-    a, b = row, m + col
-    up, down = [a], [b]
+def _cycle_path(parent, link, depth, a, b):
+    """Basis positions of the cells on the tree path a -> ... -> b, in order."""
+    up, down = [], []
     while a != b:  # climb the deeper end until both meet at the common ancestor
         if depth[a] >= depth[b]:
+            up.append(link[a])
             a = parent[a]
-            up.append(a)
         else:
+            down.append(link[b])
             b = parent[b]
-            down.append(b)
-    nodes = up + down[-2::-1]  # both lists end at the ancestor: keep it once
-    return [(x, y - m) if x < m else (y, x - m) for x, y in zip(nodes, nodes[1:])]
+    return up + down[::-1]
 
 
 def solve_transportation(
-    tp: TransportationProblem, basis: dict | None = None
+    supplies: np.ndarray, demands: np.ndarray, costs: np.ndarray,
+    basis: Plan | None = None,
 ) -> TransportPlan:
     """Optimal basic flow for a balanced transportation problem, from a given
-    feasible basis (cell -> flow, as TransportPlan.basis) or the northwest
-    corner."""
-    supplies = np.asarray(tp.supplies, dtype=float)
-    demands = np.asarray(tp.demands, dtype=float)
-    costs = np.asarray(tp.costs, dtype=float)
+    feasible basis (flat cells and flows, as TransportPlan.basis) or the
+    northwest corner."""
+    supplies = np.asarray(supplies, dtype=float)
+    demands = np.asarray(demands, dtype=float)
+    costs = np.asarray(costs, dtype=float)
     m, k = costs.shape
     if supplies.shape != (m,) or demands.shape != (k,):
         raise ContractError("marginal lengths do not match the cost matrix")
@@ -158,48 +154,43 @@ def solve_transportation(
         )
 
     if basis is None:
-        cells = _northwest_corner(supplies, demands)
+        cells, flows = _northwest_corner(supplies, demands)
     else:
-        cells = _checked_basis(basis, supplies, demands)
-    pivots = 0
-    bland = False
-    degen_streak = 0
+        cells, flows = _checked_basis(basis, supplies, demands)
+    flat_costs = costs.ravel()
+    cell_costs = flat_costs[cells].tolist()  # of the basic cells only: no m * k list
+    pivots = degen_streak = 0
     while True:
-        u, v, parent, depth = _basis_tree(cells, costs, m, k)
-        red = costs - u[:, None] - v[None, :]
-        for (i, j) in cells:
-            red[i, j] = np.inf  # basics never enter
-        if bland:
-            neg = np.argwhere(red < -REDUCED_TOL)
-            if neg.size == 0:
-                break
-            ei, ej = map(int, neg[0])  # argwhere is row-major, so lex-lowest
+        pot, parent, link, depth = _basis_tree(cells, cell_costs, m, k)
+        red = (costs - pot[:m, None] - pot[None, m:]).ravel()
+        red[cells] = np.inf  # basics never enter
+        if degen_streak > BLAND_AFTER:  # the lowest flat cell that prices out
+            enter = int(np.argmax(red < -REDUCED_TOL))
         else:
-            flat = int(np.argmin(red))
-            ei, ej = divmod(flat, k)
-            if red[ei, ej] >= -REDUCED_TOL:
-                break
+            enter = int(np.argmin(red))
+        if red[enter] >= -REDUCED_TOL:
+            break
 
-        path = _cycle_path(parent, depth, m, ei, ej)
+        ei, ej = divmod(enter, k)
+        path = _cycle_path(parent, link, depth, ei, m + ej)
         minus = path[0::2]  # first basic cell shares the entering row: it shrinks
-        theta = max(min(cells[c] for c in minus), 0.0)
-        candidates = [c for c in minus if cells[c] <= theta + FLOW_TOL]
-        leave = min(candidates)
-        for c in minus:
-            cells[c] = max(cells[c] - theta, 0.0)
-        for c in path[1::2]:
-            cells[c] += theta
-        del cells[leave]
-        cells[(ei, ej)] = theta
+        theta = max(min(flows[p] for p in minus), 0.0)
+        leave = min((cells[p], p) for p in minus if flows[p] <= theta + FLOW_TOL)[1]
+        for p in minus:
+            flows[p] = max(flows[p] - theta, 0.0)
+        for p in path[1::2]:
+            flows[p] += theta
+        cells[leave] = enter
+        cell_costs[leave] = float(flat_costs[enter])
+        flows[leave] = theta
         pivots += 1
-        if theta <= FLOW_TOL:
-            degen_streak += 1
-            if degen_streak > BLAND_AFTER:
-                bland = True
-        else:
-            degen_streak = 0
-            bland = False
+        degen_streak = degen_streak + 1 if theta <= FLOW_TOL else 0
 
-    flows = sorted((i, j, q) for (i, j), q in cells.items() if q > FLOW_TOL)
-    objective = float(sum(q * costs[i, j] for i, j, q in flows))
-    return TransportPlan(flows, objective, cells, pivots)
+    index = np.array(cells, dtype=np.int64)
+    order = index.argsort()
+    basis = Plan(index[order], np.array(flows)[order])
+    keep = basis.mass > FLOW_TOL
+    plan = Plan(basis.index[keep], basis.mass[keep])
+    # Summed over numpy scalars in cell order: plain float additions.
+    objective = float(sum(plan.mass * flat_costs[plan.index]))
+    return TransportPlan(plan, objective, basis, pivots)

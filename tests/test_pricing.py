@@ -16,6 +16,7 @@ from wbary import model, pricing
 from wbary.model import (
     DiscreteMeasure,
     Instance,
+    Plan,
     cost_vector,
     make_strides,
 )
@@ -342,10 +343,10 @@ class TestSolvePricing:
         state.a[:] = 0.0
         state.zb[:] = 0.0
         best_costs(state, part)
-        obj, plan = solve_pricing(
+        plan = solve_pricing(
             state, part, inst_p.measures[0].masses, inst_p.measures[1].masses
         )
-        assert obj == pytest.approx(0.0, abs=1e-12)
+        assert plan.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_vertex_enumeration(self):
         rng = np.random.default_rng(11)
@@ -358,22 +359,22 @@ class TestSolvePricing:
             best_costs(state, part)
             sup = inst_p.measures[0].masses
             dem = inst_p.measures[1].masses
-            obj, plan = solve_pricing(state, part, sup, dem)
+            plan = solve_pricing(state, part, sup, dem)
             c, A, b = transport_lp_arrays(
                 sup, dem, state.best.reshape(len(sup), len(dem))
             )
             verts = enumerate_vertices(A, b)
             expect = min(float(c @ v) for v in verts)
-            assert obj == pytest.approx(expect, abs=1e-9)
+            assert plan.objective == pytest.approx(expect, abs=1e-9)
 
     def test_expand_column_places_mass_at_argmin_indices(self):
         rng = np.random.default_rng(12)
         inst_p, part, st, state = setup(rng, [3, 2, 2])
         best_costs(state, part)
-        obj, plan = solve_pricing(
+        plan = solve_pricing(
             state, part, inst_p.measures[0].masses, inst_p.measures[1].masses
         )
-        p = expand_column(plan, state, size_b=2)
+        p = expand_column(plan, state)
         assert p.mass.sum() == pytest.approx(1.0)
         assert len(p.index) <= 3 + 2 - 1
         for h in p.index.tolist():
@@ -390,9 +391,10 @@ class TestSolvePricing:
     def test_expand_column_drops_flows_at_most_mass_tol(self):
         rng = np.random.default_rng(14)
         inst_p, part, st, state = setup(rng, [3, 2, 2])
-        flows = [(0, 0, 1e-13), (1, 1, 1e-11), (2, 0, 0.5)]
-        plan = TransportPlan(flows, objective=0.0, basis={}, pivots=0)
-        p = expand_column(plan, state, size_b=2)
+        # cells (0, 0), (1, 1) and (2, 0) of the 3 x 2 pair
+        flows = Plan(np.array([0, 3, 4]), np.array([1e-13, 1e-11, 0.5]))
+        plan = TransportPlan(flows, objective=0.0, basis=flows, pivots=0)
+        p = expand_column(plan, state)
         assert p.index.tolist() == [state.best_index[3], state.best_index[4]]
         assert p.mass.tolist() == [1e-11, 0.5]
 
@@ -406,12 +408,12 @@ class TestSolvePricing:
         best_costs(state, part)
         sup = inst_p.measures[0].masses
         dem = inst_p.measures[1].masses
-        obj, plan = solve_pricing(state, part, sup, dem)
-        p = expand_column(plan, state, size_b=len(dem))
+        plan = solve_pricing(state, part, sup, dem)
+        p = expand_column(plan, state)
         offset = st.row_offsets[2]
         cost_p = float(np.dot(p.mass, cost_vector(inst_p, st, p.index)))
         dual_credit = 0.0
         for h, q in plan_items(p):
             for r in column_support(h, st)[2:]:
                 dual_credit += q * y[r - offset]
-        assert cost_p - dual_credit == pytest.approx(obj, abs=1e-9)
+        assert cost_p - dual_credit == pytest.approx(plan.objective, abs=1e-9)
