@@ -1,20 +1,26 @@
 """Column generation driver and the direct full-LP reference solver.
 
-The loop alternates master re-solves with transportation pricing. After the
-first master solve it prices at smoothed duals pi = alpha * pi_hat +
-(1 - alpha) * y (Wentges 1997), where y are the master duals and pi_hat the
-duals with the best Lagrangian bound L(pi) = pi . b + min over columns of
-(c - pi . A) so far. alpha adapts to the subgradient b - A_p of each priced
-column p (Pessoa, Sadykov, Uchoa & Vanderbeck 2018); a column that would not
-enter the master at y is a misprice, and pricing repeats once at y. Each
-pricing but the first starts its transport simplex from the basis the one
-before it ended at: only the costs change, so that basis stays feasible. The
-loop stops when the master objective is within tol of the best bound, a
-certified gap, then re-solves the full LP over the generated supports for a
-basic optimum. One or two input measures never enter the loop: a single
-measure is its own barycenter, and for two measures the whole problem is one
-balanced transportation problem. Every path turns its optimal plan into a
-SolveResult through the same helper.
+The loop alternates master re-solves with transportation pricing. Once it
+has a bound it prices at smoothed duals pi = alpha * pi_hat + (1 - alpha) * y
+(Wentges 1997), where y are the master duals and pi_hat the duals with the
+best Lagrangian bound L(pi) = pi . b + min over columns of (c - pi . A) so
+far. alpha adapts to the subgradient b - A_p of each priced column p
+(Pessoa, Sadykov, Uchoa & Vanderbeck 2018); a column that would not enter
+the master at y is a misprice, and pricing repeats once at y. The greedy
+start prices its first master solve at y. The 2-approximation start seeds
+pi_hat instead (Wentges' dual seeding): before the first master solve it
+prices once at its relocation LP's duals of the master rows, which sets the
+first bound, pi_hat and the transport basis, and adds that column to the
+master. L(pi) is a valid bound at any pi and does not change when one
+measure's duals all shift by a constant, so those duals need no
+normalisation. Each pricing but the first starts its transport simplex from
+the basis the one before it ended at: only the costs change, so that basis
+stays feasible. The loop stops when the master objective is within tol of
+the best bound, a certified gap, then re-solves the full LP over the
+generated supports for a basic optimum. One or two input measures never
+enter the loop: a single measure is its own barycenter, and for two measures
+the whole problem is one balanced transportation problem. Every path turns
+its optimal plan into a SolveResult through the same helper.
 """
 
 from __future__ import annotations
@@ -200,10 +206,13 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
 
     t0 = time.perf_counter()
     state = pricing_mod.init_reduced_costs(inst_p, partition, strides_p)
+    seed = None  # duals to price at before the first master solve
     if cfg.start == "greedy":
         p1 = greedy_vertex(inst_p, strides_p)
     else:
-        p1 = repair_to_vertex(two_approx(inst_p), inst_p, strides_p)
+        apx = two_approx(inst_p)
+        p1 = repair_to_vertex(apx, inst_p, strides_p)
+        seed = apx.duals[sizes_p[0] + sizes_p[1] :]  # the master's rows
     timings["init"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -239,6 +248,12 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
     best_lb = -math.inf
     center = None  # the duals of best_lb
     basis = None  # the last optimal transport basis: pricing starts from it
+    if seed is not None:  # the first bound and centre, before any master solve
+        p, a_p, _, best_lb, basis = price(seed, basis)
+        center = seed
+        t0 = time.perf_counter()
+        master_mod.add_column(rm, p, a_p)
+        timings["setup-RM"] += time.perf_counter() - t0
     trace: list[TraceEntry] = []
     converged = False
     iteration = 0

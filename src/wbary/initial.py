@@ -75,12 +75,15 @@ class ApproxBarycenter:
 
     ``plans[i][s, j]`` is the mass support point s sends to point j of
     measure i; each plan's rows sum to ``mass`` and its columns to that
-    measure's masses.
+    measure's masses. two_approx also keeps the relocation LP's duals of the
+    marginal rows, one per point of each measure in measure order: a dual
+    point to price at before the first master solve.
     """
 
     support: np.ndarray  # (S, dim)
     mass: np.ndarray  # (S,)
     plans: list[np.ndarray]  # one (S, size_i) array per measure
+    duals: np.ndarray | None = None  # (sum of sizes,)
 
     def validate(self, inst: Instance):
         tol = 1e-9
@@ -177,7 +180,9 @@ def two_approx(inst: Instance) -> ApproxBarycenter:
     plans = [x.reshape(S, size) for x, size in zip(blocks, sizes)]
     mass = plans[0].sum(axis=1)
     keep = np.flatnonzero(mass > MASS_TOL)
-    return ApproxBarycenter(cand[keep], mass[keep], [p[keep] for p in plans])
+    return ApproxBarycenter(
+        cand[keep], mass[keep], [p[keep] for p in plans], sol.duals[(n - 1) * S :]
+    )
 
 
 def repair_to_vertex(apx: ApproxBarycenter, inst: Instance, strides: Strides) -> Plan:

@@ -36,12 +36,14 @@ just those rows are updated, otherwise the whole matrix is, which is faster
 for a dense w. Both forms do the same arithmetic on every row that changes.
 
 B itself is not kept: it is rebuilt from the basic codes and re-inverted
-every REFACTOR_EVERY pivots; before a decision that the updated values
-could get wrong (unbounded, or a basic value below -1e-7); before pivoting on
-an element smaller than SMALL_PIVOT times the largest entry of the
-direction, which would otherwise leave B near singular; and when an optimal
-decision on an updated inverse fails its residual check. That check costs
-one column product: the primal residual B x_B - b must stay within
+every refactor_interval(m) = max(REFACTOR_EVERY, m) pivots (an inversion
+costs O(m^3) and an update O(m^2), so m pivots apart the inversions cost one
+update each, amortised); before a decision that the updated values could
+get wrong (unbounded, or a basic value below -1e-7); before pivoting on an
+element smaller than SMALL_PIVOT times the largest entry of the direction,
+which would otherwise leave B near singular; and when an optimal decision
+on an updated inverse fails its residual check. That check costs one
+column product: the primal residual B x_B - b must stay within
 FEAS_TOL (1 + max|b|) and the dual residual c_B - y B, read off the reduced
 costs of the basic columns, within OPT_TOL (1 + max|c_B|). An optimum
 therefore returns on an inverse that may carry updates, but never on values
@@ -62,8 +64,17 @@ PIVOT_TOL = 1e-10
 OPT_TOL = 1e-9  # reduced cost below -OPT_TOL enters
 FEAS_TOL = 1e-9  # basic values and artificial mass within FEAS_TOL of zero
 BLAND_AFTER = 50  # degenerate pivots in a row before Bland's rule
-REFACTOR_EVERY = 64  # pivots between fresh inversions of the basis
+REFACTOR_EVERY = 64  # fewest pivots between fresh inversions of the basis
 SMALL_PIVOT = 1e-6  # pivot below this share of max|w| needs a fresh inverse
+
+
+def refactor_interval(m: int) -> int:
+    """Rank-one updates between fresh inversions of an m-row basis.
+
+    An inversion costs O(m^3) and an update O(m^2); spacing inversions m
+    pivots apart keeps their amortised cost at one update's.
+    """
+    return max(REFACTOR_EVERY, m)
 
 
 class NumericalError(RuntimeError):
@@ -268,6 +279,7 @@ class Kernel:
         struct = self.basic >= 0
         cB[struct] = cost[self.basic[struct]]
         no_limit = np.full(self.m, np.inf)  # ratio of a row where w <= PIVOT_TOL
+        interval = refactor_interval(self.m)
         xB = None
         bland = False
         degen_streak = 0
@@ -333,7 +345,7 @@ class Kernel:
             xB[leave_pos] = theta
             y += r[enter] * row
             self.updates += 1
-            if self.updates >= REFACTOR_EVERY:
+            if self.updates >= interval:
                 self._invert()
             self.pivots += 1
             if theta <= 1e-12:

@@ -62,15 +62,18 @@ def _northwest_corner(supplies, demands):
 
 def _checked_basis(basis, supplies, demands):
     """Lists of a given basis's cells and flows, once it is shown to be a
-    feasible basic flow: m + k - 1 cells in range, no negative flow, and row
-    and column sums within BALANCE_TOL of the marginals. A connected tree is
-    left to _basis_tree."""
+    feasible basic flow: m + k - 1 integer cells in range, no negative flow,
+    and row and column sums within BALANCE_TOL of the marginals. A connected
+    tree is left to _basis_tree."""
     m, k = len(supplies), len(demands)
-    cells, flows = np.asarray(basis.index).tolist(), np.asarray(basis.mass).tolist()
+    index = np.asarray(basis.index)
+    cells, flows = index.tolist(), np.asarray(basis.mass).tolist()
     if len(cells) != len(flows):
         raise ContractError("a basis needs one flow per cell")
     if len(cells) != m + k - 1:
         raise ContractError(f"a basis needs {m + k - 1} cells, got {len(cells)}")
+    if index.dtype.kind not in "iu":
+        raise ContractError(f"basis cells must be integers, got {index.dtype}")
     row_sums, col_sums = [0.0] * m, [0.0] * k
     for c, q in zip(cells, flows):
         if not 0 <= c < m * k:

@@ -6,6 +6,7 @@ import pytest
 from oracles import column_support, min_over_vertices
 from wbary import driver, pricing, simplex
 from wbary.driver import STEP_LABELS, SolveConfig, solve, solve_direct
+from wbary.initial import two_approx
 from wbary.model import (
     CapacityError,
     DiscreteMeasure,
@@ -192,7 +193,8 @@ class TestLoopBehavior:
     def test_master_of_two_hundred_rows_matches_direct(self):
         # About 200 master rows and 698 master solves: the master's column
         # store doubles ten times, and B^-1 is kept across the solves and
-        # re-inverted every REFACTOR_EVERY pivots or on a failed residual check.
+        # re-inverted every refactor_interval(m) pivots, here m, or on a
+        # failed residual check.
         inst = random_instance(12, [2, 2, 200])
         res = solve(inst, SolveConfig(pair_variant="small"))
         assert res.converged
@@ -226,10 +228,44 @@ class TestCertificate:
                     assert res.converged
                     last = res.trace[-1]
                     assert last.rm_objective - last.lb <= tol
-                    assert res.pricing_calls >= res.iterations
-                    misprices += res.pricing_calls > res.iterations
+                    # 2app prices once more, at the relocation LP's duals
+                    seeded = res.iterations + (start == "2app")
+                    assert res.pricing_calls >= seeded
+                    misprices += res.pricing_calls > seeded
         # Some solve prices twice in one iteration: the misprice branch runs.
         assert misprices > 0
+
+    def test_seeded_first_bound(self):
+        # The 2-approximation start prices at the relocation LP's duals before
+        # the first master solve, so the first bound is finite and valid.
+        rng = np.random.default_rng(77)
+        for seed in range(12):
+            sizes = rng.integers(2, 6, size=int(rng.integers(3, 6))).tolist()
+            inst = random_instance(700 + seed, sizes)
+            optimum = solve_direct(inst).objective
+            res = solve(inst, SolveConfig(start="2app"))
+            assert res.converged
+            assert np.isfinite(res.trace[0].lb)
+            assert res.trace[0].lb <= optimum + 1e-9
+            assert abs(res.objective - optimum) <= 1e-9
+
+    def test_seed_pricing_is_counted(self, monkeypatch):
+        priced_at = []
+        original = pricing.recompute_reduced_costs
+
+        def recorded(state, pi, *args):
+            priced_at.append(pi.copy())
+            return original(state, pi, *args)
+
+        monkeypatch.setattr(pricing, "recompute_reduced_costs", recorded)
+        inst = random_instance(27, [4, 3, 5, 3])
+        res = solve(inst, SolveConfig(start="2app", pair_variant="small"))
+        assert len(priced_at) == res.pricing_calls >= res.iterations + 1
+        # the first pricing is at the duals of the master's rows: the
+        # permuted instance's measures after the pricing pair
+        inst_p = inst.permuted(pricing.choose_partition(inst, "small").perm)
+        seed = two_approx(inst_p).duals[inst_p.sizes[0] + inst_p.sizes[1] :]
+        assert np.array_equal(priced_at[0], seed)
 
 
 class TestMemoryAccounting:

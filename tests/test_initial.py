@@ -11,6 +11,7 @@ from oracles import (
     plan_items,
     satisfies_marginals,
 )
+from wbary import simplex
 from wbary.driver import solve_direct
 from wbary.initial import (
     ApproxBarycenter,
@@ -126,6 +127,30 @@ class TestTwoApprox:
         finally:
             tracemalloc.stop()
         assert peak <= relocation_bytes(inst.sizes)
+
+    def test_relocation_duals_are_optimal(self, monkeypatch):
+        # Strong duality, and no relocation column prices in at the duals;
+        # two_approx keeps those of the marginal rows.
+        original = simplex.solve_columns
+        seen = []
+
+        def record(kern, cost):
+            sol = original(kern, cost)
+            seen.append((kern, np.asarray(cost), sol))
+            return sol
+
+        monkeypatch.setattr(simplex, "solve_columns", record)
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            sizes = rng.integers(2, 6, size=int(rng.integers(3, 6))).tolist()
+            inst = random_instance(rng, sizes)
+            apx = two_approx(inst)
+            kern, cost, sol = seen.pop()
+            assert abs(sol.duals @ kern.b - sol.objective) <= 1e-9
+            assert (cost - kern.cols.apply_yT(sol.duals)).min() >= -simplex.OPT_TOL
+            masses = np.concatenate([m.masses for m in inst.measures])
+            assert np.array_equal(apx.duals, sol.duals[kern.m - masses.size :])
+            assert abs(apx.duals @ masses - sol.objective) <= 1e-9
 
     def test_ratio_within_factor_two(self):
         rng = np.random.default_rng(29)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from wbary import master, simplex
 from wbary.driver import SolveConfig, solve as solve_cg
 from wbary.initial import two_approx
 from wbary.model import DiscreteMeasure, Instance
+from wbary.pricing import choose_partition
 from wbary.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -144,6 +146,8 @@ class TestBasisMatrix:
 
 
 def check_against_exact(cases):
+    """Solve each case and check it; returns the pivots of all the solves."""
+    pivots = 0
     for cost, A, b, status, obj in cases:
         kern = Kernel(DenseColumns(A), b)
         sol = solve_columns(kern, cost)
@@ -154,6 +158,8 @@ def check_against_exact(cases):
             assert np.linalg.norm(A @ sol.x - b, ord=np.inf) <= 1e-9 * (
                 1 + np.abs(b).max()
             )
+        pivots += kern.pivots
+    return pivots
 
 
 class TestRandomVsExactOracle:
@@ -165,8 +171,10 @@ class TestRandomVsExactOracle:
     ):
         # Re-inverting after every pivot leaves no rank-one update standing at
         # any decision; the answers must not change.
-        monkeypatch.setattr(simplex, "REFACTOR_EVERY", 1)
-        check_against_exact(random_lps_with_exact_optima)
+        monkeypatch.setattr(simplex, "refactor_interval", lambda m: 1)
+        calls = count_inversions(monkeypatch)
+        pivots = check_against_exact(random_lps_with_exact_optima)
+        assert len(calls) >= pivots > 0
 
 
 class TestResidualsAtOptimum:
@@ -208,6 +216,30 @@ def count_inversions(monkeypatch):
 
     monkeypatch.setattr(Kernel, "_invert", counted)
     return calls
+
+
+def count_forced_inversions(monkeypatch):
+    """Count the inversions a decision forces rather than the interval: a
+    refresh before a negative-value, unbounded or small-pivot decision, and a
+    failed residual check at an optimum."""
+    forced = []
+    refreshed, residuals_hold = Kernel._refreshed, Kernel._residuals_hold
+
+    def counted_refresh(kern):
+        done = refreshed(kern)
+        if done:
+            forced.append(kern)
+        return done
+
+    def counted_check(kern, *args):
+        held = residuals_hold(kern, *args)
+        if not held:
+            forced.append(kern)
+        return held
+
+    monkeypatch.setattr(Kernel, "_refreshed", counted_refresh)
+    monkeypatch.setattr(Kernel, "_residuals_hold", counted_check)
+    return forced
 
 
 def one_pivot_master():
@@ -460,8 +492,9 @@ def random_masses_instance(sizes, seed):
 
 
 class TestLongRunsVsHighs:
-    """LPs that need more than REFACTOR_EVERY pivots in one call, so both the
-    rank-one updates and the periodic re-inversion take part."""
+    """LPs that need more pivots in one call than refactor_interval allows
+    between inversions, so both the rank-one updates and the periodic
+    re-inversion take part."""
 
     @pytest.mark.parametrize("m,k,seed", [(50, 50, 0), (60, 45, 1), (70, 70, 2)])
     def test_degenerate_uniform_transport(self, m, k, seed):
@@ -470,7 +503,7 @@ class TestLongRunsVsHighs:
         c, A, b = transport_lp_arrays(np.full(m, 1.0 / m), np.full(k, 1.0 / k), costs)
         sol = solve(DenseLP(c, A, b))
         assert sol.status == OPTIMAL
-        assert sol.pivots > simplex.REFACTOR_EVERY
+        assert sol.pivots > simplex.refactor_interval(A.shape[0])
         ref = highs_optimum(c, A, b)
         assert abs(sol.objective - ref) <= 1e-9 * (1 + abs(ref))
         assert np.abs(A @ sol.x - b).max() <= 1e-12
@@ -481,10 +514,28 @@ class TestLongRunsVsHighs:
         c, A, b = relocation_lp(inst)
         sol = solve(DenseLP(c, A, b))
         assert sol.status == OPTIMAL
-        assert sol.pivots > simplex.REFACTOR_EVERY
+        assert sol.pivots > simplex.refactor_interval(A.shape[0])
         ref = highs_optimum(c, A, b)
         assert abs(sol.objective - ref) <= 1e-9 * (1 + abs(ref))
         assert abs(approx_transport_cost(two_approx(inst), inst) - ref) <= 1e-9 * (1 + abs(ref))
+
+    @pytest.mark.parametrize("sizes", [(8, 6, 5, 4, 3, 3, 3), (10, 8, 6, 5, 4, 3, 3)])
+    def test_relocation_lp_inverts_once_per_row_count_of_pivots(self, sizes, monkeypatch):
+        # The relocation LPs of the mixed workload, on the instance permuted
+        # for the small pair as solve runs them: more than REFACTOR_EVERY rows,
+        # so the interval is the row count.
+        inst = random_masses_instance(sizes, 0)
+        inst = inst.permuted(choose_partition(inst, "small").perm)
+        calls = count_inversions(monkeypatch)
+        forced = count_forced_inversions(monkeypatch)
+        kern, _, sol = relocation_kernel(inst, monkeypatch)
+        assert kern.m > simplex.REFACTOR_EVERY
+        assert len(calls) <= math.ceil(sol.pivots / kern.m) + len(forced)
+        assert len(calls) < sol.pivots // simplex.REFACTOR_EVERY
+        c, A, b = relocation_lp(inst)
+        ref = highs_optimum(c, A, b)
+        assert sol.status == OPTIMAL
+        assert abs(sol.objective - ref) <= 1e-9 * (1 + abs(ref))
 
 
 def random_csc(rng, nrows, ncols):
@@ -514,12 +565,13 @@ def shared_points_instance(rng):
 
 
 def relocation_kernel(inst, monkeypatch):
-    """The kernel two_approx solves, with its cost vector."""
+    """The kernel two_approx solves, with its cost vector and solution."""
     seen = []
 
     def record(kern, cost):
-        seen.append((kern, np.asarray(cost)))
-        return solve_columns(kern, cost)
+        sol = solve_columns(kern, cost)
+        seen.append((kern, np.asarray(cost), sol))
+        return sol
 
     with monkeypatch.context() as mp:
         mp.setattr(simplex, "solve_columns", record)
@@ -545,7 +597,7 @@ class TestSparseColumns:
     @pytest.mark.parametrize("sizes", [(8, 6, 5, 4, 3, 3, 3), (10, 8, 6, 5, 4, 3, 3)])
     def test_relocation_provider_equals_independent_matrix(self, sizes, monkeypatch):
         inst = random_masses_instance(sizes, 0)
-        kern, cost = relocation_kernel(inst, monkeypatch)
+        kern, cost, _ = relocation_kernel(inst, monkeypatch)
         c, A, b = relocation_lp(inst)
         assert isinstance(kern.cols, SparseColumns)
         assert kern.cols.nrows == A.shape[0] and kern.cols.ncols == A.shape[1]

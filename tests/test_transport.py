@@ -301,6 +301,12 @@ class TestBadWarmBasis:
             with pytest.raises(ContractError, match="outside"):
                 solve_transportation(*tp, bad)
 
+    def test_non_integer_cells(self, tp_and_basis):
+        tp, basis = tp_and_basis
+        for index in (basis.index.astype(float), np.append(2.5, basis.index[1:])):
+            with pytest.raises(ContractError, match="integers"):
+                solve_transportation(*tp, Plan(index, basis.mass))
+
     def test_negative_flow(self, tp_and_basis):
         tp, basis = tp_and_basis
         basis.mass[0] = -1e-3
