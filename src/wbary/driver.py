@@ -319,9 +319,7 @@ def solve_direct(inst: Instance) -> SolveResult:
     # The full LP holds n int64 row indices per combination beside its cost.
     peak_memory_bytes = (inst.n + 1) * 8 * total
     _check_cap(inst, peak_memory_bytes + simplex.kernel_bytes(sum(inst.sizes)))
-    status, w = master_mod.full_lp(np.arange(total, dtype=np.int64), inst, strides)
-    if status != simplex.OPTIMAL:
-        raise RuntimeError(f"direct solve returned status {status}")
+    w = master_mod.full_lp(np.arange(total, dtype=np.int64), inst, strides)
     return _result(
         w, inst, tuple(range(inst.n)), strides, wall_start, _zero_timings(),
         peak_memory_bytes,

@@ -173,8 +173,6 @@ def two_approx(inst: Instance) -> ApproxBarycenter:
     rhs = np.concatenate([np.zeros((n - 1) * S)] + [m.masses for m in inst.measures])
 
     sol = simplex.solve_columns(simplex.Kernel(cols, rhs), cost)
-    if sol.status != simplex.OPTIMAL:
-        raise RuntimeError(f"relocation LP ended with status {sol.status}")
 
     blocks = np.split(sol.x, np.cumsum([S * size for size in sizes])[:-1])
     plans = [x.reshape(S, size) for x, size in zip(blocks, sizes)]

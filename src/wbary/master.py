@@ -102,10 +102,6 @@ def solve_rm(state: MasterState) -> tuple[np.ndarray, np.ndarray, float, float]:
     dual optimum of the full master too.
     """
     sol = simplex.solve_columns(state.kernel, state.costs)
-    if sol.status != simplex.OPTIMAL:
-        raise RuntimeError(
-            f"master problem returned {sol.status}; it must stay feasible"
-        )
     state.mu = sol.x
     state.objective = sol.objective
     state.last_pivots = sol.pivots
@@ -132,13 +128,13 @@ def _combine(state: MasterState) -> Plan:
     return Plan(support, np.bincount(inverse, weights=mass[keep]))
 
 
-def full_lp(support: np.ndarray, inst: Instance, strides: Strides) -> tuple[str, Plan]:
+def full_lp(support: np.ndarray, inst: Instance, strides: Strides) -> Plan:
     """Basic optimum of the full barycenter LP restricted to some combinations.
 
     Keeps every measure row; combination ``support[j]`` is a unit column with
-    a one in its point's row of each measure. Returns the simplex status and
-    the entries with x above MASS_TOL, which are empty unless the status is
-    optimal.
+    a one in its point's row of each measure. Returns the entries with x above
+    MASS_TOL; raises simplex.NumericalError if the simplex ends without an
+    optimum.
     """
     cost = cost_vector(inst, strides, support)  # its digits freed before rows
     rows = digits(support, strides)
@@ -147,10 +143,8 @@ def full_lp(support: np.ndarray, inst: Instance, strides: Strides) -> tuple[str,
     rhs = np.concatenate([m.masses for m in inst.measures])
     kernel = simplex.Kernel(provider, rhs)
     sol = simplex.solve_columns(kernel, cost)
-    if sol.status != simplex.OPTIMAL:
-        return sol.status, Plan(support[:0], np.zeros(0))
     keep = sol.x > MASS_TOL
-    return sol.status, Plan(support[keep], sol.x[keep])
+    return Plan(support[keep], sol.x[keep])
 
 
 def recover_solution(state: MasterState) -> Plan:
@@ -159,11 +153,14 @@ def recover_solution(state: MasterState) -> Plan:
     The converged master weights combine into an optimal but dense plan; the
     full LP over the same combinations gives a vertex with at most
     sum |P_i| - n + 1 entries. Falls back to the combined weights when that
-    re-solve does not report an optimum.
+    re-solve raises NumericalError, so a pivoting failure in the polish does
+    not end a converged solve.
     """
     support = np.unique(np.concatenate([col.index for col in state.columns]))
-    status, polished = full_lp(support, state.inst, state.strides)
-    return polished if status == simplex.OPTIMAL else _combine(state)
+    try:
+        return full_lp(support, state.inst, state.strides)
+    except simplex.NumericalError:
+        return _combine(state)
 
 
 def barycenter_points(

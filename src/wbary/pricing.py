@@ -131,7 +131,8 @@ def init_reduced_costs(
     partition: Partition,
     strides_perm: Strides,
 ) -> PricingState:
-    """Build the split state at zero duals and its per-pattern minima.
+    """Build the split state at zero duals. best and best_index are left
+    unset: every pricing fills them with best_costs before reading them.
 
     solve checks state_bytes against its cap before calling this.
     """
@@ -150,7 +151,6 @@ def init_reduced_costs(
         best=np.empty(partition.n_unique),
         best_index=np.empty(partition.n_unique, dtype=np.int64),
     )
-    best_costs(state, partition)
     return state
 
 

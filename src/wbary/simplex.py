@@ -1,15 +1,16 @@
 """Dense two-phase primal simplex for equality-form LPs.
 
-Solves  min c^T x  s.t.  A x = b, x >= 0. Columns are accessed through a
-small provider protocol (``apply_yT(y)`` is y^T A, ``apply_x(x)`` is A x,
-``direction(Binv, j)`` is Binv times column j, formed from its nonzeros,
-and ``columns(js)`` gathers columns densely to build B), so the same
-pivoting kernel works on three column stores: DenseColumns, an in-memory
-dense matrix that columns can be appended to (the restricted master);
-UnitColumns, implicitly generated 0/1 columns with one 1 per measure (the
-polish and the direct LP); and SparseColumns, a compressed sparse column
-matrix (the 2-approximation's relocation LP, whose columns have 2 or n
-nonzeros).
+Solves  min c^T x  s.t.  A x = b, x >= 0  with b >= 0, and returns an optimum
+or raises NumericalError: every LP the solver builds is feasible and bounded,
+its right-hand sides masses, zeros or the convexity 1. Columns are accessed
+through a three-method provider protocol (``apply_yT(y)`` is y^T A,
+``direction(Binv, j)`` is Binv times column j, formed from its nonzeros, and
+``columns(js)`` gathers columns densely), so the same pivoting kernel works on
+three column stores: DenseColumns, an in-memory dense matrix that columns can
+be appended to (the restricted master); UnitColumns, implicitly generated 0/1
+columns with one 1 per measure (the polish and the direct LP); and
+SparseColumns, a compressed sparse column matrix (the 2-approximation's
+relocation LP, whose columns have 2 or n nonzeros).
 
 A Kernel holds the columns, the basis and its inverse. Phase one runs the
 first time a kernel is solved. A kernel that returned an optimum keeps its
@@ -19,8 +20,8 @@ phase two only. This is how the restricted master is re-solved.
 
 Redundant rows are tolerated: artificial variables that cannot be pivoted out
 after phase one stay basic at level zero and are encoded in the basis with
-negative codes (code -1-r means the artificial of row r), which keeps the
-basis valid while structural columns are appended.
+negative codes (code -1-r means the artificial of row r, the unit column of
+r), which keeps the basis valid while structural columns are appended.
 
 The kernel keeps the inverse of the basis matrix B. The basic values x_B and
 the duals y are read off it in O(m^2) only at the start of a phase and right
@@ -42,12 +43,13 @@ update each, amortised); before a decision that the updated values could
 get wrong (unbounded, or a basic value below -1e-7); before pivoting on an
 element smaller than SMALL_PIVOT times the largest entry of the direction,
 which would otherwise leave B near singular; and when an optimal decision
-on an updated inverse fails its residual check. That check costs one
-column product: the primal residual B x_B - b must stay within
+on an updated inverse fails its residual check. That check gathers the basic
+columns at positive level: the primal residual B x_B - b must stay within
 FEAS_TOL (1 + max|b|) and the dual residual c_B - y B, read off the reduced
 costs of the basic columns, within OPT_TOL (1 + max|c_B|). An optimum
 therefore returns on an inverse that may carry updates, but never on values
-that miss either bound.
+that miss either bound. An unbounded direction confirmed on a fresh inverse,
+or artificial mass left after phase one, raises NumericalError.
 """
 
 from __future__ import annotations
@@ -55,10 +57,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 PIVOT_TOL = 1e-10
 OPT_TOL = 1e-9  # reduced cost below -OPT_TOL enters
@@ -78,15 +76,15 @@ def refactor_interval(m: int) -> int:
 
 
 class NumericalError(RuntimeError):
-    """The solver lost numerical control (singular basis, stalled pivoting)."""
+    """The solver lost numerical control (singular basis, stalled pivoting)
+    or was handed an LP without an optimum."""
 
 
 @dataclass
 class LPSolution:
-    x: np.ndarray | None
-    duals: np.ndarray | None
+    x: np.ndarray
+    duals: np.ndarray
     objective: float
-    status: str
     pivots: int = 0
 
 
@@ -115,9 +113,6 @@ class DenseColumns:
     def apply_yT(self, y: np.ndarray) -> np.ndarray:
         return y @ self.A
 
-    def apply_x(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x
-
     def direction(self, Binv: np.ndarray, j: int) -> np.ndarray:
         col = self.A[:, j]
         nz = col.nonzero()[0]
@@ -143,14 +138,6 @@ class UnitColumns:
         for i in range(1, self.rows.shape[0]):
             acc += y[self.rows[i]]
         return acc
-
-    def apply_x(self, x: np.ndarray) -> np.ndarray:
-        nz = np.flatnonzero(x)
-        return np.bincount(
-            self.rows[:, nz].ravel(),
-            weights=np.tile(x[nz], self.rows.shape[0]),
-            minlength=self.nrows,
-        )
 
     def direction(self, Binv: np.ndarray, j: int) -> np.ndarray:
         return Binv[:, self.rows[:, j]].sum(axis=1)
@@ -183,11 +170,6 @@ class SparseColumns:
             self.col_of, weights=y[self.rows] * self.vals, minlength=self.ncols
         )
 
-    def apply_x(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(
-            self.rows, weights=self.vals * x[self.col_of], minlength=self.nrows
-        )
-
     def direction(self, Binv: np.ndarray, j: int) -> np.ndarray:
         lo, hi = self.indptr[j], self.indptr[j + 1]
         return Binv[:, self.rows[lo:hi]] @ self.vals[lo:hi]
@@ -216,7 +198,8 @@ class Kernel:
         self.cols = cols
         self.m = cols.nrows
         self.b = np.asarray(rhs, dtype=float).copy()
-        self.signs = np.where(self.b < 0.0, -1.0, 1.0)
+        if (self.b < 0.0).any():
+            raise ValueError(f"negative right-hand side: {self.b.min()}")
         self.pivots = 0
         self.basic = None  # (m,) int64 codes
         self.Binv = None  # (m, m) inverse of the basis matrix, updated per pivot
@@ -224,13 +207,12 @@ class Kernel:
 
     def basis_matrix(self) -> np.ndarray:
         """B, read from the columns in one indexed read; the artificial of
-        row r is the unit column of r with the sign of its right-hand side."""
+        row r is the unit column of r."""
         B = np.zeros((self.m, self.m))
         struct = self.basic >= 0
         B[:, struct] = self.cols.columns(self.basic[struct])
         art = np.flatnonzero(~struct)
-        rows = -1 - self.basic[art]
-        B[rows, art] = self.signs[rows]
+        B[-1 - self.basic[art], art] = 1.0
         return B
 
     def _invert(self):
@@ -248,23 +230,18 @@ class Kernel:
         self._invert()
         return True
 
-    def _structural_x(self, xB: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.cols.ncols)
-        struct = self.basic >= 0
-        x[self.basic[struct]] = xB[struct]
-        return x
-
     def _residuals_hold(self, xB, y, cB, r_struct) -> bool:
         """Whether B x_B = b and c_B = y B hold within FEAS_TOL and OPT_TOL,
         given the reduced costs of the basic structural columns."""
         art = np.flatnonzero(self.basic < 0)
         rows = -1 - self.basic[art]
-        dual = np.append(r_struct, cB[art] - y[rows] * self.signs[rows])
+        dual = np.append(r_struct, cB[art] - y[rows])
         if np.abs(dual).max() > OPT_TOL * (1.0 + np.abs(cB).max()):
             return False
-        primal = self.cols.apply_x(self._structural_x(xB)) - self.b
-        primal[rows] += self.signs[rows] * xB[art]
-        return np.abs(primal).max() <= FEAS_TOL * (1.0 + np.abs(self.b).max())
+        held = (self.basic >= 0) & (xB > 0)
+        primal = self.cols.columns(self.basic[held]) @ xB[held] - self.b
+        primal[rows] += xB[art]
+        return np.abs(primal).max() <= FEAS_TOL * (1.0 + self.b.max())
 
     def _leave_keys(self, code: np.ndarray, bland: bool) -> np.ndarray:
         # Bland's rule orders variables structural first, then artificial;
@@ -321,7 +298,9 @@ class Kernel:
             if not np.isfinite(theta):
                 if self._refreshed():
                     continue
-                return None, None  # unbounded
+                raise NumericalError(
+                    f"unbounded direction along column {enter} on a fresh inverse"
+                )
             tie = (ratios <= theta + 1e-10 * (1.0 + abs(theta))).nonzero()[0]
             leave_pos = int(tie[0])
             if tie.size > 1:
@@ -358,7 +337,8 @@ class Kernel:
 
 
 def solve_columns(kern: Kernel, cost) -> LPSolution:
-    """Two-phase primal simplex on a kernel; phase one only if it has no basis.
+    """Optimum of a kernel's LP by two-phase primal simplex; phase one only if
+    it has no basis. Raises NumericalError when there is no optimum to return.
 
     A kernel may be solved again after an optimal return, with columns
     appended and costs given for them; the pivots reported are this call's.
@@ -367,16 +347,14 @@ def solve_columns(kern: Kernel, cost) -> LPSolution:
     start = kern.pivots
     if kern.basic is None:
         kern.basic = -1 - np.arange(kern.m, dtype=np.int64)
-        kern.Binv = np.diag(kern.signs)  # the artificial basis is its own inverse
+        kern.Binv = np.eye(kern.m)  # the artificial basis is its own inverse
         xB, _ = kern.run_phase(np.zeros(kern.cols.ncols), art_cost=1.0)
-        if xB is None:
-            raise NumericalError("phase one reported an unbounded direction")
-        art_mass = xB[kern.basic < 0].sum() if np.any(kern.basic < 0) else 0.0
-        if art_mass > FEAS_TOL * (1.0 + np.abs(kern.b).sum()):
-            return LPSolution(None, None, np.inf, INFEASIBLE, kern.pivots - start)
+        art_mass = xB[kern.basic < 0].sum()
+        if art_mass > FEAS_TOL * (1.0 + kern.b.sum()):
+            raise NumericalError(f"phase one left artificial mass {art_mass}")
 
     xB, y = kern.run_phase(cost, art_cost=0.0)
-    if xB is None:
-        return LPSolution(None, None, -np.inf, UNBOUNDED, kern.pivots - start)
-    x = kern._structural_x(xB)
-    return LPSolution(x, y, float(cost @ x), OPTIMAL, kern.pivots - start)
+    x = np.zeros(kern.cols.ncols)
+    struct = kern.basic >= 0
+    x[kern.basic[struct]] = xB[struct]
+    return LPSolution(x, y, float(cost @ x), kern.pivots - start)

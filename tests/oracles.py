@@ -3,8 +3,9 @@
 Everything here favors transparency over speed: exact rational arithmetic,
 Bland's rule, and brute-force enumeration. Larger LPs go to HiGHS through
 scipy.optimize.linprog. None of it shares code with the package under test,
-except DenseLP and solve at the end: they run the package's simplex kernel on
-an explicit dense matrix, so tests can pose it small LPs directly.
+except DenseLP, dense_kernel and solve at the end: they run the package's
+simplex kernel on an explicit dense matrix, so tests can pose it small LPs
+directly.
 """
 
 from __future__ import annotations
@@ -269,6 +270,17 @@ class DenseLP:
     rhs: np.ndarray
 
 
+def dense_kernel(lp: DenseLP) -> Kernel:
+    """The package's simplex kernel over lp with every row whose right-hand
+    side is negative negated, which leaves the same feasible set and optimum
+    and gives the kernel the b >= 0 it requires."""
+    flip = np.where(lp.rhs < 0.0, -1.0, 1.0)
+    return Kernel(DenseColumns(flip[:, None] * lp.A), flip * lp.rhs)
+
+
 def solve(lp: DenseLP) -> LPSolution:
-    """Solve a dense equality-form LP with the package's simplex kernel."""
-    return solve_columns(Kernel(DenseColumns(lp.A), lp.rhs), lp.cost)
+    """Solve a dense equality-form LP with the package's simplex kernel; the
+    duals are returned for lp's own rows."""
+    sol = solve_columns(dense_kernel(lp), lp.cost)
+    sol.duals = np.where(lp.rhs < 0.0, -sol.duals, sol.duals)
+    return sol

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import plan_items, satisfies_marginals
+from wbary import master, simplex
+from wbary.driver import SolveConfig, solve, solve_direct
 from wbary.initial import greedy_vertex
 from wbary.master import (
     add_column,
@@ -208,42 +210,81 @@ class TestRecover:
             assert np.allclose(p.coords, expect, atol=1e-12)
 
     def test_falls_back_to_combined_weights_when_polish_is_not_optimal(self, monkeypatch):
-        from wbary import master, simplex
-        from wbary.driver import SolveConfig, solve, solve_direct
-
-        rng = np.random.default_rng(11)
-        ms = [
-            DiscreteMeasure(rng.random((s, 2)), rng.dirichlet(np.ones(s))) for s in [3, 4, 3]
-        ]
-        inst = Instance(tuple(ms), np.array([0.2, 0.5, 0.3]))
-        ref = solve_direct(inst)
-        calls = []
-        original = master.recover_solution
-
-        def recording(rm):
-            w = original(rm)
-            calls.append((rm, w))
-            return w
+        inst, ref = fallback_instance()
 
         def not_optimal(*args):
-            return simplex.INFEASIBLE, Plan(np.zeros(0, dtype=np.int64), np.zeros(0))
+            raise simplex.NumericalError("phase one left artificial mass 0.5")
 
         monkeypatch.setattr(master, "full_lp", not_optimal)
-        monkeypatch.setattr(master, "recover_solution", recording)
-        res = solve(inst)
-        assert res.converged
-        (rm, w), = calls
-        combined = {}
-        for weight, col in zip(rm.mu, rm.columns):
-            if weight > 1e-12:
-                for h, q in plan_items(col):
-                    combined[h] = combined.get(h, 0.0) + weight * q
-        entries = dict(plan_items(w))
-        assert entries.keys() == {h for h, q in combined.items() if q > 1e-12}
-        assert all(entries[h] == pytest.approx(combined[h], abs=1e-15) for h in entries)
-        for i, m in enumerate(inst.measures):
-            sums = np.zeros(m.size)
-            for p in res.barycenter:
-                sums[p.assignment[i]] += p.mass
-            assert np.abs(sums - m.masses).max() <= 1e-9
-        assert abs(res.objective - ref.objective) <= SolveConfig().tol
+        check_combined_fallback(monkeypatch, inst, ref)
+
+    def test_falls_back_when_the_polish_fails_while_pivoting(self, monkeypatch):
+        # The polish runs the real kernel until its third pricing pass, which
+        # raises after two pivots; the master solves are left alone.
+        inst, ref = fallback_instance()
+        original = simplex.solve_columns
+        failed_at = []
+
+        class FailingColumns:
+            def __init__(self, kern):
+                self.kern, self.cols, self.passes = kern, kern.cols, 0
+
+            def __getattr__(self, name):
+                return getattr(self.cols, name)
+
+            def apply_yT(self, y):
+                self.passes += 1
+                if self.passes == 3:
+                    failed_at.append(self.kern.pivots)
+                    raise simplex.NumericalError("singular basis matrix")
+                return self.cols.apply_yT(y)
+
+        def failing_polish(kern, cost):
+            if isinstance(kern.cols, simplex.UnitColumns):
+                kern.cols = FailingColumns(kern)
+            return original(kern, cost)
+
+        monkeypatch.setattr(simplex, "solve_columns", failing_polish)
+        check_combined_fallback(monkeypatch, inst, ref)
+        assert failed_at == [2]
+
+
+def fallback_instance():
+    """A three-measure instance and its direct solve."""
+    rng = np.random.default_rng(11)
+    ms = [
+        DiscreteMeasure(rng.random((s, 2)), rng.dirichlet(np.ones(s))) for s in [3, 4, 3]
+    ]
+    inst = Instance(tuple(ms), np.array([0.2, 0.5, 0.3]))
+    return inst, solve_direct(inst)
+
+
+def check_combined_fallback(monkeypatch, inst, ref):
+    """Solve inst and check that recover_solution returned the master's
+    combined column weights, and that the result still matches ref."""
+    calls = []
+    original = master.recover_solution
+
+    def recording(rm):
+        w = original(rm)
+        calls.append((rm, w))
+        return w
+
+    monkeypatch.setattr(master, "recover_solution", recording)
+    res = solve(inst)
+    assert res.converged
+    (rm, w), = calls
+    combined = {}
+    for weight, col in zip(rm.mu, rm.columns):
+        if weight > 1e-12:
+            for h, q in plan_items(col):
+                combined[h] = combined.get(h, 0.0) + weight * q
+    entries = dict(plan_items(w))
+    assert entries.keys() == {h for h, q in combined.items() if q > 1e-12}
+    assert all(entries[h] == pytest.approx(combined[h], abs=1e-15) for h in entries)
+    for i, m in enumerate(inst.measures):
+        sums = np.zeros(m.size)
+        for p in res.barycenter:
+            sums[p.assignment[i]] += p.mass
+        assert np.abs(sums - m.masses).max() <= 1e-9
+    assert abs(res.objective - ref.objective) <= SolveConfig().tol

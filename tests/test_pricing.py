@@ -101,6 +101,7 @@ class TestInit:
         assert state.best.shape == (6,)
         assert np.array_equal(state.a, state.a_static)
         assert np.array_equal(state.zb[-1], state.b_static)
+        best_costs(state, part)
         costs = cost_vector(inst_p, st, np.arange(st.total))
         assert state.best.min() == pytest.approx(costs.min(), abs=1e-12)
 
@@ -113,6 +114,7 @@ class TestInit:
         state = init_reduced_costs(inst, part, st)
         diag = [reduced_cost(state, i * 4 + i * 2 + i) for i in range(2)]  # (j,j,j)
         assert np.allclose(diag, 0.0, atol=1e-12)
+        best_costs(state, part)
         assert state.best.min() == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("tail", [2, 3, 4])  # head of 0, 1 or 2 measures

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     DenseLP,
     approx_transport_cost,
+    dense_kernel,
     assignment_best,
     fraction_simplex,
     highs_optimum,
@@ -19,11 +20,9 @@ from wbary.initial import two_approx
 from wbary.model import DiscreteMeasure, Instance
 from wbary.pricing import choose_partition
 from wbary.simplex import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
     DenseColumns,
     Kernel,
+    NumericalError,
     SparseColumns,
     UnitColumns,
     solve_columns,
@@ -44,35 +43,32 @@ class TestBasics:
     def test_tiny_feasible(self):
         lp = DenseLP(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
         sol = solve(lp)
-        assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(1.0)
         assert sol.x.sum() == pytest.approx(1.0)
 
     def test_unbounded(self):
         lp = DenseLP(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
-        sol = solve(lp)
-        assert sol.status == UNBOUNDED
+        with pytest.raises(NumericalError, match="unbounded direction"):
+            solve(lp)
 
     def test_infeasible(self):
         lp = DenseLP(
             np.array([1.0]), np.array([[1.0], [1.0]]), np.array([1.0, 2.0])
         )
-        sol = solve(lp)
-        assert sol.status == INFEASIBLE
+        with pytest.raises(NumericalError, match="phase one left artificial mass"):
+            solve(lp)
 
     def test_negative_rhs_row(self):
-        # -x1 = -1 is feasible at x1 = 1 after internal row sign handling.
-        lp = DenseLP(np.array([1.0, 1.0]), np.array([[-1.0, 0.0]]), np.array([-1.0]))
-        sol = solve(lp)
-        assert sol.status == OPTIMAL
-        assert sol.x[0] == pytest.approx(1.0)
+        # The kernel takes b >= 0 only; -x1 = -1 is refused before any pivot.
+        cols = DenseColumns(np.array([[-1.0, 0.0]]))
+        with pytest.raises(ValueError, match="negative right-hand side"):
+            Kernel(cols, np.array([-1.0]))
 
     def test_redundant_rows_tolerated(self):
         # Second row duplicates the first; artificial stays basic at zero.
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
         lp = DenseLP(np.array([2.0, 3.0]), A, np.array([1.0, 1.0]))
         sol = solve(lp)
-        assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(2.0)
 
 
@@ -82,7 +78,6 @@ class TestAssignment:
         for _ in range(50):
             costs = rng.integers(0, 20, size=(3, 3)).astype(float)
             sol = solve(assignment_lp(costs))
-            assert sol.status == OPTIMAL
             assert abs(sol.objective - assignment_best(costs)) <= 1e-8
 
 
@@ -119,13 +114,13 @@ def assert_optimal_residuals(kern, cost, x, y):
 
 def column_by_column(kern):
     """The basis matrix built one basic code at a time: the provider's column,
-    or for code -1-r the unit column of row r signed like its right-hand side."""
+    or for code -1-r the unit column of row r."""
     B = np.zeros((kern.m, kern.m))
     for pos, code in enumerate(kern.basic):
         if code >= 0:
             B[:, pos] = kern.cols.columns(np.array([code]))[:, 0]
         else:
-            B[-1 - code, pos] = kern.signs[-1 - code]
+            B[-1 - code, pos] = 1.0
     return B
 
 
@@ -138,21 +133,23 @@ class TestBasisMatrix:
             cols = DenseColumns(rng.uniform(-1.0, 1.0, size=(m, k)))
         else:
             cols = UnitColumns(rng.integers(0, m, size=(2, k)), nrows=m)
-        kern = Kernel(cols, rng.uniform(-1.0, 1.0, size=m))
-        assert np.any(kern.signs < 0)
-        # four structural columns in scrambled order, two signed artificials
+        kern = Kernel(cols, rng.uniform(0.0, 1.0, size=m))
+        # four structural columns in scrambled order, two artificials
         kern.basic = np.array([7, -3, 0, 11, -6, 4], dtype=np.int64)
         assert np.array_equal(kern.basis_matrix(), column_by_column(kern))
 
 
 def check_against_exact(cases):
-    """Solve each case and check it; returns the pivots of all the solves."""
+    """Solve each case and check it; returns the pivots of all the solves.
+    Rows with b < 0 are negated (dense_kernel), so every case is posed."""
     pivots = 0
     for cost, A, b, status, obj in cases:
-        kern = Kernel(DenseColumns(A), b)
-        sol = solve_columns(kern, cost)
-        assert sol.status == {"optimal": OPTIMAL, "unbounded": UNBOUNDED}[status]
-        if status == "optimal":
+        kern = dense_kernel(DenseLP(cost, A, b))
+        if status == "unbounded":
+            with pytest.raises(NumericalError, match="unbounded direction"):
+                solve_columns(kern, cost)
+        else:
+            sol = solve_columns(kern, cost)
             assert_optimal_residuals(kern, cost, sol.x, sol.duals)
             assert abs(sol.objective - obj) <= 1e-8 * (1 + abs(obj))
             assert np.linalg.norm(A @ sol.x - b, ord=np.inf) <= 1e-9 * (
@@ -249,7 +246,7 @@ def one_pivot_master():
     b = np.array([1.0, 2.0, 1.0])
     cost = np.ones(3)
     kern = Kernel(DenseColumns(A), b)
-    assert solve_columns(kern, cost).status == OPTIMAL
+    solve_columns(kern, cost)
     kern._invert()
     new = np.array([1.0, 1.0, 0.0])
     kern.cols.append(new)
@@ -262,7 +259,7 @@ class TestKeptInverse:
         kern, cost, A, b = one_pivot_master()
         calls = count_inversions(monkeypatch)
         sol = solve_columns(kern, cost)
-        assert sol.status == OPTIMAL and sol.pivots == 1
+        assert sol.pivots == 1
         assert kern.updates == 1 and calls == []
         assert sol.objective == pytest.approx(highs_optimum(cost, A, b), abs=1e-12)
         assert_optimal_residuals(kern, cost, sol.x, sol.duals)
@@ -272,7 +269,7 @@ class TestKeptInverse:
         kern.Binv += 1e-6 * np.random.default_rng(3).uniform(0.5, 1.0, (3, 3))
         calls = count_inversions(monkeypatch)
         sol = solve_columns(kern, cost)
-        assert sol.status == OPTIMAL and sol.pivots == 1
+        assert sol.pivots == 1
         assert len(calls) == 1 and kern.updates == 0
         assert sol.objective == pytest.approx(highs_optimum(cost, A, b), abs=1e-12)
         assert_optimal_residuals(kern, cost, sol.x, sol.duals)
@@ -322,8 +319,6 @@ class TestProviderProducts:
             else:
                 indptr, rows, vals, dense = random_csc(rng, m, k)
                 cols = SparseColumns(indptr, rows, vals, m)
-            x = np.where(rng.random(k) < 0.5, rng.uniform(0.0, 2.0, k), 0.0)
-            assert np.abs(cols.apply_x(x) - dense @ x).max() <= 1e-12
             Binv = rng.uniform(-1.0, 1.0, size=(m, m))
             for j in range(k):
                 w = cols.direction(Binv, j)
@@ -338,11 +333,8 @@ class TestDuality:
             A = rng.uniform(-1, 1, size=(m, k))
             x0 = np.abs(rng.uniform(0.1, 1, size=k))
             b = A @ x0
-            cost = rng.uniform(0.1, 1.0, size=k)  # bounded below on x >= 0? not
-            # generally, so accept either status but verify duality at optimal
+            cost = rng.uniform(0.1, 1.0, size=k)  # positive: bounded on x >= 0
             sol = solve(DenseLP(cost, A, b))
-            if sol.status != OPTIMAL:
-                continue
             assert abs(sol.objective - float(b @ sol.duals)) <= 1e-8 * (
                 1 + abs(sol.objective)
             )
@@ -359,9 +351,7 @@ class TestWarmStart:
         cost = rng.uniform(0.0, 1.0, size=8)
         kern = Kernel(DenseColumns(A), b)
         first = solve_columns(kern, cost)
-        assert first.status == OPTIMAL
         again = solve_columns(kern, cost)
-        assert again.status == OPTIMAL
         assert again.pivots == 0
         assert again.objective == pytest.approx(first.objective)
 
@@ -377,7 +367,6 @@ class TestWarmStart:
         kern.cols.append(new)
         cost2 = np.append(cost, 0.01)  # attractive new column
         second = solve_columns(kern, cost2)
-        assert second.status == OPTIMAL
         assert second.objective <= first.objective + 1e-12
         cold = solve(DenseLP(cost2, np.column_stack([A, new]), b))
         assert second.objective == pytest.approx(cold.objective, abs=1e-12)
@@ -419,7 +408,6 @@ class TestDegenerate:
         assert status == "optimal"
         assert float(obj) == pytest.approx(-0.05)
         sol = solve(DenseLP(cost, A, b))
-        assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(float(obj), abs=1e-9)
 
 
@@ -435,7 +423,6 @@ class TestUnitColumns:
         b = np.array([0.5, 0.5, 0.3, 0.7])
         s1 = solve_columns(Kernel(cols, b), cost)
         s2 = solve(DenseLP(cost, dense, b))
-        assert s1.status == s2.status == OPTIMAL
         assert s1.objective == pytest.approx(s2.objective, abs=1e-10)
         y = rng.uniform(-1, 1, size=4)
         assert np.allclose(cols.apply_yT(y), y @ dense)
@@ -502,7 +489,6 @@ class TestLongRunsVsHighs:
         costs = rng.integers(0, 10, size=(m, k)).astype(float)  # many ties
         c, A, b = transport_lp_arrays(np.full(m, 1.0 / m), np.full(k, 1.0 / k), costs)
         sol = solve(DenseLP(c, A, b))
-        assert sol.status == OPTIMAL
         assert sol.pivots > simplex.refactor_interval(A.shape[0])
         ref = highs_optimum(c, A, b)
         assert abs(sol.objective - ref) <= 1e-9 * (1 + abs(ref))
@@ -513,7 +499,6 @@ class TestLongRunsVsHighs:
         inst = random_masses_instance(sizes, 0)
         c, A, b = relocation_lp(inst)
         sol = solve(DenseLP(c, A, b))
-        assert sol.status == OPTIMAL
         assert sol.pivots > simplex.refactor_interval(A.shape[0])
         ref = highs_optimum(c, A, b)
         assert abs(sol.objective - ref) <= 1e-9 * (1 + abs(ref))
@@ -534,7 +519,6 @@ class TestLongRunsVsHighs:
         assert len(calls) < sol.pivots // simplex.REFACTOR_EVERY
         c, A, b = relocation_lp(inst)
         ref = highs_optimum(c, A, b)
-        assert sol.status == OPTIMAL
         assert abs(sol.objective - ref) <= 1e-9 * (1 + abs(ref))
 
 

