@@ -34,11 +34,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import master as master_mod
+from . import model
 from . import pricing as pricing_mod
 from . import simplex
 from .master import BarycenterPoint
 from .model import (
-    BLOCK,
     CapacityError,
     Instance,
     Plan,
@@ -60,9 +60,9 @@ STEP_LABELS = (
 # Starting weight of the best-bound duals in the smoothed pricing duals.
 ALPHA_START = 0.5
 
-# Bytes allowed for the pricing state and the dense simplex matrices (the
-# cost build and the transport simplex's matrices for two measures), checked
-# before either is allocated.
+# Bytes allowed for the pricing state, one tile of its pass and the dense
+# simplex matrices (the cost build and the transport simplex's matrices for
+# two measures), checked before any of them is allocated.
 MEMORY_CAP = 2_000_000_000
 
 # Largest combination count solve_direct materializes.
@@ -110,9 +110,9 @@ class SolveResult:
     # returns (pricing state with its minima, and the master's column store
     # at its allocated width plus its basis inverse; the cost matrix for two
     # measures; costs and combination rows for solve_direct). It leaves out
-    # temporaries, such as the pricing tiles and the basis matrix rebuilt at
-    # each inversion, that MEMORY_CAP also counts, so it undercounts the
-    # true peak.
+    # temporaries that MEMORY_CAP also counts, such as the pricing pass's
+    # tile of at most model.BLOCK entries and the basis matrix rebuilt at
+    # each inversion, so it undercounts the true peak.
     peak_memory_bytes: int
     trace: list[TraceEntry] = field(default_factory=list)
     n_combinations: int = 0
@@ -181,17 +181,18 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         return _single_measure_result(inst)
     partition = pricing_mod.choose_partition(inst, cfg.pair_variant)
     sizes_p = tuple(inst.sizes[i] for i in partition.perm)
+    N = math.prod(inst.sizes)
     if inst.n == 2:  # the transportation kernel, no dense simplex
         # the transport simplex holds the costs, the reduced costs of its
         # last pivot and two temporaries of the next, 32 bytes per
         # combination, more than the index and costs of the cost build; the
         # build adds one tile's digits, means, differences and costs
-        N = math.prod(inst.sizes)
-        need = 32 * N + 8 * (inst.n + 3 * inst.dim + 2) * min(N, BLOCK)
+        need = 32 * N + 8 * (inst.n + 3 * inst.dim + 2) * min(N, model.BLOCK)
     else:
         held = pricing_mod.state_bytes(sizes_p, inst.dim)
-        # the polish has one basis row per input point, the master fewer
-        need = held + simplex.kernel_bytes(sum(inst.sizes))
+        # one tile of the pricing pass; the polish has one basis row per
+        # input point, the master fewer
+        need = held + 8 * min(N, model.BLOCK) + simplex.kernel_bytes(sum(inst.sizes))
         if cfg.start == "2app":
             need += relocation_bytes(sizes_p)
     _check_cap(inst, need)

@@ -26,7 +26,11 @@ import numpy as np
 
 MASS_TOL = 1e-12
 INDEX_LIMIT = 2**63  # flat indices are kept in signed 64-bit arrays
-BLOCK = 1 << 20  # entries per tile of the pricing pass and of cost_vector
+# Entries per tile of the pricing pass and of cost_vector. The tile that
+# matmul writes must still be in L2 when argmin reads it back: 1 << 17
+# float64 entries are 1 MB, half of a 2 MB L2, while 1 << 20 (8 MB) spills
+# each tile before the read. Smaller tiles lose to per-tile overhead.
+BLOCK = 1 << 17
 
 
 class CapacityError(RuntimeError):

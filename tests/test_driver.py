@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import column_support, min_over_vertices
-from wbary import driver, pricing, simplex
+from wbary import driver, model, pricing, simplex
 from wbary.driver import STEP_LABELS, SolveConfig, solve, solve_direct
 from wbary.initial import two_approx
 from wbary.model import (
@@ -89,6 +89,29 @@ class TestVariantsAgree:
                     assert res.converged
                     gap = abs(res.objective - ref.objective)
                     assert gap <= 1e-7 * (1 + abs(ref.objective))
+
+
+class TestTileSize:
+    @pytest.mark.parametrize(
+        "seed, sizes, uniform",
+        [(40, [3] * 8, True), (41, [4, 5, 3, 4], False), (42, [6, 5, 4, 3, 3], False)],
+        ids=["3x8-uniform", "4534-random", "65433-random"],
+    )
+    def test_results_do_not_depend_on_the_tile_size(self, monkeypatch, seed, sizes, uniform):
+        # uniform masses make the master and transport LPs degenerate; tiles
+        # of 1 or 7 entries split every pricing row (12 to 81 columns), 37
+        # splits the rows of [3] * 8 and holds whole rows of the others
+        inst = random_instance(seed, sizes, uniform=uniform)
+        runs = []
+        for block in (1 << 20, model.BLOCK, 37, 7, 1):
+            monkeypatch.setattr(model, "BLOCK", block)
+            res = solve(inst)
+            assert res.converged
+            runs.append((
+                res.objective.hex(), res.iterations, res.pricing_calls,
+                [(p.assignment, p.mass) for p in res.barycenter],
+            ))
+        assert all(run == runs[0] for run in runs[1:])
 
 
 class TestLoopBehavior:
@@ -373,16 +396,20 @@ class TestMemoryAccounting:
         assert pricing.state_bytes((2, 2, 70_000, 70_000), 1) == 10_640_064
         skewed = random_instance(12, [2, 2, 70_000, 70_000], dim=1)
         # what the cap refuses is the dense basis over all 140,004 points
-        need = 10_640_064 + 24 * 140_004**2
+        need = 10_640_064 + 8 * model.BLOCK + 24 * 140_004**2
         with pytest.raises(CapacityError, match=f"{need} bytes"):
             solve(skewed, SolveConfig(pair_variant="any"))
 
     def test_byte_cap_counts_the_pricing_state(self, monkeypatch):
         inst = random_instance(11, [4, 4, 4, 4])
         ref = solve_direct(inst)
-        # the pricing state, and the polish's B, its inverse and one
-        # rank-one temporary over one row per input point
-        held = pricing.state_bytes(inst.sizes, inst.dim) + 24 * sum(inst.sizes) ** 2
+        # the pricing state, one tile of its pass (all 256 combinations),
+        # and the polish's B, its inverse and one rank-one temporary over one
+        # row per input point
+        held = (
+            pricing.state_bytes(inst.sizes, inst.dim) + 8 * 256
+            + 24 * sum(inst.sizes) ** 2
+        )
         monkeypatch.setattr(driver, "MEMORY_CAP", held)
         res = solve(inst)
         assert res.converged
@@ -390,6 +417,37 @@ class TestMemoryAccounting:
         monkeypatch.setattr(driver, "MEMORY_CAP", held - 1)
         with pytest.raises(CapacityError, match=f"{held} bytes"):
             solve(inst)
+
+    def test_byte_cap_counts_one_pricing_tile(self, monkeypatch):
+        def past_the_check(*args):
+            raise LookupError("the cap check passed")
+
+        monkeypatch.setattr(pricing, "init_reduced_costs", past_the_check)
+        monkeypatch.setattr(driver, "_two_measure_result", past_the_check)
+        inst = random_instance(11, [4] * 9)
+        assert 4**9 >= model.BLOCK
+        # the pricing state and the polish's dense matrices, without the tile
+        held = pricing.state_bytes(inst.sizes, inst.dim) + simplex.kernel_bytes(36)
+        tile = 8 * model.BLOCK
+        monkeypatch.setattr(driver, "MEMORY_CAP", held)
+        with pytest.raises(CapacityError, match=f"{held + tile} bytes"):
+            solve(inst)
+        monkeypatch.setattr(driver, "MEMORY_CAP", held + tile)
+        with pytest.raises(LookupError):
+            solve(inst)
+        # both charges read model.BLOCK when solve runs
+        monkeypatch.setattr(model, "BLOCK", 1000)
+        monkeypatch.setattr(driver, "MEMORY_CAP", held + 8000)
+        with pytest.raises(LookupError):
+            solve(inst)
+        pair = random_instance(11, [400, 400])
+        need = 32 * 400**2 + 8 * (2 + 3 * 2 + 2) * 1000
+        monkeypatch.setattr(driver, "MEMORY_CAP", need - 1)
+        with pytest.raises(CapacityError, match=f"{need} bytes"):
+            solve(pair)
+        monkeypatch.setattr(driver, "MEMORY_CAP", need)
+        with pytest.raises(LookupError):
+            solve(pair)
 
     def test_direct_cap_reports_sizes(self):
         inst = random_instance(13, [6] * 8)

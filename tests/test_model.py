@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,22 @@ class TestCosts:
         whole = cost_vector(inst, st, np.arange(st.total))
         monkeypatch.setattr(model, "BLOCK", 7)
         assert np.array_equal(cost_vector(inst, st, np.arange(st.total)), whole)
+
+    def test_peak_is_the_output_and_one_tile(self):
+        rng = np.random.default_rng(6)
+        inst = random_instance(rng, [128, 128, 64])
+        st = make_strides(inst.sizes)
+        index = np.arange(st.total)
+        assert index.shape[0] >= 8 * model.BLOCK
+        tracemalloc.start()
+        try:
+            cost = cost_vector(inst, st, index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the tile's digits, means, differences and costs, as solve charges it
+        tile = 8 * (inst.n + 3 * inst.dim + 2) * model.BLOCK
+        assert peak < cost.nbytes + tile
 
 
 class TestPlan:

@@ -337,6 +337,23 @@ class TestBestCosts:
         # full-length temporary would be 512 KB
         assert peak < 8 * st.total // 8
 
+    @pytest.mark.parametrize("sizes", [[4] * 10, [2, 2, 3, 140_000]], ids=["rows", "columns"])
+    def test_peak_is_one_tile_at_the_default_block(self, sizes):
+        # 1024 x 1024 entries in tiles of whole rows; 12 rows of 140,000
+        # entries, each split into two tiles
+        rng = np.random.default_rng(17)
+        _, part, st, state = setup(rng, sizes)
+        n_e, n_lo = state.a.shape[0], state.zb.shape[1]
+        assert n_e * n_lo >= 8 * model.BLOCK
+        tracemalloc.start()
+        try:
+            best_costs(state, part)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one tile of float64 plus per-row and per-column arrays
+        assert peak < 8 * model.BLOCK + 64 * (n_e + n_lo)
+
 
 class TestSolvePricing:
     def test_zero_costs_zero_objective(self):
