@@ -144,14 +144,10 @@ def result_to_dict(result: SolveResult) -> dict:
 
 def _write_text(text: str, path: str | None):
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        print(text)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            print(text, file=fh)
 
 
 def cmd_solve(args) -> int:

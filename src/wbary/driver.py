@@ -79,7 +79,7 @@ class TraceEntry(NamedTuple):
 START_VARIANTS = ("greedy", "2app")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveConfig:
     start: str = "greedy"  # or another of START_VARIANTS
     pair_variant: str = "large"  # or "any", "small"
@@ -155,6 +155,12 @@ def _single_measure_result(inst: Instance) -> SolveResult:
 
 
 def _two_measure_result(inst: Instance) -> SolveResult:
+    N = math.prod(inst.sizes)
+    # the costs, the transport simplex's reduced-cost buffer and the mask of
+    # its lowest-cell rule, 17 bytes per combination, more than the index and
+    # costs of the cost build; the build adds one tile's digits, means,
+    # differences and costs
+    _check_cap(inst, 17 * N + 8 * (inst.n + 3 * inst.dim + 2) * min(N, model.BLOCK))
     wall_start = time.perf_counter()
     strides = make_strides(inst.sizes)
     costs = cost_vector(inst, strides, np.arange(strides.total))
@@ -179,25 +185,18 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
     cfg = cfg or SolveConfig()
     if inst.n == 1:
         return _single_measure_result(inst)
+    if inst.n == 2:  # the transportation kernel, no dense simplex
+        return _two_measure_result(inst)
     partition = pricing_mod.choose_partition(inst, cfg.pair_variant)
     sizes_p = tuple(inst.sizes[i] for i in partition.perm)
     N = math.prod(inst.sizes)
-    if inst.n == 2:  # the transportation kernel, no dense simplex
-        # the transport simplex holds the costs, the reduced costs of its
-        # last pivot and two temporaries of the next, 32 bytes per
-        # combination, more than the index and costs of the cost build; the
-        # build adds one tile's digits, means, differences and costs
-        need = 32 * N + 8 * (inst.n + 3 * inst.dim + 2) * min(N, model.BLOCK)
-    else:
-        held = pricing_mod.state_bytes(sizes_p, inst.dim)
-        # one tile of the pricing pass; the polish has one basis row per
-        # input point, the master fewer
-        need = held + 8 * min(N, model.BLOCK) + simplex.kernel_bytes(sum(inst.sizes))
-        if cfg.start == "2app":
-            need += relocation_bytes(sizes_p)
+    held = pricing_mod.state_bytes(sizes_p, inst.dim)
+    # one tile of the pricing pass; the polish has one basis row per input
+    # point, the master fewer
+    need = held + 8 * min(N, model.BLOCK) + simplex.kernel_bytes(sum(inst.sizes))
+    if cfg.start == "2app":
+        need += relocation_bytes(sizes_p)
     _check_cap(inst, need)
-    if inst.n == 2:
-        return _two_measure_result(inst)
 
     wall_start = time.perf_counter()
     timings = _zero_timings()

@@ -26,7 +26,6 @@ from .model import (
     Instance,
     Plan,
     Strides,
-    index_of,
 )
 
 
@@ -52,7 +51,7 @@ def _sweep(rows, strides: Strides) -> Plan:
             mass = min(r[p] for r, p in zip(remaining, pointers))
             if mass <= MASS_TOL:
                 break
-            h = index_of(pointers, strides)
+            h = int(np.ravel_multi_index(pointers, strides.sizes))
             w[h] = w.get(h, 0.0) + mass
             placed += mass
             for r, p in zip(remaining, pointers):

@@ -170,21 +170,11 @@ def make_strides(sizes) -> Strides:
     return Strides(sizes, tuple(suffix), total, tuple(offsets))
 
 
-def index_of(indices, strides: Strides) -> int:
-    """Encode per-measure point indices into the flat combination index."""
-    indices = tuple(int(j) for j in indices)
-    if len(indices) != len(strides.sizes):
-        raise IndexError("one point index per measure required")
-    for i, j in enumerate(indices):
-        if not 0 <= j < strides.sizes[i]:
-            raise IndexError(f"point index {j} out of range for measure {i}")
-    return sum(j * strides.suffix_products[i] for i, j in enumerate(indices))
-
-
 def digits(index: np.ndarray, strides: Strides) -> np.ndarray:
     """Decode flat combination indices: row i holds measure i's point indices.
 
-    Returns an (n, k) int64 array for k indices, the inverse of index_of.
+    Returns an (n, k) int64 array for k indices, the inverse of
+    np.ravel_multi_index(..., strides.sizes).
     """
     index = np.asarray(index, dtype=np.int64)
     out = index // np.asarray(strides.suffix_products, dtype=np.int64)[:, None]

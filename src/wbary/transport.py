@@ -8,9 +8,12 @@ demands returned: only the costs differ, so it is still primal feasible. It
 is checked, and a bad one raises ContractError. Without one, the solve starts
 from the northwest corner. Each pivot walks the basis, held in Python lists,
 once: a depth-first pass from row 0 roots the spanning tree there and gives
-the dual potentials and each node's parent, depth and joining basic cell. The
-entering cell's cycle is the tree path from its row to its column, found by
-climbing both ends to their lowest common ancestor. Costs may be negative.
+the dual potentials and each node's parent, depth and joining basic cell.
+The reduced costs (c_ij - u_i) - v_j are rewritten in place into one m x k
+buffer per solve, so a solve holds two cost-sized arrays, the costs and that
+buffer, and the lowest-cell rule adds a one-byte mask. The entering cell's
+cycle is the tree path from its row to its column, found by climbing both
+ends to their lowest common ancestor. Costs may be negative.
 All ties resolve to the lowest flat cell, so runs from the same start produce
 identical plans, in any basis order.
 """
@@ -162,16 +165,19 @@ def solve_transportation(
         cells, flows = _checked_basis(basis, supplies, demands)
     flat_costs = costs.ravel()
     cell_costs = flat_costs[cells].tolist()  # of the basic cells only: no m * k list
+    red = np.empty((m, k))  # C-contiguous, so flat_red is a view
+    flat_red = red.ravel()
     pivots = degen_streak = 0
     while True:
         pot, parent, link, depth = _basis_tree(cells, cell_costs, m, k)
-        red = (costs - pot[:m, None] - pot[None, m:]).ravel()
-        red[cells] = np.inf  # basics never enter
+        np.subtract(costs, pot[:m, None], out=red)
+        red -= pot[None, m:]
+        flat_red[cells] = np.inf  # basics never enter
         if degen_streak > BLAND_AFTER:  # the lowest flat cell that prices out
-            enter = int(np.argmax(red < -REDUCED_TOL))
+            enter = int(np.argmax(flat_red < -REDUCED_TOL))
         else:
-            enter = int(np.argmin(red))
-        if red[enter] >= -REDUCED_TOL:
+            enter = int(np.argmin(flat_red))
+        if flat_red[enter] >= -REDUCED_TOL:
             break
 
         ei, ej = divmod(enter, k)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -150,6 +151,17 @@ class TestLoopBehavior:
         # NaN never stops the loop and inf stops it after one pricing.
         with pytest.raises(ValueError, match="tol must be finite"):
             SolveConfig(tol=tol)
+
+    def test_config_is_frozen(self):
+        # The checks run at construction, so no field may change after it.
+        cfg = SolveConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.start = "bogus"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.tol = -1.0
+        assert dataclasses.replace(cfg, tol=1e-8).tol == 1e-8
+        with pytest.raises(ValueError, match="tol must be positive"):
+            dataclasses.replace(cfg, tol=-1.0)
 
     def test_deterministic_given_config(self):
         inst = random_instance(9, [3, 4, 3])
@@ -423,7 +435,7 @@ class TestMemoryAccounting:
             raise LookupError("the cap check passed")
 
         monkeypatch.setattr(pricing, "init_reduced_costs", past_the_check)
-        monkeypatch.setattr(driver, "_two_measure_result", past_the_check)
+        monkeypatch.setattr(driver, "cost_vector", past_the_check)  # two measures
         inst = random_instance(11, [4] * 9)
         assert 4**9 >= model.BLOCK
         # the pricing state and the polish's dense matrices, without the tile
@@ -440,8 +452,11 @@ class TestMemoryAccounting:
         monkeypatch.setattr(driver, "MEMORY_CAP", held + 8000)
         with pytest.raises(LookupError):
             solve(inst)
+        # two measures: the costs, the transport's reduced-cost buffer and
+        # the mask of its lowest-cell rule, 17 bytes per combination, and one
+        # tile of the cost build
         pair = random_instance(11, [400, 400])
-        need = 32 * 400**2 + 8 * (2 + 3 * 2 + 2) * 1000
+        need = 17 * 400**2 + 8 * (2 + 3 * 2 + 2) * 1000
         monkeypatch.setattr(driver, "MEMORY_CAP", need - 1)
         with pytest.raises(CapacityError, match=f"{need} bytes"):
             solve(pair)

@@ -17,7 +17,6 @@ from wbary.model import (
     DiscreteMeasure,
     Instance,
     Plan,
-    index_of,
     make_strides,
 )
 from wbary.pricing import choose_partition
@@ -182,7 +181,7 @@ class TestRecover:
         rebuilt = []
         for p in points:
             digits = [p.assignment[part.perm[t]] for t in range(inst_p.n)]
-            rebuilt.append((index_of(digits, st), p.mass))
+            rebuilt.append((np.ravel_multi_index(digits, st.sizes), p.mass))
         assert rebuilt == plan_items(w)
 
     def test_assignments_follow_input_order(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,28 @@ class TestStructure:
             lp_sol = solve(DenseLP(*transport_lp_arrays(*tp)))
             assert abs(plan.objective - lp_sol.objective) <= 1e-9, f"trial {trial}"
             assert plan_residual(tp, plan) <= 1e-12, f"trial {trial}"
+
+    def test_one_reduced_cost_buffer(self, monkeypatch):
+        # Beside the costs, allocated before tracing, a solve holds one m x k
+        # buffer of reduced costs and, under the lowest-cell rule, its
+        # one-byte mask: its peak stays under twice the costs' bytes. From
+        # the northwest corner the lowest-cell rule takes tens of thousands
+        # of pivots here, so both traced solves start from the optimal basis
+        # of nearby costs, as pricing does.
+        rng = np.random.default_rng(3)
+        supplies, demands, costs = random_balanced(rng, 200, 200)
+        basis = solve_transportation(supplies, demands, costs).basis
+        costs += rng.uniform(0.0, 0.02, costs.shape)
+        for bland_after in (transport.BLAND_AFTER, -1):
+            monkeypatch.setattr(transport, "BLAND_AFTER", bland_after)
+            tracemalloc.start()
+            try:
+                plan = solve_transportation(supplies, demands, costs, basis)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert plan.pivots > 0
+            assert peak < 2 * costs.nbytes, f"BLAND_AFTER = {bland_after}"
 
 
 class TestWarmStart:
