@@ -35,6 +35,10 @@ eliminated from every other row. Only rows where w is nonzero change; when
 fewer than half of them are nonzero (sparse columns give sparse directions)
 just those rows are updated, otherwise the whole matrix is, which is faster
 for a dense w. Both forms do the same arithmetic on every row that changes.
+The rest of the basis bookkeeping is also built once per phase and changed
+only at the leaving row: each row's basic code (or a spare index for an
+artificial), a mask and count of basic artificials, and one reduced-cost
+buffer that each pivot overwrites and zeroes at the basic codes.
 
 B itself is not kept: it is rebuilt from the basic codes and re-inverted
 every refactor_interval(m) = max(REFACTOR_EVERY, m) pivots (an inversion
@@ -252,9 +256,15 @@ class Kernel:
 
     def run_phase(self, cost: np.ndarray, art_cost: float):
         """Pivot to optimality for the given objective. Returns (xB, y)."""
-        cB = np.full(self.m, art_cost)
-        struct = self.basic >= 0
-        cB[struct] = cost[self.basic[struct]]
+        # Per row: the basic column's code, or the spare index ncols for an
+        # artificial; r is a view of rbuf without the spare entry.
+        ncols = self.cols.ncols
+        slot = np.where(self.basic >= 0, self.basic, ncols)
+        art = self.basic < 0
+        n_art = int(art.sum())
+        rbuf = np.zeros(ncols + 1)
+        r = rbuf[:ncols]
+        cB = np.append(cost, art_cost)[slot]
         no_limit = np.full(self.m, np.inf)  # ratio of a row where w <= PIVOT_TOL
         interval = refactor_interval(self.m)
         xB = None
@@ -269,11 +279,9 @@ class Kernel:
                     continue
                 raise NumericalError(f"basic solution went negative: {xB.min()}")
             np.maximum(xB, 0.0, out=xB)
-            r = cost - self.cols.apply_yT(y)
-            art = self.basic < 0
-            codes = self.basic[~art]
-            r_struct = r[codes]
-            r[codes] = 0.0
+            np.subtract(cost, self.cols.apply_yT(y), out=r)
+            r_basic = rbuf[slot]
+            rbuf[slot] = 0.0
             if bland:
                 candidates = (r < -OPT_TOL).nonzero()[0]
                 enter = int(candidates[0]) if candidates.size else None
@@ -282,7 +290,9 @@ class Kernel:
                 if r[enter] >= -OPT_TOL:
                     enter = None
             if enter is None:
-                if self.updates and not self._residuals_hold(xB, y, cB, r_struct):
+                if self.updates and not self._residuals_hold(
+                    xB, y, cB, r_basic[~art]
+                ):
                     self._invert()
                     continue
                 return xB, y
@@ -292,7 +302,7 @@ class Kernel:
             # direction component must leave first so they never re-acquire
             # mass once the original equalities hold.
             ratios = np.divide(xB, w, out=no_limit.copy(), where=w > PIVOT_TOL)
-            if art_cost == 0.0 and art.any():
+            if art_cost == 0.0 and n_art:
                 ratios[art & (np.abs(w) > PIVOT_TOL) & (xB <= FEAS_TOL)] = 0.0
             theta = ratios.min()
             if not np.isfinite(theta):
@@ -312,6 +322,10 @@ class Kernel:
             ):
                 continue
             self.basic[leave_pos] = enter
+            slot[leave_pos] = enter
+            if art[leave_pos]:
+                art[leave_pos] = False
+                n_art -= 1
             cB[leave_pos] = cost[enter]
             row = self.Binv[leave_pos] / w[leave_pos]
             touched = w.nonzero()[0]

@@ -161,7 +161,11 @@ def check_against_exact(cases):
 
 class TestRandomVsExactOracle:
     def test_500_random_instances(self, random_lps_with_exact_optima):
-        check_against_exact(random_lps_with_exact_optima)
+        # The pivot total is pinned: the kernel's per-phase bookkeeping (the
+        # basic slot of each row, the basic-artificial mask, the reduced-cost
+        # buffer) must keep every entering and leaving decision of the
+        # version that re-derived it from the basic codes at each pivot.
+        assert check_against_exact(random_lps_with_exact_optima) == 4492
 
     def test_500_random_instances_inverting_every_pivot(
         self, random_lps_with_exact_optima, monkeypatch
@@ -508,13 +512,15 @@ class TestLongRunsVsHighs:
     def test_relocation_lp_inverts_once_per_row_count_of_pivots(self, sizes, monkeypatch):
         # The relocation LPs of the mixed workload, on the instance permuted
         # for the small pair as solve runs them: more than REFACTOR_EVERY rows,
-        # so the interval is the row count.
+        # so the interval is the row count. Their pivot counts are pinned, as
+        # in test_500_random_instances.
         inst = random_masses_instance(sizes, 0)
         inst = inst.permuted(choose_partition(inst, "small").perm)
         calls = count_inversions(monkeypatch)
         forced = count_forced_inversions(monkeypatch)
         kern, _, sol = relocation_kernel(inst, monkeypatch)
         assert kern.m > simplex.REFACTOR_EVERY
+        assert sol.pivots == {8: 495, 10: 655}[sizes[0]]
         assert len(calls) <= math.ceil(sol.pivots / kern.m) + len(forced)
         assert len(calls) < sol.pivots // simplex.REFACTOR_EVERY
         c, A, b = relocation_lp(inst)
