@@ -1,18 +1,19 @@
 """Column generation driver and the direct full-LP reference solver.
 
-The loop alternates master re-solves with transportation pricing. Once it
-has a bound it prices at smoothed duals pi = alpha * pi_hat + (1 - alpha) * y
-(Wentges 1997), where y are the master duals and pi_hat the duals with the
-best Lagrangian bound L(pi) = pi . b + min over columns of (c - pi . A) so
-far. alpha adapts to the subgradient b - A_p of each priced column p
-(Pessoa, Sadykov, Uchoa & Vanderbeck 2018); a column that would not enter
-the master at y is a misprice, and pricing repeats once at y. The greedy
-start prices its first master solve at y. The 2-approximation start seeds
-pi_hat instead (Wentges' dual seeding): before the first master solve it
-prices once at its relocation LP's duals of the master rows, which sets the
-first bound, pi_hat and the transport basis, and adds that column to the
-master. L(pi) is a valid bound at any pi and does not change when one
-measure's duals all shift by a constant, so those duals need no
+The loop alternates master re-solves with transportation pricing. It prices
+at smoothed duals pi = alpha * pi_hat + (1 - alpha) * y (Wentges 1997),
+where y are the master duals and pi_hat the duals with the best Lagrangian
+bound L(pi) = pi . b + min over columns of (c - pi . A) so far. alpha
+adapts to the subgradient b - A_p of each priced column p (Pessoa, Sadykov,
+Uchoa & Vanderbeck 2018); a column that would not enter the master at y is
+a misprice, and pricing repeats once at y. Both starts seed pi_hat (Wentges'
+dual seeding): before the first master solve the loop prices once at the
+seed, which sets the first bound, pi_hat and the transport basis, and adds
+that column to the master. The greedy start seeds at zero duals, where
+L(0) is the cheapest vertex's cost and so at least 0, every cost being
+nonnegative; the 2-approximation start seeds at its relocation LP's duals
+of the master rows. L(pi) is a valid bound at any pi and does not change
+when one measure's duals all shift by a constant, so those duals need no
 normalisation. Each pricing but the first starts its transport simplex from
 the basis the one before it ended at: only the costs change, so that basis
 stays feasible. The loop stops when the master objective is within tol of
@@ -206,13 +207,15 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
 
     t0 = time.perf_counter()
     state = pricing_mod.init_reduced_costs(inst_p, partition, strides_p)
-    seed = None  # duals to price at before the first master solve
+    # center: the duals of the best bound, first the seed, priced before the
+    # first master solve; one dual per master row
     if cfg.start == "greedy":
         p1 = greedy_vertex(inst_p, strides_p)
+        center = np.zeros(sum(sizes_p[2:]))
     else:
         apx = two_approx(inst_p)
         p1 = repair_to_vertex(apx, inst_p, strides_p)
-        seed = apx.duals[sizes_p[0] + sizes_p[1] :]  # the master's rows
+        center = apx.duals[sizes_p[0] + sizes_p[1] :]
     timings["init"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -245,15 +248,12 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         return p, a_p, plan.objective, float(pi @ b) + plan.objective, plan.basis
 
     alpha = ALPHA_START
-    best_lb = -math.inf
-    center = None  # the duals of best_lb
-    basis = None  # the last optimal transport basis: pricing starts from it
-    if seed is not None:  # the first bound and centre, before any master solve
-        p, a_p, _, best_lb, basis = price(seed, basis)
-        center = seed
-        t0 = time.perf_counter()
-        master_mod.add_column(rm, p, a_p)
-        timings["setup-RM"] += time.perf_counter() - t0
+    # the first bound and the last optimal transport basis, which each
+    # pricing starts from
+    p, a_p, _, best_lb, basis = price(center, None)
+    t0 = time.perf_counter()
+    master_mod.add_column(rm, p, a_p)
+    timings["setup-RM"] += time.perf_counter() - t0
     trace: list[TraceEntry] = []
     converged = False
     iteration = 0
@@ -264,18 +264,17 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         timings["solve-RM"] += time.perf_counter() - t0
         iteration += 1
 
-        pi = y if center is None else alpha * center + (1 - alpha) * y
+        pi = alpha * center + (1 - alpha) * y
         p, a_p, transport_obj, lb, basis = price(pi, basis)
-        if center is not None:
-            if (b - a_p) @ (y - center) > 0:
-                alpha = max(0.0, alpha - 0.1)
-            else:
-                alpha = min(0.99, alpha + 0.1 * (1 - alpha))
+        if (b - a_p) @ (y - center) > 0:
+            alpha = max(0.0, alpha - 0.1)
+        else:
+            alpha = min(0.99, alpha + 0.1 * (1 - alpha))
         if lb > best_lb:
             best_lb, center = lb, pi
         # A misprice: p, priced at pi, would not enter the master at y.
         misprice = transport_obj + (pi - y) @ a_p - sigma >= -simplex.OPT_TOL
-        if misprice and pi is not y and rm_obj - best_lb > cfg.tol:
+        if misprice and rm_obj - best_lb > cfg.tol:
             p, a_p, _, lb, basis = price(y, basis)
             if lb > best_lb:
                 best_lb, center = lb, y

@@ -323,9 +323,8 @@ class Kernel:
                 continue
             self.basic[leave_pos] = enter
             slot[leave_pos] = enter
-            if art[leave_pos]:
-                art[leave_pos] = False
-                n_art -= 1
+            n_art -= int(art[leave_pos])
+            art[leave_pos] = False
             cB[leave_pos] = cost[enter]
             row = self.Binv[leave_pos] / w[leave_pos]
             touched = w.nonzero()[0]

@@ -263,26 +263,31 @@ class TestCertificate:
                     assert res.converged
                     last = res.trace[-1]
                     assert last.rm_objective - last.lb <= tol
-                    # 2app prices once more, at the relocation LP's duals
-                    seeded = res.iterations + (start == "2app")
+                    # both starts price once more, at their seed duals
+                    seeded = res.iterations + 1
                     assert res.pricing_calls >= seeded
                     misprices += res.pricing_calls > seeded
         # Some solve prices twice in one iteration: the misprice branch runs.
         assert misprices > 0
 
     def test_seeded_first_bound(self):
-        # The 2-approximation start prices at the relocation LP's duals before
-        # the first master solve, so the first bound is finite and valid.
+        # Both starts price at their seed duals before the first master
+        # solve, so the first bound is finite and valid. The greedy seed is
+        # zero, where the bound is the cheapest vertex's cost: at least 0,
+        # as every cost is nonnegative.
         rng = np.random.default_rng(77)
         for seed in range(12):
             sizes = rng.integers(2, 6, size=int(rng.integers(3, 6))).tolist()
             inst = random_instance(700 + seed, sizes)
             optimum = solve_direct(inst).objective
-            res = solve(inst, SolveConfig(start="2app"))
-            assert res.converged
-            assert np.isfinite(res.trace[0].lb)
-            assert res.trace[0].lb <= optimum + 1e-9
-            assert abs(res.objective - optimum) <= 1e-9
+            for start in driver.START_VARIANTS:
+                res = solve(inst, SolveConfig(start=start))
+                assert res.converged
+                assert np.isfinite(res.trace[0].lb)
+                assert res.trace[0].lb <= optimum + 1e-9
+                if start == "greedy":
+                    assert -1e-12 <= res.trace[0].lb <= optimum
+                assert abs(res.objective - optimum) <= 1e-9
 
     def test_seed_pricing_is_counted(self, monkeypatch):
         priced_at = []
@@ -294,13 +299,18 @@ class TestCertificate:
 
         monkeypatch.setattr(pricing, "recompute_reduced_costs", recorded)
         inst = random_instance(27, [4, 3, 5, 3])
-        res = solve(inst, SolveConfig(start="2app", pair_variant="small"))
-        assert len(priced_at) == res.pricing_calls >= res.iterations + 1
-        # the first pricing is at the duals of the master's rows: the
+        # the first pricing is at the seed duals of the master's rows: the
         # permuted instance's measures after the pricing pair
         inst_p = inst.permuted(pricing.choose_partition(inst, "small").perm)
-        seed = two_approx(inst_p).duals[inst_p.sizes[0] + inst_p.sizes[1] :]
-        assert np.array_equal(priced_at[0], seed)
+        seeds = {
+            "greedy": np.zeros(sum(inst_p.sizes[2:])),
+            "2app": two_approx(inst_p).duals[inst_p.sizes[0] + inst_p.sizes[1] :],
+        }
+        for start, seed in seeds.items():
+            priced_at.clear()
+            res = solve(inst, SolveConfig(start=start, pair_variant="small"))
+            assert len(priced_at) == res.pricing_calls >= res.iterations + 1
+            assert np.array_equal(priced_at[0], seed)
 
 
 class TestMemoryAccounting:
@@ -311,25 +321,27 @@ class TestMemoryAccounting:
         # pair of 4 x 4 points; both trailing measures in the tail. Held: [P, 1]
         # and a, a_static over n_e = 16 rows, [-2Z; b] and b_static over
         # n_lo = 16 columns, two unique-column arrays of 16 entries; and the
-        # master's column store, one column per iteration at a power-of-two
-        # width, and its basis inverse, both over 7 rows (8 master rows plus
-        # the convexity row, less the implied row of each trailing measure)
+        # master's column store at a power-of-two width, and its basis
+        # inverse, both over 7 rows (8 master rows plus the convexity row,
+        # less the implied row of each trailing measure). The store holds
+        # iterations + 1 columns: the start vertex, the seed pricing's column
+        # and one per master solve but the last.
         n_e, n_lo, n_unique, dim = 16, 16, 16, 2
         state = 8 * (n_e * (dim + 1 + 2) + n_lo * (dim + 1 + 1) + 2 * n_unique)
         assert state == 1408 == pricing.state_bytes(inst.sizes, dim)
         rows = 4 + 4 + 1 - 2
 
-        def master(iterations):
-            return 8 * rows * (1 << (iterations - 1).bit_length()) + 8 * rows * rows
+        def master(columns):
+            return 8 * rows * (1 << (columns - 1).bit_length()) + 8 * rows * rows
 
-        assert res.peak_memory_bytes == state + master(res.iterations)
+        assert res.peak_memory_bytes == state + master(res.iterations + 1)
         # a smaller tail moves the second trailing measure into the head
         monkeypatch.setattr(pricing, "tail_start", lambda sizes, dim: 3)
         res = solve(inst)
         n_e, n_lo = 64, 4
         state = 8 * (n_e * (dim + 1 + 2) + n_lo * (dim + 1 + 1) + 2 * n_unique)
         assert state == pricing.state_bytes(inst.sizes, dim)
-        assert res.peak_memory_bytes == state + master(res.iterations)
+        assert res.peak_memory_bytes == state + master(res.iterations + 1)
         # two measures: the cost matrix alone
         pair = random_instance(11, [4, 4])
         assert solve(pair).peak_memory_bytes == 8 * 16

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,9 @@ from oracles import (
     satisfies_marginals,
 )
 from wbary import model
+from wbary.driver import solve
+from wbary.initial import greedy_vertex
+from wbary.master import column_coeffs
 from wbary.model import (
     CapacityError,
     ContractError,
@@ -121,6 +125,61 @@ class TestIndexing:
                 d1, d2 = digits_of(h, st.sizes), digits_of(h2, st.sizes)
                 if d1[:2] == d2[:2]:
                     assert column_support(h, st)[:2] == column_support(h2, st)[:2]
+
+
+def divmod_digits(h, sizes):
+    """Point index per measure of flat combination h, by Python-int divmod
+    from the last measure, which varies fastest."""
+    out = []
+    for s in reversed(sizes):
+        h, j = divmod(h, s)
+        out.append(j)
+    assert h == 0
+    return out[::-1]
+
+
+class TestNearTheIndexLimit:
+    """Instances whose combination counts approach INDEX_LIMIT (2^62 and about
+    3.9e18): decoding, the start vertex, master columns and costs stay exact
+    in int64, and solve refuses the pricing state rather than overflowing."""
+
+    @pytest.mark.parametrize("sizes", [[2] * 62, [7] * 22])
+    def test_no_step_overflows(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        inst = random_instance(rng, sizes)
+        st = make_strides(sizes)
+        total = math.prod(sizes)
+        assert st.total == total < model.INDEX_LIMIT
+        hs = [0, 1, total // 2, total - 2, total - 1]
+        hs += [int(h) for h in rng.integers(0, total, size=20)]
+        d = digits(np.array(hs, dtype=np.int64), st)
+        assert d.T.tolist() == [divmod_digits(h, sizes) for h in hs]
+
+        w = greedy_vertex(inst, st)
+        assert w.index.dtype == np.int64
+        assert ((w.index >= 0) & (w.index < total)).all()
+        assert satisfies_marginals(w, inst, st)
+        # the master rows of the start vertex are the trailing measures'
+        # masses, as init_rm requires
+        rows = sum(sizes[2:])
+        trailing = np.concatenate([m.masses for m in inst.measures[2:]])
+        assert np.abs(column_coeffs(w, st, rows) - trailing).max() <= 1e-12
+        # one column over the sampled indices, against Python-int rows
+        p = Plan(np.unique(np.array(hs, dtype=np.int64)), np.full(len(set(hs)), 0.5))
+        expect = np.zeros(rows)
+        for h, mass in zip(p.index.tolist(), p.mass):
+            for i, j in enumerate(divmod_digits(h, sizes)[2:]):
+                expect[st.row_offsets[i + 2] - st.row_offsets[2] + j] += mass
+        assert np.array_equal(column_coeffs(p, st, rows), expect)
+
+        points = [m.points for m in inst.measures]
+        costs = cost_vector(inst, st, np.array(hs, dtype=np.int64))
+        for h, c in zip(hs, costs):
+            direct = combination_cost(divmod_digits(h, sizes), points, inst.lambdas)
+            assert abs(c - direct) <= 1e-9 * (1.0 + abs(direct))
+
+        with pytest.raises(CapacityError, match="over the cap"):
+            solve(inst)
 
 
 def means_and_costs(inst):
