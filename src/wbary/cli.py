@@ -72,8 +72,8 @@ def load_instance_csv(path: str) -> Instance:
     width = first = None
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
+            if not any(field.strip() for field in row):
+                continue  # empty, whitespace-only or all-blank row
             try:
                 values = [float(x) for x in row[1:]]
             except ValueError:

@@ -158,13 +158,13 @@ def _single_measure_result(inst: Instance) -> SolveResult:
 def _two_measure_result(inst: Instance) -> SolveResult:
     N = math.prod(inst.sizes)
     # the costs, the transport simplex's reduced-cost buffer and the mask of
-    # its lowest-cell rule, 17 bytes per combination, more than the index and
-    # costs of the cost build; the build adds one tile's digits, means,
-    # differences and costs
+    # its lowest-cell rule, 17 bytes per combination, more than the costs and
+    # one tile of the cost build, which decodes a range with no index array;
+    # the tile holds its indices, digits, means, differences and costs
     _check_cap(inst, 17 * N + 8 * (inst.n + 3 * inst.dim + 2) * min(N, model.BLOCK))
     wall_start = time.perf_counter()
     strides = make_strides(inst.sizes)
-    costs = cost_vector(inst, strides, np.arange(strides.total))
+    costs = cost_vector(inst, strides, range(strides.total))
     m0, m1 = inst.measures
     w = solve_transportation(m0.masses, m1.masses, costs.reshape(inst.sizes)).flows
     timings = _zero_timings()

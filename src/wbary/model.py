@@ -170,24 +170,30 @@ def make_strides(sizes) -> Strides:
     return Strides(sizes, tuple(suffix), total, tuple(offsets))
 
 
-def digits(index: np.ndarray, strides: Strides) -> np.ndarray:
+def digits(index: np.ndarray | range, strides: Strides) -> np.ndarray:
     """Decode flat combination indices: row i holds measure i's point indices.
 
-    Returns an (n, k) int64 array for k indices, the inverse of
+    index is an int64 array or a range of flat indices. Returns an (n, k)
+    int64 array for k indices, the inverse of
     np.ravel_multi_index(..., strides.sizes).
     """
+    if isinstance(index, range):
+        index = np.arange(index.start, index.stop, index.step, dtype=np.int64)
     index = np.asarray(index, dtype=np.int64)
     out = index // np.asarray(strides.suffix_products, dtype=np.int64)[:, None]
     out %= np.asarray(strides.sizes, dtype=np.int64)[:, None]
     return out
 
 
-def cost_vector(inst: Instance, strides: Strides, index: np.ndarray) -> np.ndarray:
-    """Per-unit transport cost of the combinations in an int64 index array,
-    decoded and costed by ``mean_costs`` one tile at a time."""
-    index = np.asarray(index, dtype=np.int64)
-    cost = np.empty(index.shape[0])
-    for s in range(0, index.shape[0], BLOCK):
+def cost_vector(
+    inst: Instance, strides: Strides, index: np.ndarray | range
+) -> np.ndarray:
+    """Per-unit transport cost of the combinations in an int64 index array or
+    a range, decoded and costed by ``mean_costs`` one tile at a time. A tile
+    of a range is a range, expanded only while it is decoded, so a build over
+    every combination holds no index array."""
+    cost = np.empty(len(index))
+    for s in range(0, len(index), BLOCK):
         cost[s : s + BLOCK] = mean_costs(inst, digits(index[s : s + BLOCK], strides))[1]
     return cost
 

@@ -10,8 +10,10 @@ d = d_hi * n_lo + d_lo and h = e * n_lo + l with e = (u, d_hi) and l = d_lo.
 With P_e and Z_l the weighted point sums over (pair, head) and tail, the
 reduced cost of h before the convexity dual is a_e + b_l - 2 P_e . Z_l, where
 a_e = sum_{pair, head} l|x|^2 - |P_e|^2 - sum_head y and
-b_l = sum_tail l|x|^2 - |Z_l|^2 - sum_tail y. Each pricing rebuilds a and b
-from the duals by outer sums; the per-pattern minima then take one tiled
+b_l = sum_tail l|x|^2 - |Z_l|^2 - sum_tail y. Each of these sums is an outer
+sum of per-measure terms over every digit combination of its group, built by
+one helper (_outer_sum): the point and squared-norm sums once, and the dual
+sums of a and b at every pricing. The per-pattern minima then take one tiled
 product [P_e, 1] . [-2 Z; b], a row argmin, and a reduction over d_hi.
 Arranged as a matrix over the two measures' points, the minima form a
 balanced transportation problem.
@@ -103,26 +105,14 @@ class PricingState:
     best_index: np.ndarray  # (n_unique,) flat index attaining each minimum
 
 
-def _point_sums(inst: Instance, measures: range) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of l|x|^2 and of l x over every digit combination of some measures,
-    in mixed-radix order (the last measure's digit varies fastest)."""
-    sq, pts = np.zeros(1), np.zeros((1, inst.dim))
-    for t in reversed(measures):  # prepend digits: long inner loops
-        lam, m = inst.lambdas[t], inst.measures[t]
-        sq = (lam * m.sqnorms[:, None] + sq).ravel()
-        pts = (lam * m.points[:, None, :] + pts).reshape(-1, inst.dim)
-    return sq, pts
-
-
-def _dual_sums(y: np.ndarray, sizes, measures: range) -> np.ndarray:
-    """Sum of the duals over every digit combination of some trailing measures,
-    in mixed-radix order; y holds one entry per row of the measures after the
-    pair."""
-    acc = np.zeros(1)
-    end = sum(sizes[2 : measures.stop])
-    for t in reversed(measures):
-        acc = (y[end - sizes[t] : end, None] + acc).ravel()
-        end -= sizes[t]
+def _outer_sum(parts, shape=()) -> np.ndarray:
+    """Sum of one term per measure over every digit combination of some
+    measures, in mixed-radix order (the last measure's digit varies fastest).
+    parts[i] holds the i-th measure's terms, one of the given shape per point;
+    no parts give a single zero term."""
+    acc = np.zeros((1,) + shape)
+    for v in reversed(parts):  # prepend digits: long inner loops
+        acc = (v[:, None] + acc).reshape(-1, *shape)
     return acc
 
 
@@ -137,11 +127,14 @@ def init_reduced_costs(
     solve checks state_bytes against its cap before calling this.
     """
     k = tail_start(inst_perm.sizes, inst_perm.dim)
-    sq_e, p = _point_sums(inst_perm, range(k))
-    sq_l, z = _point_sums(inst_perm, range(k, inst_perm.n))
+    weighted = tuple(zip(inst_perm.lambdas, inst_perm.measures))
+    sq = [lam * m.sqnorms for lam, m in weighted]
+    pts = [lam * m.points for lam, m in weighted]
+    sq_e, p = _outer_sum(sq[:k]), _outer_sum(pts[:k], (inst_perm.dim,))
+    sq_l, z = _outer_sum(sq[k:]), _outer_sum(pts[k:], (inst_perm.dim,))
     a_static = sq_e - np.einsum("ij,ij->i", p, p)
     b_static = sq_l - np.einsum("ij,ij->i", z, z)
-    state = PricingState(
+    return PricingState(
         tail=k,
         pe=np.hstack([p, np.ones((p.shape[0], 1))]),
         zb=np.vstack([-2.0 * z.T, b_static]),
@@ -151,7 +144,6 @@ def init_reduced_costs(
         best=np.empty(partition.n_unique),
         best_index=np.empty(partition.n_unique, dtype=np.int64),
     )
-    return state
 
 
 def update_reduced_costs(
@@ -162,14 +154,12 @@ def update_reduced_costs(
     strides_perm: Strides,
 ):
     """Subtract the outer sums of y_new - y_old from a (head) and b (tail)."""
-    sizes, k = strides_perm.sizes, state.tail
     delta = np.asarray(y_new) - np.asarray(y_old)
-    split = sum(sizes[2:k])
-    if np.any(delta[:split]):
-        a = state.a.reshape(partition.n_unique, -1)
-        a -= _dual_sums(delta, sizes, range(2, k))
-    if np.any(delta[split:]):
-        state.zb[-1] -= _dual_sums(delta, sizes, range(k, len(sizes)))
+    off = [o - strides_perm.row_offsets[2] for o in strides_perm.row_offsets[2:]]
+    parts = [delta[lo:hi] for lo, hi in zip(off, off[1:])]  # one per master measure
+    a = state.a.reshape(partition.n_unique, -1)
+    a -= _outer_sum(parts[: state.tail - 2])
+    state.zb[-1] -= _outer_sum(parts[state.tail - 2 :])
 
 
 def recompute_reduced_costs(

@@ -167,6 +167,32 @@ def barycenter_lp_arrays(points, masses, weights):
     return cost, A, np.concatenate(masses)
 
 
+def quantile_barycenter(points, masses, weights):
+    """Exact barycenter of measures on the real line, by the comonotone
+    (quantile) coupling, which is optimal in 1-D (Carlier 2003; Agueh &
+    Carlier 2011).
+
+    Sort each measure, merge the cumulative masses into intervals, and on
+    each interval place one point at the weighted mean of every measure's
+    quantile point there. ``points[i]`` is a (size,) or (size, 1) array.
+    Returns the objective and, per interval in increasing order, the mean,
+    the mass and the point index per measure in input order.
+    """
+    xs = [np.asarray(p, dtype=float).ravel() for p in points]
+    orders = [np.argsort(x, kind="stable") for x in xs]
+    cums = [np.cumsum(np.asarray(m, dtype=float)[o]) for m, o in zip(masses, orders)]
+    ends = np.union1d(np.concatenate([c[:-1] for c in cums]), [1.0])
+    mass = np.diff(ends, prepend=0.0)
+    # interval (ends[k-1], ends[k]] lies in the first sorted point whose
+    # cumulative mass reaches ends[k]
+    picks = np.stack([o[np.searchsorted(c[:-1], ends)] for o, c in zip(orders, cums)])
+    chosen = np.stack([x[j] for x, j in zip(xs, picks)])  # (n, intervals)
+    weights = np.asarray(weights, dtype=float)
+    mean = weights @ chosen
+    cost = weights @ (chosen - mean) ** 2
+    return float(mass @ cost), mean, mass, [tuple(a) for a in picks.T.tolist()]
+
+
 def digits_of(h, sizes):
     """Point index per measure of flat combination h (last measure fastest)."""
     if not 0 <= h < int(np.prod(sizes)):

@@ -301,6 +301,21 @@ class TestCsvImport:
         )
         assert code == 0
 
+    def test_blank_rows_are_skipped(self, tmp_path, capsys):
+        csv_path = tmp_path / "blank.csv"
+        csv_path.write_text("measure,x,y,mass\n"
+                            "a,0.0,0.0,0.5\n"
+                            "\n"
+                            "a,1.0,0.0,0.5\n"
+                            "   \n"
+                            "b,0.0,1.0,1.0\n"
+                            " , ,\t,\n"
+                            "\t\n")
+        inst = load_instance(str(csv_path))
+        assert inst.sizes == (2, 1)
+        code, _, err = run_cli(capsys, "solve", "--input", str(csv_path))
+        assert code == 0, err
+
     def test_csv_bad_row(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text("a,0.0,0.0,0.5\na,oops,0.0,0.5\n")

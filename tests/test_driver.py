@@ -132,6 +132,27 @@ class TestLoopBehavior:
         assert res.trace[-1].rm_objective - res.trace[-1].lb > SolveConfig().tol
         assert len(res.barycenter) > 0  # best-so-far still reported
 
+    def test_capped_run_polishes_over_every_generated_combination(self):
+        # The polish re-solves the full LP over the support of every admitted
+        # column, so a capped run returns at most, and here often well below,
+        # its last master objective. Narrowed to the support of the master's
+        # combined plan, it would return that plan's cost instead.
+        below = []
+        for k in range(5):
+            rng = np.random.default_rng(900 + k)
+            inst = Instance(
+                tuple(DiscreteMeasure(rng.random((6, 2)), rng.dirichlet(np.ones(6)))
+                      for _ in range(5)),
+                np.full(5, 0.2),
+            )
+            for max_iter in (2, 5, 10):
+                res = solve(inst, SolveConfig(max_iter=max_iter))
+                assert not res.converged
+                last = res.trace[-1].rm_objective
+                assert res.objective <= last + 1e-12
+                below.append(last - res.objective)
+        assert max(below) > 1e-6
+
     def test_timings_cover_all_steps(self):
         inst = random_instance(8, [3, 3, 3])
         res = solve(inst)

@@ -265,22 +265,27 @@ class TestCosts:
         whole = cost_vector(inst, st, np.arange(st.total))
         monkeypatch.setattr(model, "BLOCK", 7)
         assert np.array_equal(cost_vector(inst, st, np.arange(st.total)), whole)
+        assert np.array_equal(cost_vector(inst, st, range(st.total)), whole)
+        assert np.array_equal(cost_vector(inst, st, range(5, 40)), whole[5:40])
 
     def test_peak_is_the_output_and_one_tile(self):
         rng = np.random.default_rng(6)
         inst = random_instance(rng, [128, 128, 64])
         st = make_strides(inst.sizes)
-        index = np.arange(st.total)
-        assert index.shape[0] >= 8 * model.BLOCK
-        tracemalloc.start()
-        try:
-            cost = cost_vector(inst, st, index)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        assert st.total >= 8 * model.BLOCK
         # the tile's digits, means, differences and costs, as solve charges it
         tile = 8 * (inst.n + 3 * inst.dim + 2) * model.BLOCK
-        assert peak < cost.nbytes + tile
+        # an index array made before tracing starts, and a range, of which
+        # only one tile at a time is expanded: an index over all
+        # combinations would add cost.nbytes
+        for index in (np.arange(st.total), range(st.total)):
+            tracemalloc.start()
+            try:
+                cost = cost_vector(inst, st, index)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < cost.nbytes + tile
 
 
 class TestPlan:

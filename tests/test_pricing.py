@@ -155,7 +155,7 @@ class TestUpdates:
         rng = np.random.default_rng(2)
         _, part, st, state = setup(rng, [2, 3, 2])
         a, zb = state.a.copy(), state.zb.copy()
-        y = np.zeros(5)
+        y = np.zeros(sum(st.sizes[2:]))
         update_reduced_costs(state, y, y, part, st)
         assert np.array_equal(state.a, a)
         assert np.array_equal(state.zb, zb)
