@@ -157,10 +157,11 @@ def _single_measure_result(inst: Instance) -> SolveResult:
 
 def _two_measure_result(inst: Instance) -> SolveResult:
     N = math.prod(inst.sizes)
-    # the costs, the transport simplex's reduced-cost buffer and the mask of
-    # its lowest-cell rule, 17 bytes per combination, more than the costs and
-    # one tile of the cost build, which decodes a range with no index array;
-    # the tile holds its indices, digits, means, differences and costs
+    # the transport simplex's costs, reduced-cost buffer and the mask of its
+    # lowest-cell rule, 17 bytes per combination, and 8 * (n + 3 dim + 2)
+    # bytes for each of up to BLOCK combinations, which bound the cost build
+    # too: the costs and a tile of at most BLOCK // (n (dim + 1)) index,
+    # digits, points, per-measure costs and mean, 8 * (5 + 3 dim) bytes each
     _check_cap(inst, 17 * N + 8 * (inst.n + 3 * inst.dim + 2) * min(N, model.BLOCK))
     wall_start = time.perf_counter()
     strides = make_strides(inst.sizes)

@@ -48,7 +48,7 @@ class MasterState:
     rhs: np.ndarray  # master-row masses plus the trailing convexity 1
     _rows: np.ndarray  # rows of rhs the simplex sees
     kernel: simplex.Kernel  # over those rows
-    costs: list[float] = field(default_factory=list)  # one per column
+    costs: np.ndarray = field(default_factory=lambda: np.empty(0))  # one per column
     mu: np.ndarray | None = None
     objective: float = np.nan
     last_pivots: int = 0
@@ -90,7 +90,8 @@ def add_column(state: MasterState, p: Plan, coeffs: np.ndarray):
     state.columns.append(p)
     state.kernel.cols.append(np.append(coeffs, 1.0)[state._rows])
     costs = cost_vector(state.inst, state.strides, p.index)
-    state.costs.append(float(sum(p.mass * costs)))  # in entry order, unlike np.dot
+    # summed over numpy scalars in entry order, unlike np.dot
+    state.costs = np.concatenate((state.costs, [sum(p.mass * costs)]))
 
 
 def solve_rm(state: MasterState) -> tuple[np.ndarray, np.ndarray, float, float]:

@@ -11,9 +11,14 @@ it can be regenerated from the index alone.
 ``mean_costs`` the one cost formula: the full LP, the master columns (both
 through ``cost_vector``) and the reported objective cost combinations with
 it. Only pricing scores them another way, by the reduced costs of its split
-state (pricing.py). ``Plan`` is the one plan format: start vertices, master
-columns, optimal plans and transport flows and bases (over flat cells
-i * k + j) are index and mass arrays, read directly.
+state (pricing.py). The formula takes two passes, the weighted mean and then
+the weighted squared distances to it; each gathers the points of all n
+measures at once from the stacked point array and sums over the measure
+axis in measure order, so it rounds exactly as a loop over the measures
+does. ``cost_vector`` runs it over tiles that share one set of buffers.
+``Plan`` is the one plan format: start vertices, master columns, optimal
+plans and transport flows and bases (over flat cells i * k + j) are index
+and mass arrays, read directly.
 """
 
 from __future__ import annotations
@@ -189,12 +194,20 @@ def cost_vector(
     inst: Instance, strides: Strides, index: np.ndarray | range
 ) -> np.ndarray:
     """Per-unit transport cost of the combinations in an int64 index array or
-    a range, decoded and costed by ``mean_costs`` one tile at a time. A tile
-    of a range is a range, expanded only while it is decoded, so a build over
-    every combination holds no index array."""
+    a range, by ``mean_costs``' formula over tiles of about
+    BLOCK // (n (dim + 1)) combinations, whose gathered points and
+    per-measure costs then take about BLOCK entries, as a pricing tile does.
+    The tiles share one work buffer and write their costs straight into the
+    result. A tile of a range is a range, expanded only while it is
+    decoded, so a build holds no index array."""
+    tile = max(1, BLOCK // (inst.n * (inst.dim + 1)))
     cost = np.empty(len(index))
-    for s in range(0, len(index), BLOCK):
-        cost[s : s + BLOCK] = mean_costs(inst, digits(index[s : s + BLOCK], strides))[1]
+    work = np.empty(min(tile, len(index)) * (inst.n * (inst.dim + 1) + inst.dim))
+    offsets = np.asarray(strides.row_offsets[:-1])[:, None]
+    for s in range(0, len(index), tile):
+        rows = digits(index[s : s + tile], strides)
+        rows += offsets
+        _row_costs(inst, rows, work, cost[s : s + rows.shape[1]])
     return cost
 
 
@@ -207,15 +220,44 @@ def mean_costs(inst: Instance, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cancel to a cost of the size of the spread: at offsets of 1e7 that
     loses every digit of it.
     """
-    mean = np.zeros((d.shape[1], inst.dim))
-    for lam, m, j in zip(inst.lambdas, inst.measures, d):
-        mean += lam * m.points.take(j, axis=0)
-    cost = np.zeros(d.shape[1])
-    for lam, m, j in zip(inst.lambdas, inst.measures, d):
-        diff = m.points.take(j, axis=0) - mean
-        # A batched matmul rounds each row as diff @ diff does; einsum may not.
-        cost += lam * (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-    return mean, cost
+    (n, k), dim = d.shape, inst.dim
+    rows = d + np.cumsum((0,) + inst.sizes[:-1])[:, None]  # stacked point rows
+    cost = np.empty(k)
+    mean = _row_costs(inst, rows, np.empty(k * (n * (dim + 1) + dim)), cost)
+    return mean.copy(), cost
+
+
+def _row_costs(inst: Instance, rows: np.ndarray, work: np.ndarray, cost: np.ndarray):
+    """Write mean_costs' costs of the combinations given as rows of the
+    stacked point array to cost, and return their means, a view of work,
+    which holds at least n (dim + 1) + dim floats per combination.
+
+    Each pass gathers all n measures' points at once and sums over the
+    measure axis in measure order from zero, as a loop of ``acc += term``
+    over the measures does. numpy sums an outer axis in that order but the
+    innermost one pairwise, and a single combination makes the measure axis
+    innermost, so it is costed beside a copy of itself."""
+    (n, k), dim = rows.shape, inst.dim
+    if k == 1:
+        pair, two = np.repeat(rows, 2, axis=1), np.empty(2)
+        mean = _row_costs(inst, pair, np.empty(2 * (n * (dim + 1) + dim)), two)
+        cost[:] = two[:1]
+        return mean[:1]
+    x = work[: n * k * dim].reshape(n, k, dim)
+    q = work[n * k * dim : n * k * (dim + 1)].reshape(n, k)
+    mean = work[n * k * (dim + 1) : k * (n * (dim + 1) + dim)].reshape(k, dim)
+    points = np.concatenate([m.points for m in inst.measures])
+    # rows are in range; mode="clip" lets take write to out unbuffered
+    np.take(points, rows, axis=0, out=x, mode="clip")
+    x *= inst.lambdas[:, None, None]
+    np.add.reduce(x, axis=0, out=mean, initial=0.0)
+    np.take(points, rows, axis=0, out=x, mode="clip")
+    x -= mean
+    # A batched matmul rounds each row as diff @ diff does; einsum may not.
+    np.matmul(x[..., None, :], x[..., :, None], out=q[..., None, None])
+    q *= inst.lambdas[:, None]
+    np.add.reduce(q, axis=0, out=cost, initial=0.0)
+    return mean
 
 
 class Plan(NamedTuple):

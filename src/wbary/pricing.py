@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .model import Instance, Plan, Strides
+from .model import ContractError, Instance, Plan, Strides
 from .transport import TransportPlan, solve_transportation
 
 
@@ -153,9 +153,13 @@ def update_reduced_costs(
     partition: Partition,
     strides_perm: Strides,
 ):
-    """Subtract the outer sums of y_new - y_old from a (head) and b (tail)."""
-    delta = np.asarray(y_new) - np.asarray(y_old)
+    """Subtract the outer sums of y_new - y_old from a (head) and b (tail).
+    Each holds one dual per master row; other lengths raise ContractError."""
     off = [o - strides_perm.row_offsets[2] for o in strides_perm.row_offsets[2:]]
+    y_old, y_new = np.asarray(y_old), np.asarray(y_new)
+    if y_old.shape != (off[-1],) or y_new.shape != (off[-1],):
+        raise ContractError(f"duals need one entry per master row, {off[-1]}")
+    delta = y_new - y_old
     parts = [delta[lo:hi] for lo, hi in zip(off, off[1:])]  # one per master measure
     a = state.a.reshape(partition.n_unique, -1)
     a -= _outer_sum(parts[: state.tail - 2])

@@ -58,6 +58,7 @@ or artificial mass left after phase one, raises NumericalError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,10 +139,13 @@ class UnitColumns:
         self.ncols = rows.shape[1]
 
     def apply_yT(self, y: np.ndarray) -> np.ndarray:
-        acc = y[self.rows[0]].copy()
-        for i in range(1, self.rows.shape[0]):
-            acc += y[self.rows[i]]
-        return acc
+        # y[rows[0]] + y[rows[1]] + ... in that order (-0.0 + t is t): numpy
+        # reduces an outer axis in order but the innermost one pairwise, and
+        # a single column makes the row axis innermost.
+        terms = y[self.rows]
+        if self.ncols == 1:
+            return np.add.accumulate(terms, axis=0)[-1]
+        return np.add.reduce(terms, axis=0, initial=-0.0)
 
     def direction(self, Binv: np.ndarray, j: int) -> np.ndarray:
         return Binv[:, self.rows[:, j]].sum(axis=1)
@@ -234,15 +238,15 @@ class Kernel:
         self._invert()
         return True
 
-    def _residuals_hold(self, xB, y, cB, r_struct) -> bool:
+    def _residuals_hold(self, xB, y, cB, r_basic, art) -> bool:
         """Whether B x_B = b and c_B = y B hold within FEAS_TOL and OPT_TOL,
-        given the reduced costs of the basic structural columns."""
-        art = np.flatnonzero(self.basic < 0)
+        given the reduced costs at each row's slot (overwritten at the rows
+        in art, the mask of basic artificials)."""
         rows = -1 - self.basic[art]
-        dual = np.append(r_struct, cB[art] - y[rows])
-        if np.abs(dual).max() > OPT_TOL * (1.0 + np.abs(cB).max()):
+        r_basic[art] = cB[art] - y[rows]  # an artificial's column is unit row r
+        if np.abs(r_basic).max() > OPT_TOL * (1.0 + np.abs(cB).max()):
             return False
-        held = (self.basic >= 0) & (xB > 0)
+        held = ~art & (xB > 0)
         primal = self.cols.columns(self.basic[held]) @ xB[held] - self.b
         primal[rows] += xB[art]
         return np.abs(primal).max() <= FEAS_TOL * (1.0 + self.b.max())
@@ -257,15 +261,16 @@ class Kernel:
     def run_phase(self, cost: np.ndarray, art_cost: float):
         """Pivot to optimality for the given objective. Returns (xB, y)."""
         # Per row: the basic column's code, or the spare index ncols for an
-        # artificial; r is a view of rbuf without the spare entry.
+        # artificial; r is a view of rbuf without the spare entry. Scalars
+        # of the ratio test are Python floats.
         ncols = self.cols.ncols
         slot = np.where(self.basic >= 0, self.basic, ncols)
         art = self.basic < 0
-        n_art = int(art.sum())
+        n_art = int(np.count_nonzero(art))
         rbuf = np.zeros(ncols + 1)
         r = rbuf[:ncols]
         cB = np.append(cost, art_cost)[slot]
-        no_limit = np.full(self.m, np.inf)  # ratio of a row where w <= PIVOT_TOL
+        ratios = np.empty(self.m)  # inf at rows where w <= PIVOT_TOL
         interval = refactor_interval(self.m)
         xB = None
         bland = False
@@ -291,7 +296,7 @@ class Kernel:
                     enter = None
             if enter is None:
                 if self.updates and not self._residuals_hold(
-                    xB, y, cB, r_basic[~art]
+                    xB, y, cB, r_basic, art
                 ):
                     self._invert()
                     continue
@@ -301,11 +306,12 @@ class Kernel:
             # Ratio test. Zero-level basic artificials with any nonzero
             # direction component must leave first so they never re-acquire
             # mass once the original equalities hold.
-            ratios = np.divide(xB, w, out=no_limit.copy(), where=w > PIVOT_TOL)
+            ratios.fill(np.inf)
+            np.divide(xB, w, out=ratios, where=w > PIVOT_TOL)
             if art_cost == 0.0 and n_art:
                 ratios[art & (np.abs(w) > PIVOT_TOL) & (xB <= FEAS_TOL)] = 0.0
-            theta = ratios.min()
-            if not np.isfinite(theta):
+            theta = float(ratios.min())
+            if not math.isfinite(theta):
                 if self._refreshed():
                     continue
                 raise NumericalError(
@@ -316,8 +322,9 @@ class Kernel:
             if tie.size > 1:
                 keys = self._leave_keys(self.basic[tie], bland)
                 leave_pos = int(tie[keys.argmin()])
+            pivot = float(w[leave_pos])
             if (
-                abs(w[leave_pos]) < SMALL_PIVOT * np.abs(w).max()
+                abs(pivot) < SMALL_PIVOT * float(np.abs(w).max())
                 and self._refreshed()
             ):
                 continue
@@ -326,7 +333,7 @@ class Kernel:
             n_art -= int(art[leave_pos])
             art[leave_pos] = False
             cB[leave_pos] = cost[enter]
-            row = self.Binv[leave_pos] / w[leave_pos]
+            row = self.Binv[leave_pos] / pivot
             touched = w.nonzero()[0]
             if 2 * touched.size < self.m:
                 self.Binv[touched] -= np.multiply.outer(w[touched], row)

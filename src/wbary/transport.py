@@ -64,33 +64,30 @@ def _northwest_corner(supplies, demands):
 
 
 def _checked_basis(basis, supplies, demands):
-    """Lists of a given basis's cells and flows, once it is shown to be a
+    """A given basis's cells (int64) and flows, once it is shown to be a
     feasible basic flow: m + k - 1 integer cells in range, no negative flow,
     and row and column sums within BALANCE_TOL of the marginals. A connected
     tree is left to _basis_tree."""
     m, k = len(supplies), len(demands)
-    index = np.asarray(basis.index)
-    cells, flows = index.tolist(), np.asarray(basis.mass).tolist()
-    if len(cells) != len(flows):
+    index, mass = np.asarray(basis.index), np.asarray(basis.mass, dtype=float)
+    if len(index) != len(mass):
         raise ContractError("a basis needs one flow per cell")
-    if len(cells) != m + k - 1:
-        raise ContractError(f"a basis needs {m + k - 1} cells, got {len(cells)}")
+    if len(index) != m + k - 1:
+        raise ContractError(f"a basis needs {m + k - 1} cells, got {len(index)}")
     if index.dtype.kind not in "iu":
         raise ContractError(f"basis cells must be integers, got {index.dtype}")
-    row_sums, col_sums = [0.0] * m, [0.0] * k
-    for c, q in zip(cells, flows):
-        if not 0 <= c < m * k:
-            raise ContractError("a basis cell lies outside the cost matrix")
-        if not q >= 0.0:
-            raise ContractError("a basis holds a negative flow")
-        row_sums[c // k] += q
-        col_sums[c % k] += q
+    if index.min() < 0 or index.max() >= m * k:
+        raise ContractError("a basis cell lies outside the cost matrix")
+    if not mass.min() >= 0.0:  # NaN too
+        raise ContractError("a basis holds a negative flow")
+    index = index.astype(np.int64, copy=False)
+    row, col = np.divmod(index, k)
     if (
-        np.abs(np.subtract(row_sums, supplies)).max() > BALANCE_TOL
-        or np.abs(np.subtract(col_sums, demands)).max() > BALANCE_TOL
+        np.abs(np.bincount(row, mass, m) - supplies).max() > BALANCE_TOL
+        or np.abs(np.bincount(col, mass, k) - demands).max() > BALANCE_TOL
     ):
         raise ContractError("basis flows do not meet the marginals")
-    return cells, flows
+    return index, mass
 
 
 def _basis_tree(cells, cell_costs, m, k):
@@ -152,7 +149,7 @@ def solve_transportation(
     m, k = costs.shape
     if supplies.shape != (m,) or demands.shape != (k,):
         raise ContractError("marginal lengths do not match the cost matrix")
-    if np.any(supplies <= 0.0) or np.any(demands <= 0.0):
+    if (supplies <= 0.0).any() or (demands <= 0.0).any():
         raise ContractError("marginals must be strictly positive")
     if abs(supplies.sum() - demands.sum()) > BALANCE_TOL:
         raise ContractError(
@@ -162,7 +159,8 @@ def solve_transportation(
     if basis is None:
         cells, flows = _northwest_corner(supplies, demands)
     else:
-        cells, flows = _checked_basis(basis, supplies, demands)
+        given = _checked_basis(basis, supplies, demands)
+        cells, flows = given[0].tolist(), given[1].tolist()
     flat_costs = costs.ravel()
     cell_costs = flat_costs[cells].tolist()  # of the basic cells only: no m * k list
     red = np.empty((m, k))  # C-contiguous, so flat_red is a view
@@ -174,9 +172,9 @@ def solve_transportation(
         red -= pot[None, m:]
         flat_red[cells] = np.inf  # basics never enter
         if degen_streak > BLAND_AFTER:  # the lowest flat cell that prices out
-            enter = int(np.argmax(flat_red < -REDUCED_TOL))
+            enter = int((flat_red < -REDUCED_TOL).argmax())
         else:
-            enter = int(np.argmin(flat_red))
+            enter = int(flat_red.argmin())
         if flat_red[enter] >= -REDUCED_TOL:
             break
 
@@ -195,9 +193,12 @@ def solve_transportation(
         pivots += 1
         degen_streak = degen_streak + 1 if theta <= FLOW_TOL else 0
 
-    index = np.array(cells, dtype=np.int64)
+    if pivots or basis is None:
+        index, mass = np.array(cells, dtype=np.int64), np.array(flows)
+    else:  # the given basis, unchanged
+        index, mass = given
     order = index.argsort()
-    basis = Plan(index[order], np.array(flows)[order])
+    basis = Plan(index[order], mass[order])
     keep = basis.mass > FLOW_TOL
     plan = Plan(basis.index[keep], basis.mass[keep])
     # Summed over numpy scalars in cell order: plain float additions.

@@ -288,6 +288,75 @@ class TestCosts:
             assert peak < cost.nbytes + tile
 
 
+def two_pass_loop(inst, d):
+    """mean_costs written as a loop over the measures, one gather of one
+    measure's points per step: the weighted mean, then the weighted squared
+    distances to it, each summed from zero in measure order."""
+    mean = np.zeros((d.shape[1], inst.dim))
+    for lam, m, j in zip(inst.lambdas, inst.measures, d):
+        mean += lam * m.points.take(j, axis=0)
+    cost = np.zeros(d.shape[1])
+    for lam, m, j in zip(inst.lambdas, inst.measures, d):
+        diff = m.points.take(j, axis=0) - mean
+        cost += lam * (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+    return mean, cost
+
+
+def bits(a):
+    """The bit patterns of a float array: equal bits, equal values and signs."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def offset_instance(rng, n, dim):
+    """Random sizes 1-3, points around an offset, one zero weight for n >= 2
+    (its terms are -0.0 at negative coordinates)."""
+    sizes = rng.integers(1, 4, n).tolist()
+    offset = rng.choice([0.0, -3.0, 1e7])
+    measures = tuple(
+        DiscreteMeasure(offset + rng.normal(0.0, 1.0, (s, dim)), _random_masses(rng, s))
+        for s in sizes
+    )
+    lam = rng.uniform(0.2, 1.0, n)
+    if n >= 2:
+        lam[rng.integers(n)] = 0.0
+    return Instance(measures, lam / lam.sum())
+
+
+class TestMeasureAxisSums:
+    """mean_costs gathers every measure's points at once and sums over the
+    measure axis; it must round exactly as the per-measure loop does."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_mean_costs_equal_the_two_pass_loop(self, n):
+        rng = np.random.default_rng(50 + n)
+        for dim in (1, 2, 3):
+            for _ in range(3):
+                inst = offset_instance(rng, n, dim)
+                st = make_strides(inst.sizes)
+                for k in (0, 1, 2, 5, min(st.total, 40)):
+                    d = digits(rng.integers(0, st.total, k), st)
+                    mean, cost = mean_costs(inst, d)
+                    loop_mean, loop_cost = two_pass_loop(inst, d)
+                    assert mean.shape == (k, dim) and cost.shape == (k,)
+                    assert np.array_equal(bits(mean), bits(loop_mean)), (dim, k)
+                    assert np.array_equal(bits(cost), bits(loop_cost)), (dim, k)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 12])
+    def test_tiles_equal_the_loop(self, n, monkeypatch):
+        # tiles of BLOCK // (n (dim + 1)) = 3 combinations, over ranges that
+        # leave a last tile of one, whose measure sums numpy would otherwise
+        # add pairwise
+        rng = np.random.default_rng(70 + n)
+        for dim in (1, 2, 3):
+            monkeypatch.setattr(model, "BLOCK", 3 * n * (dim + 1) + 2)
+            inst = offset_instance(rng, n, dim)
+            st = make_strides(inst.sizes)
+            whole = two_pass_loop(inst, digits(np.arange(st.total), st))[1]
+            for index in (range(st.total), np.arange(st.total), range(0, min(st.total, 7))):
+                cost = cost_vector(inst, st, index)
+                assert np.array_equal(bits(cost), bits(whole[index])), (dim, index)
+
+
 class TestPlan:
     def test_marginal_predicate(self):
         m1 = DiscreteMeasure(np.zeros((2, 1)), np.array([0.5, 0.5]))

@@ -14,6 +14,7 @@ from oracles import (
 )
 from wbary import model, pricing
 from wbary.model import (
+    ContractError,
     DiscreteMeasure,
     Instance,
     Plan,
@@ -180,6 +181,23 @@ class TestUpdates:
         assert len(changed) == state.a.shape[0] // st.sizes[2]
         assert np.all(state.a_static[changed] - state.a[changed] == 0.25)
         assert np.array_equal(state.zb[-1], state.b_static)
+
+    @pytest.mark.parametrize("y", [np.ones(1), np.arange(5.0)], ids=["1-entry", "5-entry"])
+    def test_duals_of_another_length_are_refused(self, y):
+        # [2, 3, 2] prices the first two measures, so the master has the last
+        # measure's 2 rows: a 1-entry y used to move both entries of b by
+        # broadcasting, and a 5-entry y to move them by its first two entries
+        rng = np.random.default_rng(6)
+        _, part, st, state = setup(rng, [2, 3, 2])
+        a, zb = state.a.copy(), state.zb.copy()
+        with pytest.raises(ContractError, match="one entry per master row"):
+            update_reduced_costs(state, np.zeros(2), y, part, st)
+        with pytest.raises(ContractError, match="one entry per master row"):
+            update_reduced_costs(state, y, np.zeros(2), part, st)
+        with pytest.raises(ContractError, match="one entry per master row"):
+            recompute_reduced_costs(state, y, part, st)
+        assert np.array_equal(state.a, a)
+        assert np.array_equal(state.zb, zb)
 
     def test_incremental_matches_recompute(self, monkeypatch):
         rng = np.random.default_rng(4)

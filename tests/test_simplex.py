@@ -431,6 +431,24 @@ class TestUnitColumns:
         y = rng.uniform(-1, 1, size=4)
         assert np.allclose(cols.apply_yT(y), y @ dense)
 
+    def test_apply_yT_equals_the_per_row_loop(self):
+        # one gather and one sum over the row axis must round as adding
+        # y[rows[0]], y[rows[1]], ... does, down to the sign of a zero; one
+        # column and eight or more rows is where numpy would sum pairwise
+        rng = np.random.default_rng(10)
+        for n in range(1, 13):
+            for ncols in (0, 1, 2, 3, 40):
+                m = int(rng.integers(1, 30))
+                rows = rng.integers(0, m, (n, ncols))
+                y = rng.normal(0.0, 1.0, m) * 10.0 ** rng.integers(-8, 9, m)
+                y[rng.random(m) < 0.3] = -0.0
+                acc = y[rows[0]].copy()
+                for i in range(1, n):
+                    acc += y[rows[i]]
+                got = UnitColumns(rows, nrows=m).apply_yT(y)
+                assert got.shape == (ncols,)
+                assert np.array_equal(got.view(np.int64), acc.view(np.int64)), (n, ncols)
+
 
 def relocation_lp(inst):
     """The 2-approximation's LP, built independently of wbary.initial.

@@ -3,9 +3,9 @@
     OPENBLAS_NUM_THREADS=1 python3 tools/result_digest.py > digest.jsonl
 
 Covers the benchmark instances and their warm-up (bench/workloads.py) and one
-random instance for each of n = 1..4 measures, solved by ``solve`` with each
-case's settings (and with the 2-approximation start for n >= 3) and by
-``solve_direct``. Objectives and masses are printed with ``repr``, so running
+random instance for each of n = 1..4 measures, and two with many measures in
+1-D and 3-D, solved by ``solve`` with each case's settings (and with the
+2-approximation start for n >= 3) and by ``solve_direct``. Objectives and masses are printed with ``repr``, so running
 it on two checkouts and diffing the output shows whether a change moved any
 result by as much as one bit.
 """
@@ -36,16 +36,19 @@ def record(r) -> dict:
 
 
 def main():
-    cases = [(name, c) for name, cs in WORKLOADS.items() for c in cs]
-    cases.append(("warmup", WARMUP))
+    cases = [(name, c, 2) for name, cs in WORKLOADS.items() for c in cs]
+    cases.append(("warmup", WARMUP, 2))
     rng = np.random.default_rng(7)
     for n in (1, 2, 3, 4):
         sizes = tuple(int(s) for s in rng.integers(2, 6, n))
-        cases.append((f"random-n{n}", Case(sizes, "random", 100 + n)))
+        cases.append((f"random-n{n}", Case(sizes, "random", 100 + n), 2))
         if n > 2:
-            cases.append((f"random-n{n}", Case(sizes, "random", 100 + n, start="2app")))
-    for name, case in cases:
-        d = generate(case)
+            cases.append((f"random-n{n}", Case(sizes, "random", 100 + n, start="2app"), 2))
+    # many measures, so costs and the polish reduce over long measure axes
+    cases.append(("dim1-n9", Case((3, 2, 4, 3, 2, 3, 2, 3, 2), "random", 201), 1))
+    cases.append(("dim3-n8", Case((3, 3, 2, 4, 2, 3, 2, 3), "random", 202), 3))
+    for name, case, dim in cases:
+        d = generate(case, dim)
         inst = wbary.Instance(
             tuple(wbary.DiscreteMeasure(p, m) for p, m in zip(d.points, d.masses)),
             d.weights,
