@@ -8,20 +8,20 @@ adapts to the subgradient b - A_p of each priced column p (Pessoa, Sadykov,
 Uchoa & Vanderbeck 2018); a column that would not enter the master at y is
 a misprice, and pricing repeats once at y. Both starts seed pi_hat (Wentges'
 dual seeding): before the first master solve the loop prices once at the
-seed, which sets the first bound, pi_hat and the transport basis, and adds
-that column to the master. The greedy start seeds at zero duals, where
-L(0) is the cheapest vertex's cost and so at least 0, every cost being
-nonnegative; the 2-approximation start seeds at its relocation LP's duals
-of the master rows. L(pi) is a valid bound at any pi and does not change
-when one measure's duals all shift by a constant, so those duals need no
-normalisation. Each pricing but the first starts its transport simplex from
-the basis the one before it ended at: only the costs change, so that basis
-stays feasible. The loop stops when the master objective is within tol of
-the best bound, a certified gap, then re-solves the full LP over the
-generated supports for a basic optimum. One or two input measures never
-enter the loop: a single measure is its own barycenter, and for two measures
-the whole problem is one balanced transportation problem. Every path turns
-its optimal plan into a SolveResult through the same helper.
+seed, which sets the first bound and pi_hat, and adds that column to the
+master. The greedy start seeds at zero duals, where L(0) is the cheapest
+vertex's cost and so at least 0, every cost being nonnegative; the
+2-approximation start seeds at its relocation LP's duals of the master rows.
+L(pi) is a valid bound at any pi and does not change when one measure's
+duals all shift by a constant, so those duals need no normalisation. Each
+pricing but the first starts its transport simplex from the basis, held by
+the pricing state, that the one before it ended at: only the costs change,
+so that basis stays feasible. The loop stops when the master objective is
+within tol of the best bound, a certified gap, then re-solves the full LP
+over the generated supports for a basic optimum. One or two input measures
+never enter the loop: a single measure is its own barycenter, and for two
+measures the whole problem is one balanced transportation problem. Every
+path turns its optimal plan into a SolveResult through the same helper.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .model import (
     make_strides,
 )
 from .initial import greedy_vertex, relocation_bytes, repair_to_vertex, two_approx
-from .transport import solve_transportation
+from .transport import northwest_corner, solve_transportation
 
 STEP_LABELS = (
     "setup-RM",
@@ -166,8 +166,8 @@ def _two_measure_result(inst: Instance) -> SolveResult:
     wall_start = time.perf_counter()
     strides = make_strides(inst.sizes)
     costs = cost_vector(inst, strides, range(strides.total))
-    m0, m1 = inst.measures
-    w = solve_transportation(m0.masses, m1.masses, costs.reshape(inst.sizes)).flows
+    basis = northwest_corner(*(m.masses for m in inst.measures))
+    w = solve_transportation(costs.reshape(inst.sizes), basis).flows
     timings = _zero_timings()
     timings["solve-pricing"] = time.perf_counter() - wall_start
     return _result(w, inst, (0, 1), strides, wall_start, timings, costs.nbytes)
@@ -223,14 +223,12 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
     rm = master_mod.init_rm(p1, inst_p, strides_p)
     timings["setup-RM"] += time.perf_counter() - t0
 
-    supplies = inst_p.measures[0].masses
-    demands = inst_p.measures[1].masses
     b = rm.rhs[:-1]
     pricing_calls = 0
 
-    def price(pi: np.ndarray, basis: Plan | None):
-        """Column minimizing the reduced cost at pi, its rows, the transport
-        objective, L(pi) and the final basis; the transport starts from basis."""
+    def price(pi: np.ndarray):
+        """Column minimizing the reduced cost at pi, its rows and cost, the
+        transport objective and L(pi)."""
         nonlocal pricing_calls
         t0 = time.perf_counter()
         pricing_mod.recompute_reduced_costs(state, pi, partition, strides_p)
@@ -241,19 +239,17 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         timings["calc-best-costs"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        plan = pricing_mod.solve_pricing(state, partition, supplies, demands, basis)
+        plan = pricing_mod.solve_pricing(state)
         p = pricing_mod.expand_column(plan, state)
-        a_p = master_mod.column_coeffs(p, strides_p, b.shape[0])
+        a_p, cost = master_mod.column_coeffs(p, inst_p, strides_p)
         timings["solve-pricing"] += time.perf_counter() - t0
         pricing_calls += 1
-        return p, a_p, plan.objective, float(pi @ b) + plan.objective, plan.basis
+        return p, a_p, cost, plan.objective, float(pi @ b) + plan.objective
 
     alpha = ALPHA_START
-    # the first bound and the last optimal transport basis, which each
-    # pricing starts from
-    p, a_p, _, best_lb, basis = price(center, None)
+    p, a_p, cost, _, best_lb = price(center)  # the first bound
     t0 = time.perf_counter()
-    master_mod.add_column(rm, p, a_p)
+    master_mod.add_column(rm, p, a_p, cost)
     timings["setup-RM"] += time.perf_counter() - t0
     trace: list[TraceEntry] = []
     converged = False
@@ -266,7 +262,7 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         iteration += 1
 
         pi = alpha * center + (1 - alpha) * y
-        p, a_p, transport_obj, lb, basis = price(pi, basis)
+        p, a_p, cost, transport_obj, lb = price(pi)
         if (b - a_p) @ (y - center) > 0:
             alpha = max(0.0, alpha - 0.1)
         else:
@@ -276,7 +272,7 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         # A misprice: p, priced at pi, would not enter the master at y.
         misprice = transport_obj + (pi - y) @ a_p - sigma >= -simplex.OPT_TOL
         if misprice and rm_obj - best_lb > cfg.tol:
-            p, a_p, _, lb, basis = price(y, basis)
+            p, a_p, cost, _, lb = price(y)
             if lb > best_lb:
                 best_lb, center = lb, y
 
@@ -288,7 +284,7 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
             break
 
         t0 = time.perf_counter()
-        master_mod.add_column(rm, p, a_p)
+        master_mod.add_column(rm, p, a_p, cost)
         timings["setup-RM"] += time.perf_counter() - t0
 
     w = master_mod.recover_solution(rm)

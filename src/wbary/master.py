@@ -4,11 +4,11 @@ The master LP keeps one row per support point of every measure outside the
 pricing pair, plus a convexity row. Its columns are vertices, each a
 ``model.Plan``, the one plan format: an index array of combinations and a
 mass array. They are never read from a stored constraint matrix: each new
-vertex has few nonzeros, and their rows come straight from its decoded
-combination indices (``model.digits``), as do the full LP's rows. The master
-keeps one simplex kernel from its first solve to its last. Each column is
-appended to it, and a re-solve starts from the optimal basis and inverse the
-kernel holds, so it typically takes a handful of pivots.
+vertex has few nonzeros, and one decode of its combination indices
+(``model.digits``) gives both its rows and its cost, as it does for the full
+LP. The master keeps one simplex kernel from its first solve to its last.
+Each column is appended to it, and a re-solve starts from the optimal basis
+and inverse the kernel holds, so it typically takes a handful of pivots.
 
 Every column's entries in one measure's block of rows sum to its convexity
 entry, so each block holds one row implied by the others. The simplex gets
@@ -54,17 +54,24 @@ class MasterState:
     last_pivots: int = 0
 
 
-def column_coeffs(p: Plan, strides_perm: Strides, master_rows: int) -> np.ndarray:
-    """A vertex's entries in the master rows, without the convexity row.
+def column_coeffs(
+    p: Plan, inst_perm: Instance, strides_perm: Strides
+) -> tuple[np.ndarray, float]:
+    """A vertex's entries in the master rows, without the convexity row, and
+    its cost, from one decode of its combinations.
 
     One bincount over the trailing measures' rows: each row sums its masses
-    in the vertex's entry order.
+    in the vertex's entry order. The cost sums mass times ``mean_costs`` cost
+    over numpy scalars in entry order, unlike np.dot.
     """
+    d = digits(p.index, strides_perm)
     offsets = np.asarray(strides_perm.row_offsets[2:-1]) - strides_perm.row_offsets[2]
-    rows = digits(p.index, strides_perm)[2:] + offsets[:, None]
-    return np.bincount(
-        rows.ravel(), weights=np.tile(p.mass, rows.shape[0]), minlength=master_rows
+    rows = d[2:] + offsets[:, None]
+    coeffs = np.bincount(
+        rows.ravel(), weights=np.tile(p.mass, rows.shape[0]),
+        minlength=strides_perm.row_offsets[-1] - strides_perm.row_offsets[2],
     )
+    return coeffs, sum(p.mass * mean_costs(inst_perm, d)[1])
 
 
 def init_rm(p1: Plan, inst_perm: Instance, strides_perm: Strides) -> MasterState:
@@ -73,7 +80,7 @@ def init_rm(p1: Plan, inst_perm: Instance, strides_perm: Strides) -> MasterState
     rhs = np.concatenate(
         [m.masses for m in inst_perm.measures[2:]] + [np.ones(1)]
     )
-    coeffs = column_coeffs(p1, strides_perm, master_rows)
+    coeffs, cost = column_coeffs(p1, inst_perm, strides_perm)
     resid = np.abs(np.append(coeffs, 1.0) - rhs).max()
     if resid > 1e-9:
         raise ContractError(f"initial vertex violates the master rows by {resid}")
@@ -81,17 +88,15 @@ def init_rm(p1: Plan, inst_perm: Instance, strides_perm: Strides) -> MasterState
     rows = np.delete(np.arange(master_rows + 1), block_ends)
     kernel = simplex.Kernel(simplex.DenseColumns(np.empty((rows.size, 0))), rhs[rows])
     state = MasterState(inst_perm, strides_perm, [], rhs, rows, kernel)
-    add_column(state, p1, coeffs)
+    add_column(state, p1, coeffs, cost)
     return state
 
 
-def add_column(state: MasterState, p: Plan, coeffs: np.ndarray):
-    """Append vertex p given its master-row entries (column_coeffs)."""
+def add_column(state: MasterState, p: Plan, coeffs: np.ndarray, cost: float):
+    """Append vertex p given its master-row entries and cost (column_coeffs)."""
     state.columns.append(p)
     state.kernel.cols.append(np.append(coeffs, 1.0)[state._rows])
-    costs = cost_vector(state.inst, state.strides, p.index)
-    # summed over numpy scalars in entry order, unlike np.dot
-    state.costs = np.concatenate((state.costs, [sum(p.mass * costs)]))
+    state.costs = np.concatenate((state.costs, [cost]))
 
 
 def solve_rm(state: MasterState) -> tuple[np.ndarray, np.ndarray, float, float]:

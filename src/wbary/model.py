@@ -8,17 +8,17 @@ exponentially large constraint matrix never has to be stored; any column of
 it can be regenerated from the index alone.
 
 ``digits`` is the one decode from flat indices to point indices, and
-``mean_costs`` the one cost formula: the full LP, the master columns (both
-through ``cost_vector``) and the reported objective cost combinations with
-it. Only pricing scores them another way, by the reduced costs of its split
+``mean_costs`` the one cost formula: the full LP (through ``cost_vector``),
+the master columns and the reported objective cost combinations with it.
+Only pricing scores them another way, by the reduced costs of its split
 state (pricing.py). The formula takes two passes, the weighted mean and then
 the weighted squared distances to it; each gathers the points of all n
 measures at once from the stacked point array and sums over the measure
 axis in measure order, so it rounds exactly as a loop over the measures
 does. ``cost_vector`` runs it over tiles that share one set of buffers.
 ``Plan`` is the one plan format: start vertices, master columns, optimal
-plans and transport flows and bases (over flat cells i * k + j) are index
-and mass arrays, read directly.
+plans and transport flows (over flat cells i * k + j) are index and mass
+arrays, read directly.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 MASS_TOL = 1e-12
+# Largest squared norm of a point: |x - y|^2 <= 4 max(|x|^2, |y|^2) keeps
+# every squared distance, cost and pricing sum of squared norms finite.
+SQNORM_LIMIT = float(np.finfo(float).max) / 4
 INDEX_LIMIT = 2**63  # flat indices are kept in signed 64-bit arrays
 # Entries per tile of the pricing pass and of cost_vector. The tile that
 # matmul writes must still be in L2 when argmin reads it back: 1 << 17
@@ -76,6 +79,8 @@ class DiscreteMeasure:
         masses.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "masses", masses)
+        if not self.sqnorms.max() <= SQNORM_LIMIT:  # inf too
+            raise ContractError(f"points must have squared norms of at most {SQNORM_LIMIT:.4g}")
 
     @property
     def size(self) -> int:
@@ -128,7 +133,7 @@ class Instance:
     def dim(self) -> int:
         return self.measures[0].dim
 
-    @property
+    @cached_property  # built per read, it held memory until the next gc pass
     def sizes(self) -> tuple[int, ...]:
         return tuple(m.size for m in self.measures)
 
@@ -221,7 +226,9 @@ def mean_costs(inst: Instance, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     loses every digit of it.
     """
     (n, k), dim = d.shape, inst.dim
-    rows = d + np.cumsum((0,) + inst.sizes[:-1])[:, None]  # stacked point rows
+    # stacked point rows; np.cumsum of a tuple would hold memory until the
+    # next gc pass at each of the master's per-pricing calls
+    rows = d + np.add.accumulate((0,) + inst.sizes[:-1])[:, None]
     cost = np.empty(k)
     mean = _row_costs(inst, rows, np.empty(k * (n * (dim + 1) + dim)), cost)
     return mean.copy(), cost

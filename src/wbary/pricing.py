@@ -15,8 +15,9 @@ sum of per-measure terms over every digit combination of its group, built by
 one helper (_outer_sum): the point and squared-norm sums once, and the dual
 sums of a and b at every pricing. The per-pattern minima then take one tiled
 product [P_e, 1] . [-2 Z; b], a row argmin, and a reduction over d_hi.
-Arranged as a matrix over the two measures' points, the minima form a
-balanced transportation problem.
+Arranged as a matrix over the two measures' points, the minima form the costs
+of a balanced transportation problem over the pair's masses, which never
+change: the state holds its one basis, and each pricing pivots it on.
 
 No array of length N or n_duplicates is held: the state has (n_e + n_lo)
 rows of dim + 1 or fewer entries, and the split that minimises its bytes
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import model
 from .model import ContractError, Instance, Plan, Strides
-from .transport import TransportPlan, solve_transportation
+from .transport import Basis, TransportPlan, northwest_corner, solve_transportation
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,7 @@ class PricingState:
     b_static: np.ndarray  # (n_lo,) b_l at zero duals
     best: np.ndarray  # (n_unique,) minimum reduced cost per unique column
     best_index: np.ndarray  # (n_unique,) flat index attaining each minimum
+    basis: Basis  # of the pair's transport problem, left by the last pricing
 
 
 def _outer_sum(parts, shape=()) -> np.ndarray:
@@ -121,8 +123,9 @@ def init_reduced_costs(
     partition: Partition,
     strides_perm: Strides,
 ) -> PricingState:
-    """Build the split state at zero duals. best and best_index are left
-    unset: every pricing fills them with best_costs before reading them.
+    """Build the split state at zero duals and the pair's northwest corner.
+    best and best_index are left unset: every pricing fills them with
+    best_costs before reading them.
 
     solve checks state_bytes against its cap before calling this.
     """
@@ -143,6 +146,7 @@ def init_reduced_costs(
         b_static=b_static,
         best=np.empty(partition.n_unique),
         best_index=np.empty(partition.n_unique, dtype=np.int64),
+        basis=northwest_corner(*(m.masses for m in inst_perm.measures[:2])),
     )
 
 
@@ -205,6 +209,7 @@ def best_costs(state: PricingState, partition: Partition):
             lower = value < best
             best[lower] = value[lower]
             arg[lower] = c0 + local[lower]
+            del local, value, lower  # not alive beside the next tile's
     row_min += state.a
     grid = row_min.reshape(partition.n_unique, -1)
     d_hi = np.argmin(grid, axis=1)
@@ -214,23 +219,16 @@ def best_costs(state: PricingState, partition: Partition):
     state.best_index[:] = e * n_lo + row_arg[e]
 
 
-def solve_pricing(
-    state: PricingState,
-    partition: Partition,
-    supplies: np.ndarray,
-    demands: np.ndarray,
-    basis: Plan | None = None,
-) -> TransportPlan:
+def solve_pricing(state: PricingState) -> TransportPlan:
     """Minimize the compressed reduced costs over the pair's transport polytope.
 
     The plan's objective is min over columns p of (c_p - duals . A_p) at the
     duals a and b were last rebuilt at, without the convexity dual; its cells
-    index state.best. The transport simplex starts from basis, the plan.basis
-    of an earlier pricing with these supplies and demands, or the northwest
-    corner when it is None.
+    index state.best. The transport simplex pivots state.basis on from the
+    optimum of the last pricing.
     """
-    costs = state.best.reshape(len(supplies), len(demands))
-    return solve_transportation(supplies, demands, costs, basis)
+    costs = state.best.reshape(len(state.basis.supplies), len(state.basis.demands))
+    return solve_transportation(costs, state.basis)
 
 
 def expand_column(plan: TransportPlan, state: PricingState) -> Plan:

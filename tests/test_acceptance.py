@@ -31,7 +31,7 @@ from wbary.model import (
     Instance,
     make_strides,
 )
-from wbary.transport import solve_transportation
+from wbary.transport import northwest_corner, solve_transportation
 
 VARIANTS = [
     (start, pair) for start in ("greedy", "2app") for pair in ("any", "large", "small")
@@ -260,7 +260,7 @@ def test_criterion_9_kernel_differential_checks():
         demands = rng.uniform(0.1, 1.0, k)
         demands /= demands.sum()
         costs = rng.uniform(-2.0, 5.0, (m, k))
-        plan = solve_transportation(supplies, demands, costs)
+        plan = solve_transportation(costs, northwest_corner(supplies, demands))
         c, A, b = transport_lp_arrays(supplies, demands, costs)
         ref = lp_solve(DenseLP(c, A, b))
         assert abs(plan.objective - ref.objective) <= 1e-9 * (1 + abs(ref.objective))

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -523,3 +527,52 @@ class TestDirectSolver:
         inst = random_instance(21, [5])
         ref = solve_direct(inst)
         assert ref.objective == 0.0
+
+
+# Prints, for n = 2, 3 and 4 measures of three 2-D points scaled by argv[1],
+# the objective solve and then solve_direct return, or the ContractError
+# either raises, one line each.
+ROUTES_AT_SCALE = """
+import sys
+import numpy as np
+import wbary
+
+for n in (2, 3, 4):
+    for route in (lambda i: wbary.solve(i, wbary.SolveConfig(max_iter=50)), wbary.solve_direct):
+        rng = np.random.default_rng(0)
+        try:
+            measures = tuple(
+                wbary.DiscreteMeasure(rng.random((3, 2)) * float(sys.argv[1]), np.full(3, 1 / 3))
+                for _ in range(n)
+            )
+            print(repr(route(wbary.Instance(measures, np.full(n, 1 / n))).objective))
+        except wbary.ContractError as exc:
+            print("ContractError:", exc)
+"""
+
+
+class TestOverflowingCoordinates:
+    """Points whose squared distances overflow to inf are refused where the
+    measures are built, for every route. An inf cost once made the transport
+    simplex pivot forever, so each run has a time limit."""
+
+    @staticmethod
+    def routes_at(scale):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        return subprocess.run(
+            [sys.executable, "-c", ROUTES_AT_SCALE, repr(scale)], capture_output=True,
+            text=True, timeout=60, env=env, check=True,
+        ).stdout.splitlines()
+
+    def test_refused_on_every_route(self):
+        lines = self.routes_at(1e155)
+        assert len(lines) == 6
+        assert all(line.startswith("ContractError: points must have squared norms")
+                   for line in lines), lines
+
+    def test_solved_just_inside_the_limit(self):
+        lines = self.routes_at(1e150)
+        objectives = [float(line) for line in lines]  # no error line
+        assert len(objectives) == 6
+        for n, (by_cg, direct) in zip((2, 3, 4), zip(objectives[::2], objectives[1::2])):
+            assert 0 < direct < np.inf and abs(by_cg - direct) <= 1e-9 * direct, n

@@ -17,6 +17,7 @@ from wbary.model import (
     DiscreteMeasure,
     Instance,
     Plan,
+    cost_vector,
     make_strides,
 )
 from wbary.pricing import choose_partition
@@ -44,7 +45,7 @@ def unit_plan(h):
 
 def add(rm, p, st):
     """Append p with the master-row entries the driver passes."""
-    add_column(rm, p, column_coeffs(p, st, rm.rhs.shape[0] - 1))
+    add_column(rm, p, *column_coeffs(p, rm.inst, st))
 
 
 class TestInitRM:
@@ -75,7 +76,7 @@ class TestAddColumn:
         rm = init_rm(p1, inst_p, st)
         single = unit_plan(7)
         add(rm, single, st)
-        coeffs = column_coeffs(single, st, rm.rhs.shape[0] - 1)
+        coeffs = column_coeffs(single, inst_p, st)[0]
         assert np.array_equal(rm.kernel.cols.A[:, -1], np.append(coeffs, 1.0)[rm._rows])
         pos = 0
         for t in range(2, inst_p.n):
@@ -83,6 +84,19 @@ class TestAddColumn:
             assert block.sum() == pytest.approx(1.0)
             assert np.count_nonzero(block) == 1
             pos += inst_p.sizes[t]
+
+    def test_cost_is_the_cost_vectors_mass_weighted_sum(self):
+        # column_coeffs costs a column from the decode its rows come from,
+        # bit for bit as a sum over the column's cost_vector in entry order
+        rng = np.random.default_rng(4)
+        inst_p, part, st = build(rng, [2, 3, 4, 2], uniform=False)
+        columns = [greedy_vertex(inst_p, st), unit_plan(5)]
+        for _ in range(20):
+            index = rng.choice(st.total, int(rng.integers(1, 8)), replace=False)
+            columns.append(Plan(index, rng.uniform(0.1, 1.0, index.size)))
+        for p in columns:
+            expect = sum(p.mass * cost_vector(inst_p, st, p.index))
+            assert column_coeffs(p, inst_p, st)[1] == expect
 
     def test_duplicate_column_accepted(self):
         rng = np.random.default_rng(3)
@@ -117,7 +131,7 @@ class TestMasterRows:
         mu, y, sigma, obj = solve_rm(rm)
         assert y.shape == (sum(inst_p.sizes[2:]),)
         # every column with positive weight prices to zero against (y, sigma)
-        A = np.array([column_coeffs(p, st, y.shape[0]) for p in rm.columns]).T
+        A = np.array([column_coeffs(p, inst_p, st)[0] for p in rm.columns]).T
         reduced = np.array(rm.costs) - y @ A - sigma
         assert np.all(reduced >= -1e-9)
         assert np.allclose(reduced[mu > 1e-12], 0.0, atol=1e-9)

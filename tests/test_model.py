@@ -163,14 +163,14 @@ class TestNearTheIndexLimit:
         # masses, as init_rm requires
         rows = sum(sizes[2:])
         trailing = np.concatenate([m.masses for m in inst.measures[2:]])
-        assert np.abs(column_coeffs(w, st, rows) - trailing).max() <= 1e-12
+        assert np.abs(column_coeffs(w, inst, st)[0] - trailing).max() <= 1e-12
         # one column over the sampled indices, against Python-int rows
         p = Plan(np.unique(np.array(hs, dtype=np.int64)), np.full(len(set(hs)), 0.5))
         expect = np.zeros(rows)
         for h, mass in zip(p.index.tolist(), p.mass):
             for i, j in enumerate(divmod_digits(h, sizes)[2:]):
                 expect[st.row_offsets[i + 2] - st.row_offsets[2] + j] += mass
-        assert np.array_equal(column_coeffs(p, st, rows), expect)
+        assert np.array_equal(column_coeffs(p, inst, st)[0], expect)
 
         points = [m.points for m in inst.measures]
         costs = cost_vector(inst, st, np.array(hs, dtype=np.int64))
@@ -389,6 +389,15 @@ class TestValidation:
     def test_points_finite(self, bad):
         with pytest.raises(ContractError, match="points must be finite"):
             DiscreteMeasure(np.array([[0.0, bad], [1.0, 1.0]]), np.array([0.5, 0.5]))
+
+    def test_squared_norms_stay_below_the_limit(self):
+        # |x - y|^2 <= 4 max(|x|^2, |y|^2), so below SQNORM_LIMIT every
+        # squared distance, and every cost, stays finite
+        edge = math.sqrt(model.SQNORM_LIMIT)
+        uniform_measure([[0.999 * edge, 0.0], [0.0, -0.999 * edge]])
+        for bad in ([[1.001 * edge, 0.0]], [[0.0, 0.8 * edge], [-0.8 * edge, 0.8 * edge]]):
+            with pytest.raises(ContractError, match="squared norms of at most 4.494e"):
+                uniform_measure(bad)
 
     def test_points_need_a_coordinate(self):
         with pytest.raises(ContractError, match="at least one coordinate"):

@@ -31,7 +31,7 @@ from wbary.pricing import (
     tail_start,
     update_reduced_costs,
 )
-from wbary.transport import TransportPlan
+from wbary.transport import TransportPlan, northwest_corner
 
 
 def uniform_instance(rng, sizes, dim=2):
@@ -374,15 +374,31 @@ class TestBestCosts:
 
 
 class TestSolvePricing:
+    def test_state_holds_the_pairs_basis(self):
+        # init_reduced_costs builds the northwest corner of the pair's masses,
+        # and each pricing pivots that basis on in place.
+        rng = np.random.default_rng(15)
+        inst_p, part, st, state = setup(rng, [3, 4, 2], "large")
+        basis = state.basis
+        corner = northwest_corner(*(m.masses for m in inst_p.measures[:2]))
+        assert (basis.cells, basis.flows) == (corner.cells, corner.flows)
+        assert np.array_equal(basis.supplies, inst_p.measures[0].masses)
+        assert np.array_equal(basis.demands, inst_p.measures[1].masses)
+        for _ in range(3):
+            recompute_reduced_costs(state, rng.normal(0, 0.5, sum(st.sizes[2:])), part, st)
+            best_costs(state, part)
+            first = solve_pricing(state)
+            again = solve_pricing(state)  # from the optimum the first left
+            assert state.basis is basis and again.pivots == 0
+            assert plan_items(again.flows) == plan_items(first.flows)
+
     def test_zero_costs_zero_objective(self):
         rng = np.random.default_rng(10)
         inst_p, part, st, state = setup(rng, [2, 2, 2])
         state.a[:] = 0.0
         state.zb[:] = 0.0
         best_costs(state, part)
-        plan = solve_pricing(
-            state, part, inst_p.measures[0].masses, inst_p.measures[1].masses
-        )
+        plan = solve_pricing(state)
         assert plan.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_vertex_enumeration(self):
@@ -396,7 +412,7 @@ class TestSolvePricing:
             best_costs(state, part)
             sup = inst_p.measures[0].masses
             dem = inst_p.measures[1].masses
-            plan = solve_pricing(state, part, sup, dem)
+            plan = solve_pricing(state)
             c, A, b = transport_lp_arrays(
                 sup, dem, state.best.reshape(len(sup), len(dem))
             )
@@ -408,9 +424,7 @@ class TestSolvePricing:
         rng = np.random.default_rng(12)
         inst_p, part, st, state = setup(rng, [3, 2, 2])
         best_costs(state, part)
-        plan = solve_pricing(
-            state, part, inst_p.measures[0].masses, inst_p.measures[1].masses
-        )
+        plan = solve_pricing(state)
         p = expand_column(plan, state)
         assert p.mass.sum() == pytest.approx(1.0)
         assert len(p.index) <= 3 + 2 - 1
@@ -430,7 +444,7 @@ class TestSolvePricing:
         inst_p, part, st, state = setup(rng, [3, 2, 2])
         # cells (0, 0), (1, 1) and (2, 0) of the 3 x 2 pair
         flows = Plan(np.array([0, 3, 4]), np.array([1e-13, 1e-11, 0.5]))
-        plan = TransportPlan(flows, objective=0.0, basis=flows, pivots=0)
+        plan = TransportPlan(flows, objective=0.0, pivots=0)
         p = expand_column(plan, state)
         assert p.index.tolist() == [state.best_index[3], state.best_index[4]]
         assert p.mass.tolist() == [1e-11, 0.5]
@@ -443,9 +457,7 @@ class TestSolvePricing:
         y = rng.normal(0, 0.3, master_rows)
         recompute_reduced_costs(state, y, part, st)
         best_costs(state, part)
-        sup = inst_p.measures[0].masses
-        dem = inst_p.measures[1].masses
-        plan = solve_pricing(state, part, sup, dem)
+        plan = solve_pricing(state)
         p = expand_column(plan, state)
         offset = st.row_offsets[2]
         cost_p = float(np.dot(p.mass, cost_vector(inst_p, st, p.index)))
