@@ -70,15 +70,17 @@ def load_instance_csv(path: str) -> Instance:
     groups: dict[str, list[list[float]]] = {}
     order: list[str] = []
     width = first = None
+    header_allowed = True
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not any(field.strip() for field in row):
                 continue  # empty, whitespace-only or all-blank row
+            header, header_allowed = header_allowed, False
             try:
                 values = [float(x) for x in row[1:]]
             except ValueError:
-                if lineno == 1:
-                    continue  # header row
+                if header:
+                    continue  # the first non-blank row may be a header
                 raise ParseError(f"line {lineno}: non-numeric value in {row!r}")
             if len(values) < 2:
                 raise ParseError(f"line {lineno}: need coordinates and a mass")

@@ -39,14 +39,7 @@ from . import model
 from . import pricing as pricing_mod
 from . import simplex
 from .master import BarycenterPoint
-from .model import (
-    CapacityError,
-    Instance,
-    Plan,
-    Strides,
-    cost_vector,
-    make_strides,
-)
+from .model import CapacityError, Instance, Plan, cost_vector
 from .initial import greedy_vertex, relocation_bytes, repair_to_vertex, two_approx
 from .transport import northwest_corner, solve_transportation
 
@@ -128,13 +121,13 @@ def _zero_timings() -> dict[str, float]:
 
 
 def _result(
-    w: Plan, inst_perm: Instance, perm: tuple[int, ...], strides_perm: Strides,
+    w: Plan, inst_perm: Instance, perm: tuple[int, ...],
     wall_start: float, timings: dict[str, float], peak_memory_bytes: int,
     iterations: int = 0, converged: bool = True, trace: Sequence[TraceEntry] = (),
     pricing_calls: int = 0,
 ) -> SolveResult:
     """The result of an optimal plan over the combinations of ``inst_perm``."""
-    points, objective = master_mod.barycenter_points(w, inst_perm, perm, strides_perm)
+    points, objective = master_mod.barycenter_points(w, inst_perm, perm)
     timings["total"] = time.perf_counter() - wall_start
     return SolveResult(
         barycenter=points,
@@ -144,7 +137,7 @@ def _result(
         timings=timings,
         peak_memory_bytes=peak_memory_bytes,
         trace=list(trace),
-        n_combinations=strides_perm.total,
+        n_combinations=inst_perm.strides.total,
         pricing_calls=pricing_calls,
     )
 
@@ -152,7 +145,7 @@ def _result(
 def _single_measure_result(inst: Instance) -> SolveResult:
     wall_start = time.perf_counter()
     w = Plan(np.arange(inst.sizes[0]), inst.measures[0].masses)
-    return _result(w, inst, (0,), make_strides(inst.sizes), wall_start, _zero_timings(), 0)
+    return _result(w, inst, (0,), wall_start, _zero_timings(), 0)
 
 
 def _two_measure_result(inst: Instance) -> SolveResult:
@@ -164,13 +157,12 @@ def _two_measure_result(inst: Instance) -> SolveResult:
     # digits, points, per-measure costs and mean, 8 * (5 + 3 dim) bytes each
     _check_cap(inst, 17 * N + 8 * (inst.n + 3 * inst.dim + 2) * min(N, model.BLOCK))
     wall_start = time.perf_counter()
-    strides = make_strides(inst.sizes)
-    costs = cost_vector(inst, strides, range(strides.total))
+    costs = cost_vector(inst, range(inst.strides.total))
     basis = northwest_corner(*(m.masses for m in inst.measures))
     w = solve_transportation(costs.reshape(inst.sizes), basis).flows
     timings = _zero_timings()
     timings["solve-pricing"] = time.perf_counter() - wall_start
-    return _result(w, inst, (0, 1), strides, wall_start, timings, costs.nbytes)
+    return _result(w, inst, (0, 1), wall_start, timings, costs.nbytes)
 
 
 def _check_cap(inst: Instance, need: int):
@@ -190,37 +182,34 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
     if inst.n == 2:  # the transportation kernel, no dense simplex
         return _two_measure_result(inst)
     partition = pricing_mod.choose_partition(inst, cfg.pair_variant)
-    sizes_p = tuple(inst.sizes[i] for i in partition.perm)
+    inst_p = inst.permuted(partition.perm)
     N = math.prod(inst.sizes)
-    held = pricing_mod.state_bytes(sizes_p, inst.dim)
+    held = pricing_mod.state_bytes(inst_p.sizes, inst.dim)
     # one tile of the pricing pass; the polish has one basis row per input
     # point, the master fewer
     need = held + 8 * min(N, model.BLOCK) + simplex.kernel_bytes(sum(inst.sizes))
     if cfg.start == "2app":
-        need += relocation_bytes(sizes_p)
+        need += relocation_bytes(inst_p.sizes)
     _check_cap(inst, need)
 
     wall_start = time.perf_counter()
     timings = _zero_timings()
 
-    inst_p = inst.permuted(partition.perm)
-    strides_p = make_strides(sizes_p)
-
     t0 = time.perf_counter()
-    state = pricing_mod.init_reduced_costs(inst_p, partition, strides_p)
+    state = pricing_mod.init_reduced_costs(inst_p)
     # center: the duals of the best bound, first the seed, priced before the
     # first master solve; one dual per master row
     if cfg.start == "greedy":
-        p1 = greedy_vertex(inst_p, strides_p)
-        center = np.zeros(sum(sizes_p[2:]))
+        p1 = greedy_vertex(inst_p)
+        center = np.zeros(sum(inst_p.sizes[2:]))
     else:
         apx = two_approx(inst_p)
-        p1 = repair_to_vertex(apx, inst_p, strides_p)
-        center = apx.duals[sizes_p[0] + sizes_p[1] :]
+        p1 = repair_to_vertex(apx, inst_p)
+        center = apx.duals[inst_p.sizes[0] + inst_p.sizes[1] :]
     timings["init"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rm = master_mod.init_rm(p1, inst_p, strides_p)
+    rm = master_mod.init_rm(p1, inst_p)
     timings["setup-RM"] += time.perf_counter() - t0
 
     b = rm.rhs[:-1]
@@ -231,17 +220,17 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         transport objective and L(pi)."""
         nonlocal pricing_calls
         t0 = time.perf_counter()
-        pricing_mod.recompute_reduced_costs(state, pi, partition, strides_p)
+        pricing_mod.recompute_reduced_costs(state, pi, partition, inst_p.strides)
         timings["update-reduced-costs"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        pricing_mod.best_costs(state, partition)
+        pricing_mod.best_costs(state)
         timings["calc-best-costs"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         plan = pricing_mod.solve_pricing(state)
         p = pricing_mod.expand_column(plan, state)
-        a_p, cost = master_mod.column_coeffs(p, inst_p, strides_p)
+        a_p, cost = master_mod.column_coeffs(p, inst_p)
         timings["solve-pricing"] += time.perf_counter() - t0
         pricing_calls += 1
         return p, a_p, cost, plan.objective, float(pi @ b) + plan.objective
@@ -289,7 +278,7 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
 
     w = master_mod.recover_solution(rm)
     return _result(
-        w, inst_p, partition.perm, strides_p, wall_start, timings,
+        w, inst_p, partition.perm, wall_start, timings,
         held + rm.kernel.cols.store.nbytes + rm.kernel.Binv.nbytes, iteration,
         converged, trace, pricing_calls,
     )
@@ -305,8 +294,7 @@ def solve_direct(inst: Instance) -> SolveResult:
     if inst.n == 1:
         return _single_measure_result(inst)
     wall_start = time.perf_counter()
-    strides = make_strides(inst.sizes)
-    total = strides.total
+    total = inst.strides.total
     if total > DIRECT_MAX_COMBINATIONS:
         raise CapacityError(
             f"direct solve needs {total} columns, "
@@ -315,8 +303,7 @@ def solve_direct(inst: Instance) -> SolveResult:
     # The full LP holds n int64 row indices per combination beside its cost.
     peak_memory_bytes = (inst.n + 1) * 8 * total
     _check_cap(inst, peak_memory_bytes + simplex.kernel_bytes(sum(inst.sizes)))
-    w = master_mod.full_lp(np.arange(total, dtype=np.int64), inst, strides)
+    w = master_mod.full_lp(np.arange(total, dtype=np.int64), inst)
     return _result(
-        w, inst, tuple(range(inst.n)), strides, wall_start, _zero_timings(),
-        peak_memory_bytes,
+        w, inst, tuple(range(inst.n)), wall_start, _zero_timings(), peak_memory_bytes
     )

@@ -20,16 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .model import (
-    MASS_TOL,
-    ContractError,
-    Instance,
-    Plan,
-    Strides,
-)
+from .model import MASS_TOL, ContractError, Instance, Plan
 
 
-def _sweep(rows, strides: Strides) -> Plan:
+def _sweep(rows, sizes: tuple[int, ...]) -> Plan:
     """The minimum-remaining-mass sweep of each (vectors, total) in rows, with
     one vector per measure, as one plan in first-placement order.
 
@@ -51,7 +45,7 @@ def _sweep(rows, strides: Strides) -> Plan:
             mass = min(r[p] for r, p in zip(remaining, pointers))
             if mass <= MASS_TOL:
                 break
-            h = int(np.ravel_multi_index(pointers, strides.sizes))
+            h = int(np.ravel_multi_index(pointers, sizes))
             w[h] = w.get(h, 0.0) + mass
             placed += mass
             for r, p in zip(remaining, pointers):
@@ -59,13 +53,13 @@ def _sweep(rows, strides: Strides) -> Plan:
     return Plan(np.array(list(w), dtype=np.int64), np.array(list(w.values())))
 
 
-def greedy_vertex(inst: Instance, strides: Strides) -> Plan:
+def greedy_vertex(inst: Instance) -> Plan:
     """Feasible vertex built by the minimum-remaining-mass sweep.
 
     The support size L always satisfies max_i |P_i| <= L <= sum_i |P_i| - n + 1
     and the chosen columns are linearly independent.
     """
-    return _sweep([([m.masses for m in inst.measures], 1.0)], strides)
+    return _sweep([([m.masses for m in inst.measures], 1.0)], inst.sizes)
 
 
 @dataclass
@@ -182,7 +176,7 @@ def two_approx(inst: Instance) -> ApproxBarycenter:
     )
 
 
-def repair_to_vertex(apx: ApproxBarycenter, inst: Instance, strides: Strides) -> Plan:
+def repair_to_vertex(apx: ApproxBarycenter, inst: Instance) -> Plan:
     """Split each approximate support point into whole-mass combinations.
 
     Sweeps every support point's plan rows, lowest point index first in each
@@ -190,4 +184,4 @@ def repair_to_vertex(apx: ApproxBarycenter, inst: Instance, strides: Strides) ->
     combination, which never increases the transport cost.
     """
     apx.validate(inst)
-    return _sweep(zip(zip(*apx.plans), apx.mass), strides)
+    return _sweep(zip(zip(*apx.plans), apx.mass), inst.sizes)

@@ -6,9 +6,12 @@ pricing pair, plus a convexity row. Its columns are vertices, each a
 mass array. They are never read from a stored constraint matrix: each new
 vertex has few nonzeros, and one decode of its combination indices
 (``model.digits``) gives both its rows and its cost, as it does for the full
-LP. The master keeps one simplex kernel from its first solve to its last.
-Each column is appended to it, and a re-solve starts from the optimal basis
-and inverse the kernel holds, so it typically takes a handful of pivots.
+LP. Each function reads that index arithmetic from the instance it is given
+(``Instance.strides``); the master's instance is the permuted one, pricing
+pair first. The master keeps one simplex kernel from its first solve to its
+last. Each column is appended to it, and a re-solve starts from the optimal
+basis and inverse the kernel holds, so it typically takes a handful of
+pivots.
 
 Every column's entries in one measure's block of rows sum to its convexity
 entry, so each block holds one row implied by the others. The simplex gets
@@ -33,7 +36,6 @@ from .model import (
     ContractError,
     Instance,
     Plan,
-    Strides,
     cost_vector,
     digits,
     mean_costs,
@@ -43,7 +45,6 @@ from .model import (
 @dataclass
 class MasterState:
     inst: Instance  # permuted so that the pricing pair leads
-    strides: Strides
     columns: list[Plan]  # admitted vertices; their rows are in kernel
     rhs: np.ndarray  # master-row masses plus the trailing convexity 1
     _rows: np.ndarray  # rows of rhs the simplex sees
@@ -54,40 +55,40 @@ class MasterState:
     last_pivots: int = 0
 
 
-def column_coeffs(
-    p: Plan, inst_perm: Instance, strides_perm: Strides
-) -> tuple[np.ndarray, float]:
+def column_coeffs(p: Plan, inst_perm: Instance) -> tuple[np.ndarray, float]:
     """A vertex's entries in the master rows, without the convexity row, and
-    its cost, from one decode of its combinations.
+    its cost, from one decode of its combinations of ``inst_perm``, the
+    instance with the pricing pair first.
 
     One bincount over the trailing measures' rows: each row sums its masses
     in the vertex's entry order. The cost sums mass times ``mean_costs`` cost
     over numpy scalars in entry order, unlike np.dot.
     """
-    d = digits(p.index, strides_perm)
-    offsets = np.asarray(strides_perm.row_offsets[2:-1]) - strides_perm.row_offsets[2]
-    rows = d[2:] + offsets[:, None]
+    offsets = inst_perm.strides.row_offsets
+    d = digits(p.index, inst_perm.strides)
+    rows = d[2:] + (np.asarray(offsets[2:-1]) - offsets[2])[:, None]
     coeffs = np.bincount(
         rows.ravel(), weights=np.tile(p.mass, rows.shape[0]),
-        minlength=strides_perm.row_offsets[-1] - strides_perm.row_offsets[2],
+        minlength=offsets[-1] - offsets[2],
     )
     return coeffs, sum(p.mass * mean_costs(inst_perm, d)[1])
 
 
-def init_rm(p1: Plan, inst_perm: Instance, strides_perm: Strides) -> MasterState:
-    """Master with the starting vertex as its only column, left for solve_rm."""
+def init_rm(p1: Plan, inst_perm: Instance) -> MasterState:
+    """Master over ``inst_perm``, the instance with the pricing pair first,
+    with the starting vertex as its only column, left for solve_rm."""
     master_rows = sum(inst_perm.sizes[2:])
     rhs = np.concatenate(
         [m.masses for m in inst_perm.measures[2:]] + [np.ones(1)]
     )
-    coeffs, cost = column_coeffs(p1, inst_perm, strides_perm)
+    coeffs, cost = column_coeffs(p1, inst_perm)
     resid = np.abs(np.append(coeffs, 1.0) - rhs).max()
     if resid > 1e-9:
         raise ContractError(f"initial vertex violates the master rows by {resid}")
     block_ends = np.cumsum(inst_perm.sizes[2:]) - 1
     rows = np.delete(np.arange(master_rows + 1), block_ends)
     kernel = simplex.Kernel(simplex.DenseColumns(np.empty((rows.size, 0))), rhs[rows])
-    state = MasterState(inst_perm, strides_perm, [], rhs, rows, kernel)
+    state = MasterState(inst_perm, [], rhs, rows, kernel)
     add_column(state, p1, coeffs, cost)
     return state
 
@@ -134,18 +135,20 @@ def _combine(state: MasterState) -> Plan:
     return Plan(support, np.bincount(inverse, weights=mass[keep]))
 
 
-def full_lp(support: np.ndarray, inst: Instance, strides: Strides) -> Plan:
-    """Basic optimum of the full barycenter LP restricted to some combinations.
+def full_lp(support: np.ndarray, inst: Instance) -> Plan:
+    """Basic optimum of the full barycenter LP restricted to some combinations
+    of inst, given by their flat indices.
 
     Keeps every measure row; combination ``support[j]`` is a unit column with
     a one in its point's row of each measure. Returns the entries with x above
     MASS_TOL; raises simplex.NumericalError if the simplex ends without an
     optimum.
     """
-    cost = cost_vector(inst, strides, support)  # its digits freed before rows
-    rows = digits(support, strides)
-    rows += np.asarray(strides.row_offsets[:-1])[:, None]
-    provider = simplex.UnitColumns(rows, nrows=strides.row_offsets[-1])
+    cost = cost_vector(inst, support)  # its digits freed before rows
+    offsets = inst.strides.row_offsets
+    rows = digits(support, inst.strides)
+    rows += np.asarray(offsets[:-1])[:, None]
+    provider = simplex.UnitColumns(rows, nrows=offsets[-1])
     rhs = np.concatenate([m.masses for m in inst.measures])
     kernel = simplex.Kernel(provider, rhs)
     sol = simplex.solve_columns(kernel, cost)
@@ -164,13 +167,13 @@ def recover_solution(state: MasterState) -> Plan:
     """
     support = np.unique(np.concatenate([col.index for col in state.columns]))
     try:
-        return full_lp(support, state.inst, state.strides)
+        return full_lp(support, state.inst)
     except simplex.NumericalError:
         return _combine(state)
 
 
 def barycenter_points(
-    w: Plan, inst_perm: Instance, perm: tuple[int, ...], strides_perm: Strides
+    w: Plan, inst_perm: Instance, perm: tuple[int, ...]
 ) -> tuple[list[BarycenterPoint], float]:
     """Points of a plan in ascending combination order, and its objective.
 
@@ -179,7 +182,7 @@ def barycenter_points(
     times ``mean_costs`` cost in that order, the costs the LPs were solved on.
     """
     order = np.argsort(w.index, kind="stable")
-    d = digits(w.index[order], strides_perm)
+    d = digits(w.index[order], inst_perm.strides)
     coords, costs = mean_costs(inst_perm, d)
     assignments = d[np.argsort(perm)].T.tolist()  # row perm[t] is row t of d
     points = []

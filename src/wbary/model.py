@@ -5,7 +5,9 @@ A candidate barycenter support point corresponds to one *combination*: one
 support point picked from every measure. Combinations are addressed by a
 single flat index built from suffix products of the measure sizes, so the
 exponentially large constraint matrix never has to be stored; any column of
-it can be regenerated from the index alone.
+it can be regenerated from the index alone. The instance owns that index
+arithmetic: ``Instance.strides`` is built from its sizes on first read, so
+every layer that holds an instance reads the strides of that very instance.
 
 ``digits`` is the one decode from flat indices to point indices, and
 ``mean_costs`` the one cost formula: the full LP (through ``cost_vector``),
@@ -137,6 +139,13 @@ class Instance:
     def sizes(self) -> tuple[int, ...]:
         return tuple(m.size for m in self.measures)
 
+    @cached_property
+    def strides(self) -> "Strides":
+        """Index arithmetic of the combination space, built on first read, so
+        an instance past INDEX_LIMIT constructs and raises only when a solve
+        reads it."""
+        return make_strides(self.sizes)
+
     def permuted(self, order: tuple[int, ...]) -> "Instance":
         """Reorder the measures (weights follow)."""
         return Instance(
@@ -195,9 +204,7 @@ def digits(index: np.ndarray | range, strides: Strides) -> np.ndarray:
     return out
 
 
-def cost_vector(
-    inst: Instance, strides: Strides, index: np.ndarray | range
-) -> np.ndarray:
+def cost_vector(inst: Instance, index: np.ndarray | range) -> np.ndarray:
     """Per-unit transport cost of the combinations in an int64 index array or
     a range, by ``mean_costs``' formula over tiles of about
     BLOCK // (n (dim + 1)) combinations, whose gathered points and
@@ -208,9 +215,9 @@ def cost_vector(
     tile = max(1, BLOCK // (inst.n * (inst.dim + 1)))
     cost = np.empty(len(index))
     work = np.empty(min(tile, len(index)) * (inst.n * (inst.dim + 1) + inst.dim))
-    offsets = np.asarray(strides.row_offsets[:-1])[:, None]
+    offsets = np.asarray(inst.strides.row_offsets[:-1])[:, None]
     for s in range(0, len(index), tile):
-        rows = digits(index[s : s + tile], strides)
+        rows = digits(index[s : s + tile], inst.strides)
         rows += offsets
         _row_costs(inst, rows, work, cost[s : s + rows.shape[1]])
     return cost
@@ -226,9 +233,7 @@ def mean_costs(inst: Instance, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     loses every digit of it.
     """
     (n, k), dim = d.shape, inst.dim
-    # stacked point rows; np.cumsum of a tuple would hold memory until the
-    # next gc pass at each of the master's per-pricing calls
-    rows = d + np.add.accumulate((0,) + inst.sizes[:-1])[:, None]
+    rows = d + np.asarray(inst.strides.row_offsets[:-1])[:, None]  # stacked point rows
     cost = np.empty(k)
     mean = _row_costs(inst, rows, np.empty(k * (n * (dim + 1) + dim)), cost)
     return mean.copy(), cost

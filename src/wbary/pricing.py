@@ -1,11 +1,12 @@
 """Split reduced costs and the transportation-shaped pricing step.
 
 The constraint rows of exactly two measures are delegated to pricing. With
-those two measures permuted to the front, combination h = u * n_duplicates + d
-pairs a distinct pair-row pattern u ("unique column") with a duplicate index
-d over the trailing measures. The trailing measures split into a head group
-and a tail group, the suffix that makes the state smallest (tail_start), so
-d = d_hi * n_lo + d_lo and h = e * n_lo + l with e = (u, d_hi) and l = d_lo.
+those two measures permuted to the front, combination h = u * D + d pairs a
+distinct pair-row pattern u ("unique column") with a duplicate index d over
+the trailing measures, D being the product of their sizes. The trailing
+measures split into a head group and a tail group, the suffix that makes the
+state smallest (tail_start), so d = d_hi * n_lo + d_lo and h = e * n_lo + l
+with e = (u, d_hi) and l = d_lo.
 
 With P_e and Z_l the weighted point sums over (pair, head) and tail, the
 reduced cost of h before the convexity dual is a_e + b_l - 2 P_e . Z_l, where
@@ -19,10 +20,10 @@ Arranged as a matrix over the two measures' points, the minima form the costs
 of a balanced transportation problem over the pair's masses, which never
 change: the state holds its one basis, and each pricing pivots it on.
 
-No array of length N or n_duplicates is held: the state has (n_e + n_lo)
-rows of dim + 1 or fewer entries, and the split that minimises its bytes
-balances the groups to about sqrt(N) rows each where the sizes allow. The
-duals are whatever the driver prices at (smoothed, or the master duals);
+No array of length N or D is held: the state has (n_e + n_lo) rows of
+dim + 1 or fewer entries, and the split that minimises its bytes balances
+the groups to about sqrt(N) rows each where the sizes allow. The duals are
+whatever the driver prices at (smoothed, or the master duals);
 solve_pricing returns the transport plan, whose objective leaves out the
 dual terms the driver adds for reduced costs and bounds.
 """
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .model import ContractError, Instance, Plan, Strides
+from .model import ContractError, Instance, Plan
 from .transport import Basis, TransportPlan, northwest_corner, solve_transportation
 
 
@@ -46,7 +47,6 @@ class Partition:
     pair: tuple[int, int]  # original positions of the pricing measures
     perm: tuple[int, ...]  # permuted order: pair first, the rest in input order
     n_unique: int  # product of the pair's sizes
-    n_duplicates: int  # product of all other sizes
 
 
 PAIR_VARIANTS = ("any", "large", "small")
@@ -69,9 +69,7 @@ def choose_partition(inst: Instance, variant: str = "large") -> Partition:
     else:
         raise ValueError(f"unknown pair variant {variant!r}")
     rest = tuple(i for i in range(n) if i not in pair)
-    perm = pair + rest
-    n_unique = sizes[pair[0]] * sizes[pair[1]]
-    return Partition(pair, perm, n_unique, math.prod(sizes) // n_unique)
+    return Partition(pair, pair + rest, sizes[pair[0]] * sizes[pair[1]])
 
 
 def _split_bytes(sizes, dim: int, k: int) -> int:
@@ -118,18 +116,16 @@ def _outer_sum(parts, shape=()) -> np.ndarray:
     return acc
 
 
-def init_reduced_costs(
-    inst_perm: Instance,
-    partition: Partition,
-    strides_perm: Strides,
-) -> PricingState:
-    """Build the split state at zero duals and the pair's northwest corner.
-    best and best_index are left unset: every pricing fills them with
-    best_costs before reading them.
+def init_reduced_costs(inst_perm: Instance) -> PricingState:
+    """Build the split state of ``inst_perm``, the instance with the pricing
+    pair first, at zero duals and the pair's northwest corner. best and
+    best_index hold one entry per pair cell, left unset: every pricing fills
+    them with best_costs before reading them.
 
     solve checks state_bytes against its cap before calling this.
     """
     k = tail_start(inst_perm.sizes, inst_perm.dim)
+    n_unique = inst_perm.sizes[0] * inst_perm.sizes[1]
     weighted = tuple(zip(inst_perm.lambdas, inst_perm.measures))
     sq = [lam * m.sqnorms for lam, m in weighted]
     pts = [lam * m.points for lam, m in weighted]
@@ -144,8 +140,8 @@ def init_reduced_costs(
         a=a_static.copy(),
         a_static=a_static,
         b_static=b_static,
-        best=np.empty(partition.n_unique),
-        best_index=np.empty(partition.n_unique, dtype=np.int64),
+        best=np.empty(n_unique),
+        best_index=np.empty(n_unique, dtype=np.int64),
         basis=northwest_corner(*(m.masses for m in inst_perm.measures[:2])),
     )
 
@@ -155,10 +151,11 @@ def update_reduced_costs(
     y_old: np.ndarray,
     y_new: np.ndarray,
     partition: Partition,
-    strides_perm: Strides,
+    strides_perm: model.Strides,
 ):
     """Subtract the outer sums of y_new - y_old from a (head) and b (tail).
-    Each holds one dual per master row; other lengths raise ContractError."""
+    Each holds one dual per master row; other lengths raise ContractError.
+    strides_perm is the permuted instance's ``Instance.strides``."""
     off = [o - strides_perm.row_offsets[2] for o in strides_perm.row_offsets[2:]]
     y_old, y_new = np.asarray(y_old), np.asarray(y_new)
     if y_old.shape != (off[-1],) or y_new.shape != (off[-1],):
@@ -174,7 +171,7 @@ def recompute_reduced_costs(
     state: PricingState,
     y: np.ndarray,
     partition: Partition,
-    strides_perm: Strides,
+    strides_perm: model.Strides,
 ):
     """Rebuild a and b at duals y; the driver does so at every pricing."""
     state.a[:] = state.a_static
@@ -182,7 +179,7 @@ def recompute_reduced_costs(
     update_reduced_costs(state, np.zeros_like(y), y, partition, strides_perm)
 
 
-def best_costs(state: PricingState, partition: Partition):
+def best_costs(state: PricingState):
     """Per unique column, the minimum reduced cost among its duplicates.
 
     One pass of [P_e, 1] . [-2 Z; b] over tiles of at most model.BLOCK
@@ -211,9 +208,9 @@ def best_costs(state: PricingState, partition: Partition):
             arg[lower] = c0 + local[lower]
             del local, value, lower  # not alive beside the next tile's
     row_min += state.a
-    grid = row_min.reshape(partition.n_unique, -1)
+    grid = row_min.reshape(state.best.size, -1)
     d_hi = np.argmin(grid, axis=1)
-    u = np.arange(partition.n_unique)
+    u = np.arange(state.best.size)
     e = u * grid.shape[1] + d_hi
     state.best[:] = grid[u, d_hi]
     state.best_index[:] = e * n_lo + row_arg[e]

@@ -251,13 +251,6 @@ class Kernel:
         primal[rows] += xB[art]
         return np.abs(primal).max() <= FEAS_TOL * (1.0 + self.b.max())
 
-    def _leave_keys(self, code: np.ndarray, bland: bool) -> np.ndarray:
-        # Bland's rule orders variables structural first, then artificial;
-        # otherwise artificials leave first, by row, then structurals.
-        if bland:
-            return np.where(code >= 0, code, self.cols.ncols - 1 - code)
-        return np.where(code < 0, -1 - code, self.m + code)
-
     def run_phase(self, cost: np.ndarray, art_cost: float):
         """Pivot to optimality for the given objective. Returns (xB, y)."""
         # Per row: the basic column's code, or the spare index ncols for an
@@ -320,7 +313,11 @@ class Kernel:
             tie = (ratios <= theta + 1e-10 * (1.0 + abs(theta))).nonzero()[0]
             leave_pos = int(tie[0])
             if tie.size > 1:
-                keys = self._leave_keys(self.basic[tie], bland)
+                # Artificials leave first, by row, then structurals by code.
+                # Artificials never enter, so with structurals entering by
+                # code this is one fixed order, as Bland's rule asks.
+                code = self.basic[tie]
+                keys = np.where(code < 0, -1 - code, self.m + code)
                 leave_pos = int(tie[keys.argmin()])
             pivot = float(w[leave_pos])
             if (

@@ -14,13 +14,17 @@ same float however the tree came about. The reduced costs (c_ij - u_i) - v_j
 are rewritten in place into one m x k buffer per solve, so a solve holds two
 cost-sized arrays, the costs and that buffer, and the lowest-cell rule adds
 a one-byte mask. The entering cell's cycle is the tree path from its row to
-its column. Costs may be negative but must be finite. All ties resolve to
-the lowest flat cell i * k + j, so solves from the same basis produce
-identical plans, in any order of its cells.
+its column. Costs may be negative but must be finite. Potentials, sums of
+up to m + k - 1 costs, may still overflow, and inf - inf is a NaN that
+argmin picks and no pivot prices out, so a solve raises ContractError at a
+non-finite entering reduced cost or potential. All ties resolve to the
+lowest flat cell i * k + j, so solves from the same basis produce identical
+plans, in any order of its cells.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,9 +179,12 @@ def _rehang(basis, below, above, leave, cell_costs):
         pot[b] = cell_costs[link[b]] - pot[parent[b]]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_transportation(costs: np.ndarray, basis: Basis) -> TransportPlan:
     """Optimal basic flow for finite costs over basis's marginals, pivoting
-    basis in place from the feasible flow it holds to the optimum."""
+    basis in place from the feasible flow it holds to the optimum. Costs that
+    overflow the potentials raise ContractError, not numpy's warning, and
+    leave basis at the feasible flow of its last pivot."""
     costs = np.asarray(costs, dtype=float)
     m, k = len(basis.supplies), len(basis.demands)
     if costs.shape != (m, k):
@@ -204,8 +211,11 @@ def solve_transportation(costs: np.ndarray, basis: Basis) -> TransportPlan:
             enter = int((flat_red < -REDUCED_TOL).argmax())
         else:
             enter = int(flat_red.argmin())
-        if flat_red[enter] >= -REDUCED_TOL:
+        red_enter = flat_red[enter]
+        if red_enter >= -REDUCED_TOL:
             break
+        if not red_enter > -np.inf:  # -inf or NaN
+            raise ContractError("costs overflow the transport potentials")
 
         ei, ej = divmod(enter, k)
         path, n_up = _cycle_path(parent, link, basis.depth, ei, m + ej)
@@ -226,6 +236,8 @@ def solve_transportation(costs: np.ndarray, basis: Basis) -> TransportPlan:
         pivots += 1
         degen_streak = degen_streak + 1 if theta <= FLOW_TOL else 0
 
+    if not all(map(math.isfinite, pot)):
+        raise ContractError("costs overflow the transport potentials")
     index, mass = np.array(cells, dtype=np.int64), np.array(flows)
     ranks = index.argsort()
     ranks = ranks[mass[ranks] > FLOW_TOL]  # ascending cells with flow

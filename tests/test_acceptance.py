@@ -128,8 +128,8 @@ def test_criterion_3_greedy_support_bounds_and_rank():
         n = int(rng.integers(1, 11))
         sizes = rng.integers(1, 9, size=n).tolist()
         inst = make_instance(20_000 + trial, sizes, uniform=bool(rng.integers(2)))
-        st = make_strides(sizes)
-        w = greedy_vertex(inst, st)
+        st = inst.strides
+        w = greedy_vertex(inst)
         L = len(w.index)
         assert max(sizes) <= L <= sum(sizes) - n + 1, (sizes, L)
         assert satisfies_marginals(w, inst, st)

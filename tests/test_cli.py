@@ -316,6 +316,19 @@ class TestCsvImport:
         code, _, err = run_cli(capsys, "solve", "--input", str(csv_path))
         assert code == 0, err
 
+    def test_header_after_blank_rows(self, tmp_path, capsys):
+        csv_path = tmp_path / "late_header.csv"
+        rows = "\n  \n , \t\nmeasure,x,y,mass\n0,0.1,0.2,1.0\n1,0.3,0.4,1.0\n"
+        csv_path.write_text(rows)
+        assert load_instance(str(csv_path)).sizes == (1, 1)
+        code, _, err = run_cli(capsys, "solve", "--input", str(csv_path))
+        assert code == 0, err
+        # only the first non-blank row may be a header
+        csv_path.write_text(rows + "\n1,x,0.4,1.0\n")
+        code, _, err = run_cli(capsys, "solve", "--input", str(csv_path))
+        assert code == 1
+        assert "line 8: non-numeric value" in err
+
     def test_csv_bad_row(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text("a,0.0,0.0,0.5\na,oops,0.0,0.5\n")

@@ -12,13 +12,7 @@ from oracles import column_support, min_over_vertices
 from wbary import driver, model, pricing, simplex
 from wbary.driver import STEP_LABELS, SolveConfig, solve, solve_direct
 from wbary.initial import two_approx
-from wbary.model import (
-    CapacityError,
-    DiscreteMeasure,
-    Instance,
-    cost_vector,
-    make_strides,
-)
+from wbary.model import CapacityError, DiscreteMeasure, Instance, cost_vector
 
 
 def random_instance(seed, sizes, dim=2, uniform=False):
@@ -72,8 +66,8 @@ class TestSmallCases:
 
     def test_direct_2x2x2_matches_vertex_enumeration(self):
         inst = random_instance(2, [2, 2, 2])
-        st = make_strides(inst.sizes)
-        costs = cost_vector(inst, st, np.arange(8))
+        st = inst.strides
+        costs = cost_vector(inst, np.arange(8))
         A = np.zeros((6, 8))
         for h in range(8):
             A[list(column_support(h, st)), h] = 1.0

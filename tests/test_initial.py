@@ -21,12 +21,7 @@ from wbary.initial import (
     two_approx,
 )
 from wbary.master import init_rm
-from wbary.model import (
-    ContractError,
-    DiscreteMeasure,
-    Instance,
-    make_strides,
-)
+from wbary.model import ContractError, DiscreteMeasure, Instance
 
 
 def random_instance(rng, sizes, dim=2, uniform=False):
@@ -55,9 +50,9 @@ class TestGreedy:
         m1 = DiscreteMeasure(np.zeros((2, 1)), np.array([0.5, 0.5]))
         m2 = DiscreteMeasure(np.ones((3, 1)), np.array([0.25, 0.25, 0.5]))
         inst = Instance((m1, m2), np.array([0.5, 0.5]))
-        st = make_strides(inst.sizes)
+        st = inst.strides
         assert st.suffix_products == (3, 1)
-        w = greedy_vertex(inst, st)
+        w = greedy_vertex(inst)
         assert plan_items(w) == [
             (0, pytest.approx(0.25)),
             (1, pytest.approx(0.25)),
@@ -68,8 +63,7 @@ class TestGreedy:
     def test_single_measure(self):
         m = DiscreteMeasure(np.arange(8.0).reshape(4, 2), np.array([0.1, 0.2, 0.3, 0.4]))
         inst = Instance((m,), np.array([1.0]))
-        st = make_strides(inst.sizes)
-        w = greedy_vertex(inst, st)
+        w = greedy_vertex(inst)
         assert len(w.index) == 4
         for h, q in plan_items(w):
             assert q == pytest.approx(m.masses[h])
@@ -78,8 +72,8 @@ class TestGreedy:
         pts = np.arange(10.0).reshape(5, 2)
         m = DiscreteMeasure(pts, np.full(5, 0.2))
         inst = Instance((m, m, m), np.array([0.3, 0.3, 0.4]))
-        st = make_strides(inst.sizes)
-        w = greedy_vertex(inst, st)
+        st = inst.strides
+        w = greedy_vertex(inst)
         assert len(w.index) == 5
         for h, q in plan_items(w):
             digits = digits_of(h, st.sizes)
@@ -92,8 +86,8 @@ class TestGreedy:
             n = int(rng.integers(1, 8))
             sizes = rng.integers(1, 7, size=n).tolist()
             inst = random_instance(rng, sizes, uniform=bool(rng.integers(2)))
-            st = make_strides(inst.sizes)
-            w = greedy_vertex(inst, st)
+            st = inst.strides
+            w = greedy_vertex(inst)
             L = len(w.index)
             assert max(sizes) <= L <= sum(sizes) - n + 1
             assert satisfies_marginals(w, inst, st)
@@ -170,9 +164,9 @@ class TestRepair:
         for _ in range(25):
             n = int(rng.integers(2, 5))
             inst = random_instance(rng, rng.integers(2, 5, size=n).tolist())
-            st = make_strides(inst.sizes)
+            st = inst.strides
             apx = two_approx(inst)
-            w = repair_to_vertex(apx, inst, st)
+            w = repair_to_vertex(apx, inst)
             assert w.mass.sum() == pytest.approx(1.0, abs=1e-9)
             assert satisfies_marginals(w, inst, st)
             repaired_cost = sum(
@@ -183,8 +177,7 @@ class TestRepair:
     def test_single_measure_repair(self):
         m = DiscreteMeasure(np.arange(6.0).reshape(3, 2), np.array([0.2, 0.3, 0.5]))
         inst = Instance((m,), np.array([1.0]))
-        st = make_strides(inst.sizes)
-        w = repair_to_vertex(two_approx(inst), inst, st)
+        w = repair_to_vertex(two_approx(inst), inst)
         assert plan_items(w) == [
             (0, pytest.approx(0.2)),
             (1, pytest.approx(0.3)),
@@ -196,9 +189,9 @@ class TestRepair:
         # must stay within the generic vertex bound sum sizes - n + 1 = 29.
         rng = np.random.default_rng(5)
         inst = random_instance(rng, [10, 10, 11], uniform=True)
-        st = make_strides(inst.sizes)
+        st = inst.strides
         apx = two_approx(inst)
-        w = repair_to_vertex(apx, inst, st)
+        w = repair_to_vertex(apx, inst)
         assert satisfies_marginals(w, inst, st)
         assert len(w.index) <= 29
 
@@ -209,14 +202,13 @@ class TestRepair:
         for _ in range(50):
             n = int(rng.integers(1, 6))
             inst = random_instance(rng, rng.integers(1, 6, size=n).tolist())
-            st = make_strides(inst.sizes)
             apx = ApproxBarycenter(
                 support=np.zeros((1, 2)),
                 mass=np.array([1.0]),
                 plans=[m.masses[None, :] for m in inst.measures],
             )
-            repaired = repair_to_vertex(apx, inst, st)
-            greedy = greedy_vertex(inst, st)
+            repaired = repair_to_vertex(apx, inst)
+            greedy = greedy_vertex(inst)
             assert np.array_equal(repaired.index, greedy.index)
             assert np.array_equal(repaired.mass, greedy.mass)
 
@@ -227,18 +219,17 @@ class TestRepair:
         for _ in range(20):
             n = int(rng.integers(3, 6))
             inst = random_instance(rng, rng.integers(1, 6, size=n).tolist())
-            st = make_strides(inst.sizes)
             apx = ApproxBarycenter(
                 support=np.zeros((2, 2)),
                 mass=np.array([0.5, 0.5]),
                 plans=[np.vstack([m.masses / 2, m.masses / 2]) for m in inst.measures],
             )
-            repaired = repair_to_vertex(apx, inst, st)
-            greedy = greedy_vertex(inst, st)
+            repaired = repair_to_vertex(apx, inst)
+            greedy = greedy_vertex(inst)
             assert np.unique(repaired.index).size == repaired.index.size
             assert np.array_equal(repaired.index, greedy.index)
             assert np.array_equal(repaired.mass, greedy.mass)
-            init_rm(repaired, inst, st)  # raises on a vertex off the master rows
+            init_rm(repaired, inst)  # raises on a vertex off the master rows
 
     @pytest.mark.parametrize("plan, match", [
         ([[0.5, 0.0]], "support point 0 sends"),  # sends only half the held mass
@@ -254,7 +245,7 @@ class TestRepair:
             plans=[np.array(plan)],
         )
         with pytest.raises(ContractError, match=match):
-            repair_to_vertex(bad, inst, make_strides(inst.sizes))
+            repair_to_vertex(bad, inst)
 
 
 def _combo_cost(h, strides, inst):

@@ -18,7 +18,6 @@ from wbary.model import (
     Instance,
     Plan,
     cost_vector,
-    make_strides,
 )
 from wbary.pricing import choose_partition
 
@@ -34,8 +33,7 @@ def build(rng, sizes, variant="any", uniform=True):
     inst = Instance(tuple(ms), np.full(len(sizes), 1.0 / len(sizes)))
     part = choose_partition(inst, variant)
     inst_p = inst.permuted(part.perm)
-    st = make_strides(inst_p.sizes)
-    return inst_p, part, st
+    return inst_p, part
 
 
 def unit_plan(h):
@@ -43,17 +41,17 @@ def unit_plan(h):
     return Plan(np.array([h], dtype=np.int64), np.ones(1))
 
 
-def add(rm, p, st):
+def add(rm, p):
     """Append p with the master-row entries the driver passes."""
-    add_column(rm, p, *column_coeffs(p, rm.inst, st))
+    add_column(rm, p, *column_coeffs(p, rm.inst))
 
 
 class TestInitRM:
     def test_single_column_forces_mu_one(self):
         rng = np.random.default_rng(0)
-        inst_p, part, st = build(rng, [2, 3, 2])
-        p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, st)
+        inst_p, part = build(rng, [2, 3, 2])
+        p1 = greedy_vertex(inst_p)
+        rm = init_rm(p1, inst_p)
         assert rm.mu is None  # init_rm builds the master; solve_rm solves it
         solve_rm(rm)
         assert rm.mu.shape == (1,)
@@ -62,21 +60,21 @@ class TestInitRM:
 
     def test_infeasible_start_rejected(self):
         rng = np.random.default_rng(1)
-        inst_p, part, st = build(rng, [2, 2, 2])
+        inst_p, part = build(rng, [2, 2, 2])
         bad = unit_plan(0)  # ignores most marginals
         with pytest.raises(Exception):
-            init_rm(bad, inst_p, st)
+            init_rm(bad, inst_p)
 
 
 class TestAddColumn:
     def test_block_sums_equal_column_mass(self):
         rng = np.random.default_rng(2)
-        inst_p, part, st = build(rng, [2, 2, 3, 2], uniform=False)
-        p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, st)
+        inst_p, part = build(rng, [2, 2, 3, 2], uniform=False)
+        p1 = greedy_vertex(inst_p)
+        rm = init_rm(p1, inst_p)
         single = unit_plan(7)
-        add(rm, single, st)
-        coeffs = column_coeffs(single, inst_p, st)[0]
+        add(rm, single)
+        coeffs = column_coeffs(single, inst_p)[0]
         assert np.array_equal(rm.kernel.cols.A[:, -1], np.append(coeffs, 1.0)[rm._rows])
         pos = 0
         for t in range(2, inst_p.n):
@@ -89,21 +87,21 @@ class TestAddColumn:
         # column_coeffs costs a column from the decode its rows come from,
         # bit for bit as a sum over the column's cost_vector in entry order
         rng = np.random.default_rng(4)
-        inst_p, part, st = build(rng, [2, 3, 4, 2], uniform=False)
-        columns = [greedy_vertex(inst_p, st), unit_plan(5)]
+        inst_p, part = build(rng, [2, 3, 4, 2], uniform=False)
+        columns = [greedy_vertex(inst_p), unit_plan(5)]
         for _ in range(20):
-            index = rng.choice(st.total, int(rng.integers(1, 8)), replace=False)
+            index = rng.choice(inst_p.strides.total, int(rng.integers(1, 8)), replace=False)
             columns.append(Plan(index, rng.uniform(0.1, 1.0, index.size)))
         for p in columns:
-            expect = sum(p.mass * cost_vector(inst_p, st, p.index))
-            assert column_coeffs(p, inst_p, st)[1] == expect
+            expect = sum(p.mass * cost_vector(inst_p, p.index))
+            assert column_coeffs(p, inst_p)[1] == expect
 
     def test_duplicate_column_accepted(self):
         rng = np.random.default_rng(3)
-        inst_p, part, st = build(rng, [2, 2, 2])
-        p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, st)
-        add(rm, p1, st)
+        inst_p, part = build(rng, [2, 2, 2])
+        p1 = greedy_vertex(inst_p)
+        rm = init_rm(p1, inst_p)
+        add(rm, p1)
         mu, y, sigma, obj = solve_rm(rm)
         assert mu.sum() == pytest.approx(1.0)
         assert obj == pytest.approx(rm.costs[0])
@@ -114,24 +112,24 @@ class TestMasterRows:
         # A column's entries in each block sum to its convexity entry; the
         # simplex must not see the implied rows, or its basis can go singular.
         rng = np.random.default_rng(9)
-        inst_p, part, st = build(rng, [2, 2, 3, 2], uniform=False)
-        rm = init_rm(greedy_vertex(inst_p, st), inst_p, st)
-        for h in range(st.total):
-            add(rm, unit_plan(h), st)
+        inst_p, part = build(rng, [2, 2, 3, 2], uniform=False)
+        rm = init_rm(greedy_vertex(inst_p), inst_p)
+        for h in range(inst_p.strides.total):
+            add(rm, unit_plan(h))
         A = rm.kernel.cols.A
-        assert A.shape[1] == st.total + 1
+        assert A.shape[1] == inst_p.strides.total + 1
         assert np.linalg.matrix_rank(A) == A.shape[0]
 
     def test_duals_cover_every_master_row(self):
         rng = np.random.default_rng(10)
-        inst_p, part, st = build(rng, [2, 2, 3, 2], uniform=False)
-        rm = init_rm(greedy_vertex(inst_p, st), inst_p, st)
+        inst_p, part = build(rng, [2, 2, 3, 2], uniform=False)
+        rm = init_rm(greedy_vertex(inst_p), inst_p)
         for h in [3, 8, 17]:
-            add(rm, unit_plan(h), st)
+            add(rm, unit_plan(h))
         mu, y, sigma, obj = solve_rm(rm)
         assert y.shape == (sum(inst_p.sizes[2:]),)
         # every column with positive weight prices to zero against (y, sigma)
-        A = np.array([column_coeffs(p, inst_p, st)[0] for p in rm.columns]).T
+        A = np.array([column_coeffs(p, inst_p)[0] for p in rm.columns]).T
         reduced = np.array(rm.costs) - y @ A - sigma
         assert np.all(reduced >= -1e-9)
         assert np.allclose(reduced[mu > 1e-12], 0.0, atol=1e-9)
@@ -140,9 +138,9 @@ class TestMasterRows:
 class TestSolveRM:
     def test_resolve_without_new_column_is_free(self, monkeypatch):
         rng = np.random.default_rng(4)
-        inst_p, part, st = build(rng, [3, 2, 2])
-        p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, st)
+        inst_p, part = build(rng, [3, 2, 2])
+        p1 = greedy_vertex(inst_p)
+        rm = init_rm(p1, inst_p)
         solve_rm(rm)
 
         def refuse(*args):
@@ -155,11 +153,11 @@ class TestSolveRM:
 
     def test_convexity_invariants(self):
         rng = np.random.default_rng(5)
-        inst_p, part, st = build(rng, [2, 2, 2, 2], uniform=False)
-        p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, st)
+        inst_p, part = build(rng, [2, 2, 2, 2], uniform=False)
+        p1 = greedy_vertex(inst_p)
+        rm = init_rm(p1, inst_p)
         for h in [0, 5, 9, 15]:
-            add(rm, unit_plan(h), st)
+            add(rm, unit_plan(h))
             mu, y, sigma, obj = solve_rm(rm)
             assert mu.min() >= -1e-12
             assert mu.sum() == pytest.approx(1.0, abs=1e-9)
@@ -173,11 +171,10 @@ class TestRecover:
         inst = Instance((m, m, m), np.full(3, 1 / 3))
         part = choose_partition(inst, "any")
         inst_p = inst.permuted(part.perm)
-        st = make_strides(inst_p.sizes)
-        p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, st)
+        p1 = greedy_vertex(inst_p)
+        rm = init_rm(p1, inst_p)
         w = recover_solution(rm)
-        points, objective = barycenter_points(w, inst_p, part.perm, st)
+        points, objective = barycenter_points(w, inst_p, part.perm)
         assert objective == pytest.approx(0.0, abs=1e-12)
         got = {tuple(np.round(p.coords, 12)): p.mass for p in points}
         for j in range(3):
@@ -185,17 +182,17 @@ class TestRecover:
 
     def test_recovered_mass_is_feasible(self):
         rng = np.random.default_rng(7)
-        inst_p, part, st = build(rng, [3, 3, 2], uniform=False)
-        p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, st)
+        inst_p, part = build(rng, [3, 3, 2], uniform=False)
+        p1 = greedy_vertex(inst_p)
+        rm = init_rm(p1, inst_p)
         w = recover_solution(rm)
-        assert satisfies_marginals(w, inst_p, st)
+        assert satisfies_marginals(w, inst_p, inst_p.strides)
         # The points map back to the same plan through their assignments.
-        points, _ = barycenter_points(w, inst_p, part.perm, st)
+        points, _ = barycenter_points(w, inst_p, part.perm)
         rebuilt = []
         for p in points:
             digits = [p.assignment[part.perm[t]] for t in range(inst_p.n)]
-            rebuilt.append((np.ravel_multi_index(digits, st.sizes), p.mass))
+            rebuilt.append((np.ravel_multi_index(digits, inst_p.sizes), p.mass))
         assert rebuilt == plan_items(w)
 
     def test_assignments_follow_input_order(self):
@@ -207,11 +204,10 @@ class TestRecover:
         part = choose_partition(inst, "large")  # permutes (1, 2) to the front
         assert part.perm != (0, 1, 2)
         inst_p = inst.permuted(part.perm)
-        st = make_strides(inst_p.sizes)
-        p1 = greedy_vertex(inst_p, st)
-        rm = init_rm(p1, inst_p, st)
+        p1 = greedy_vertex(inst_p)
+        rm = init_rm(p1, inst_p)
         w = recover_solution(rm)
-        points, _ = barycenter_points(w, inst_p, part.perm, st)
+        points, _ = barycenter_points(w, inst_p, part.perm)
         assert [p.mass for p in points] == [q for _, q in plan_items(w)]
         for p in points:
             for orig in range(3):

@@ -12,7 +12,8 @@ from oracles import (
     satisfies_marginals,
 )
 from wbary import model
-from wbary.driver import solve
+from wbary.cli import instance_from_dict, instance_to_dict
+from wbary.driver import solve, solve_direct
 from wbary.initial import greedy_vertex
 from wbary.master import column_coeffs
 from wbary.model import (
@@ -77,6 +78,32 @@ class TestStrides:
     def test_bad_sizes(self):
         with pytest.raises(ContractError):
             make_strides([3, 0])
+
+
+class TestInstanceStrides:
+    def test_built_once_from_the_sizes(self):
+        inst = random_instance(np.random.default_rng(0), [2, 3, 4])
+        assert inst.strides is inst.strides
+        assert inst.strides == make_strides(inst.sizes)
+
+    def test_permuted_instance_has_its_own_strides(self):
+        inst = random_instance(np.random.default_rng(1), [2, 3, 4, 5])
+        order = (2, 3, 0, 1)
+        assert inst.strides.sizes == (2, 3, 4, 5)
+        assert inst.permuted(order).strides.sizes == (4, 5, 2, 3)
+        assert inst.permuted(order).strides == make_strides([4, 5, 2, 3])
+
+    def test_past_the_index_limit_only_solves_refuse(self):
+        # 2^64 combinations: the instance constructs and round-trips, since
+        # its strides are built on first read
+        inst = random_instance(np.random.default_rng(2), [2] * 64, dim=1)
+        again = instance_from_dict(instance_to_dict(inst))
+        assert again.sizes == inst.sizes
+        assert all(np.array_equal(a.points, b.points)
+                   for a, b in zip(again.measures, inst.measures))
+        for solver in (solve, solve_direct):
+            with pytest.raises(CapacityError):
+                solver(again)
 
 
 class TestIndexing:
@@ -147,7 +174,7 @@ class TestNearTheIndexLimit:
     def test_no_step_overflows(self, sizes):
         rng = np.random.default_rng(len(sizes))
         inst = random_instance(rng, sizes)
-        st = make_strides(sizes)
+        st = inst.strides
         total = math.prod(sizes)
         assert st.total == total < model.INDEX_LIMIT
         hs = [0, 1, total // 2, total - 2, total - 1]
@@ -155,7 +182,7 @@ class TestNearTheIndexLimit:
         d = digits(np.array(hs, dtype=np.int64), st)
         assert d.T.tolist() == [divmod_digits(h, sizes) for h in hs]
 
-        w = greedy_vertex(inst, st)
+        w = greedy_vertex(inst)
         assert w.index.dtype == np.int64
         assert ((w.index >= 0) & (w.index < total)).all()
         assert satisfies_marginals(w, inst, st)
@@ -163,17 +190,17 @@ class TestNearTheIndexLimit:
         # masses, as init_rm requires
         rows = sum(sizes[2:])
         trailing = np.concatenate([m.masses for m in inst.measures[2:]])
-        assert np.abs(column_coeffs(w, inst, st)[0] - trailing).max() <= 1e-12
+        assert np.abs(column_coeffs(w, inst)[0] - trailing).max() <= 1e-12
         # one column over the sampled indices, against Python-int rows
         p = Plan(np.unique(np.array(hs, dtype=np.int64)), np.full(len(set(hs)), 0.5))
         expect = np.zeros(rows)
         for h, mass in zip(p.index.tolist(), p.mass):
             for i, j in enumerate(divmod_digits(h, sizes)[2:]):
                 expect[st.row_offsets[i + 2] - st.row_offsets[2] + j] += mass
-        assert np.array_equal(column_coeffs(p, inst, st)[0], expect)
+        assert np.array_equal(column_coeffs(p, inst)[0], expect)
 
         points = [m.points for m in inst.measures]
-        costs = cost_vector(inst, st, np.array(hs, dtype=np.int64))
+        costs = cost_vector(inst, np.array(hs, dtype=np.int64))
         for h, c in zip(hs, costs):
             direct = combination_cost(divmod_digits(h, sizes), points, inst.lambdas)
             assert abs(c - direct) <= 1e-9 * (1.0 + abs(direct))
@@ -183,10 +210,10 @@ class TestNearTheIndexLimit:
 
 
 def means_and_costs(inst):
-    st = make_strides(inst.sizes)
+    st = inst.strides
     index = np.arange(st.total)
     means, costs = mean_costs(inst, digits(index, st))
-    assert np.array_equal(costs, cost_vector(inst, st, index))
+    assert np.array_equal(costs, cost_vector(inst, index))
     return means, costs
 
 
@@ -242,8 +269,8 @@ class TestCosts:
         rng = np.random.default_rng(3)
         for _ in range(10):
             inst = random_instance(rng, rng.integers(1, 5, size=3).tolist())
-            st = make_strides(inst.sizes)
-            vec = cost_vector(inst, st, np.arange(st.total))
+            st = inst.strides
+            vec = cost_vector(inst, np.arange(st.total))
             points = [m.points for m in inst.measures]
             for h in range(st.total):
                 direct = combination_cost(digits_of(h, st.sizes), points, inst.lambdas)
@@ -252,26 +279,26 @@ class TestCosts:
     def test_cost_vector_of_any_index_subset_equals_whole(self):
         rng = np.random.default_rng(4)
         inst = random_instance(rng, [3, 4, 2], dim=3)
-        st = make_strides(inst.sizes)
-        whole = cost_vector(inst, st, np.arange(st.total))
+        st = inst.strides
+        whole = cost_vector(inst, np.arange(st.total))
         subset = rng.permutation(st.total)[:7]
-        assert np.array_equal(cost_vector(inst, st, subset), whole[subset])
-        assert cost_vector(inst, st, np.zeros(0, dtype=np.int64)).shape == (0,)
+        assert np.array_equal(cost_vector(inst, subset), whole[subset])
+        assert cost_vector(inst, np.zeros(0, dtype=np.int64)).shape == (0,)
 
     def test_tiled_costs_equal_one_tile(self, monkeypatch):
         rng = np.random.default_rng(5)
         inst = random_instance(rng, [3, 4, 5])
-        st = make_strides(inst.sizes)
-        whole = cost_vector(inst, st, np.arange(st.total))
+        st = inst.strides
+        whole = cost_vector(inst, np.arange(st.total))
         monkeypatch.setattr(model, "BLOCK", 7)
-        assert np.array_equal(cost_vector(inst, st, np.arange(st.total)), whole)
-        assert np.array_equal(cost_vector(inst, st, range(st.total)), whole)
-        assert np.array_equal(cost_vector(inst, st, range(5, 40)), whole[5:40])
+        assert np.array_equal(cost_vector(inst, np.arange(st.total)), whole)
+        assert np.array_equal(cost_vector(inst, range(st.total)), whole)
+        assert np.array_equal(cost_vector(inst, range(5, 40)), whole[5:40])
 
     def test_peak_is_the_output_and_one_tile(self):
         rng = np.random.default_rng(6)
         inst = random_instance(rng, [128, 128, 64])
-        st = make_strides(inst.sizes)
+        st = inst.strides
         assert st.total >= 8 * model.BLOCK
         # the tile's digits, means, differences and costs, as solve charges it
         tile = 8 * (inst.n + 3 * inst.dim + 2) * model.BLOCK
@@ -281,7 +308,7 @@ class TestCosts:
         for index in (np.arange(st.total), range(st.total)):
             tracemalloc.start()
             try:
-                cost = cost_vector(inst, st, index)
+                cost = cost_vector(inst, index)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -332,7 +359,7 @@ class TestMeasureAxisSums:
         for dim in (1, 2, 3):
             for _ in range(3):
                 inst = offset_instance(rng, n, dim)
-                st = make_strides(inst.sizes)
+                st = inst.strides
                 for k in (0, 1, 2, 5, min(st.total, 40)):
                     d = digits(rng.integers(0, st.total, k), st)
                     mean, cost = mean_costs(inst, d)
@@ -350,10 +377,10 @@ class TestMeasureAxisSums:
         for dim in (1, 2, 3):
             monkeypatch.setattr(model, "BLOCK", 3 * n * (dim + 1) + 2)
             inst = offset_instance(rng, n, dim)
-            st = make_strides(inst.sizes)
+            st = inst.strides
             whole = two_pass_loop(inst, digits(np.arange(st.total), st))[1]
             for index in (range(st.total), np.arange(st.total), range(0, min(st.total, 7))):
-                cost = cost_vector(inst, st, index)
+                cost = cost_vector(inst, index)
                 assert np.array_equal(bits(cost), bits(whole[index])), (dim, index)
 
 
@@ -362,7 +389,7 @@ class TestPlan:
         m1 = DiscreteMeasure(np.zeros((2, 1)), np.array([0.5, 0.5]))
         m2 = DiscreteMeasure(np.ones((2, 1)), np.array([0.25, 0.75]))
         inst = Instance((m1, m2), np.array([0.5, 0.5]))
-        st = make_strides(inst.sizes)
+        st = inst.strides
         w = Plan(np.array([0, 1, 3]), np.array([0.25, 0.25, 0.5]))
         assert satisfies_marginals(w, inst, st)
         bad = Plan(np.array([0, 3]), np.array([0.5, 0.5]))

@@ -19,7 +19,6 @@ from wbary.model import (
     Instance,
     Plan,
     cost_vector,
-    make_strides,
 )
 from wbary.pricing import (
     best_costs,
@@ -45,9 +44,7 @@ def setup(rng, sizes, variant="any"):
     inst = uniform_instance(rng, sizes)
     part = choose_partition(inst, variant)
     inst_p = inst.permuted(part.perm)
-    st = make_strides(inst_p.sizes)
-    state = init_reduced_costs(inst_p, part, st)
-    return inst_p, part, st, state
+    return inst_p, part, init_reduced_costs(inst_p)
 
 
 class TestChoosePartition:
@@ -68,7 +65,7 @@ class TestChoosePartition:
         inst = uniform_instance(rng, [2, 3, 4, 5])
         part = choose_partition(inst, "large")
         assert part.n_unique == 20
-        assert part.n_duplicates == 6
+        assert math.prod(inst.sizes[i] for i in part.perm[2:]) == 6
         assert part.perm == (2, 3, 0, 1)
 
 
@@ -93,7 +90,7 @@ def set_rows(state, a, rows):
 class TestInit:
     def test_lengths_and_min_preserved(self):
         rng = np.random.default_rng(1)
-        inst_p, part, st, state = setup(rng, [2, 3, 2, 3])
+        inst_p, part, state = setup(rng, [2, 3, 2, 3])
         # pair (2, 3) in front, both trailing measures in the tail: n_e = 6, n_lo = 6
         assert state.pe.shape == (6, 3)
         assert state.zb.shape == (3, 6)
@@ -102,30 +99,28 @@ class TestInit:
         assert state.best.shape == (6,)
         assert np.array_equal(state.a, state.a_static)
         assert np.array_equal(state.zb[-1], state.b_static)
-        best_costs(state, part)
-        costs = cost_vector(inst_p, st, np.arange(st.total))
+        best_costs(state)
+        costs = cost_vector(inst_p, np.arange(inst_p.strides.total))
         assert state.best.min() == pytest.approx(costs.min(), abs=1e-12)
 
     def test_identical_measures_zero_costs(self):
         pts = np.array([[0.2, 0.4], [0.9, 0.1]])
         m = DiscreteMeasure(pts, np.array([0.5, 0.5]))
         inst = Instance((m, m, m), np.full(3, 1 / 3))
-        part = choose_partition(inst, "any")
-        st = make_strides(inst.sizes)
-        state = init_reduced_costs(inst, part, st)
+        state = init_reduced_costs(inst)
         diag = [reduced_cost(state, i * 4 + i * 2 + i) for i in range(2)]  # (j,j,j)
         assert np.allclose(diag, 0.0, atol=1e-12)
-        best_costs(state, part)
+        best_costs(state)
         assert state.best.min() == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("tail", [2, 3, 4])  # head of 0, 1 or 2 measures
     def test_state_bytes_counts_every_array(self, monkeypatch, tail):
         monkeypatch.setattr(pricing, "tail_start", lambda sizes, dim: tail)
-        _, _, st, state = setup(np.random.default_rng(1), [2, 3, 2, 3])
+        inst_p, _, state = setup(np.random.default_rng(1), [2, 3, 2, 3])
         assert state.tail == tail
         arrays = (state.pe, state.zb, state.a, state.a_static, state.b_static,
                   state.best, state.best_index)
-        assert sum(x.nbytes for x in arrays) == pricing.state_bytes(st.sizes, 2)
+        assert sum(x.nbytes for x in arrays) == pricing.state_bytes(inst_p.sizes, 2)
 
     def test_tail_minimises_the_state_bytes(self):
         def nbytes(sizes, dim, k):
@@ -154,10 +149,10 @@ class TestInit:
 class TestUpdates:
     def test_unchanged_duals_leave_costs_alone(self):
         rng = np.random.default_rng(2)
-        _, part, st, state = setup(rng, [2, 3, 2])
+        inst_p, part, state = setup(rng, [2, 3, 2])
         a, zb = state.a.copy(), state.zb.copy()
-        y = np.zeros(sum(st.sizes[2:]))
-        update_reduced_costs(state, y, y, part, st)
+        y = np.zeros(sum(inst_p.sizes[2:]))
+        update_reduced_costs(state, y, y, part, inst_p.strides)
         assert np.array_equal(state.a, a)
         assert np.array_equal(state.zb, zb)
 
@@ -167,18 +162,18 @@ class TestUpdates:
         y_new = np.zeros(master_rows)
         y_new[0] = 0.25  # first point of the first master measure (size 2)
         # both trailing measures in the tail: the dual moves n_lo / 2 entries of b
-        _, part, st, state = setup(rng, [2, 3, 2, 3])
-        update_reduced_costs(state, np.zeros(master_rows), y_new, part, st)
+        inst_p, part, state = setup(rng, [2, 3, 2, 3])
+        update_reduced_costs(state, np.zeros(master_rows), y_new, part, inst_p.strides)
         changed = np.flatnonzero(state.b_static - state.zb[-1])
-        assert len(changed) == state.zb.shape[1] // st.sizes[2]
+        assert len(changed) == state.zb.shape[1] // inst_p.sizes[2]
         assert np.all(state.b_static[changed] - state.zb[-1, changed] == 0.25)
         assert np.array_equal(state.a, state.a_static)
         # the first one in the head: it moves n_e / 2 entries of a instead
         monkeypatch.setattr(pricing, "tail_start", lambda sizes, dim: 3)
-        _, part, st, state = setup(rng, [2, 3, 2, 3])
-        update_reduced_costs(state, np.zeros(master_rows), y_new, part, st)
+        inst_p, part, state = setup(rng, [2, 3, 2, 3])
+        update_reduced_costs(state, np.zeros(master_rows), y_new, part, inst_p.strides)
         changed = np.flatnonzero(state.a_static - state.a)
-        assert len(changed) == state.a.shape[0] // st.sizes[2]
+        assert len(changed) == state.a.shape[0] // inst_p.sizes[2]
         assert np.all(state.a_static[changed] - state.a[changed] == 0.25)
         assert np.array_equal(state.zb[-1], state.b_static)
 
@@ -188,14 +183,14 @@ class TestUpdates:
         # measure's 2 rows: a 1-entry y used to move both entries of b by
         # broadcasting, and a 5-entry y to move them by its first two entries
         rng = np.random.default_rng(6)
-        _, part, st, state = setup(rng, [2, 3, 2])
+        inst_p, part, state = setup(rng, [2, 3, 2])
         a, zb = state.a.copy(), state.zb.copy()
         with pytest.raises(ContractError, match="one entry per master row"):
-            update_reduced_costs(state, np.zeros(2), y, part, st)
+            update_reduced_costs(state, np.zeros(2), y, part, inst_p.strides)
         with pytest.raises(ContractError, match="one entry per master row"):
-            update_reduced_costs(state, y, np.zeros(2), part, st)
+            update_reduced_costs(state, y, np.zeros(2), part, inst_p.strides)
         with pytest.raises(ContractError, match="one entry per master row"):
-            recompute_reduced_costs(state, y, part, st)
+            recompute_reduced_costs(state, y, part, inst_p.strides)
         assert np.array_equal(state.a, a)
         assert np.array_equal(state.zb, zb)
 
@@ -203,27 +198,27 @@ class TestUpdates:
         rng = np.random.default_rng(4)
         for tail in (2, 3, 4):  # head of 0, 1 or 2 measures
             monkeypatch.setattr(pricing, "tail_start", lambda sizes, dim: tail)
-            _, part, st, state = setup(rng, [3, 2, 4, 2])
-            master_rows = sum(st.sizes[2:])
+            inst_p, part, state = setup(rng, [3, 2, 4, 2])
+            master_rows = sum(inst_p.sizes[2:])
             y = np.zeros(master_rows)
             for _ in range(1000):
                 y_next = y + rng.normal(0, 0.1, master_rows) * (
                     rng.random(master_rows) < 0.5
                 )
-                update_reduced_costs(state, y, y_next, part, st)
+                update_reduced_costs(state, y, y_next, part, inst_p.strides)
                 y = y_next
             drifted_a, drifted_b = state.a.copy(), state.zb[-1].copy()
-            recompute_reduced_costs(state, y, part, st)
+            recompute_reduced_costs(state, y, part, inst_p.strides)
             assert np.abs(drifted_a - state.a).max() <= 1e-12
             assert np.abs(drifted_b - state.zb[-1]).max() <= 1e-12
 
     def test_recompute_against_bruteforce_definition(self):
         rng = np.random.default_rng(5)
-        inst_p, part, st, state = setup(rng, [2, 2, 3, 2])
-        master_rows = sum(st.sizes[2:])
+        inst_p, part, state = setup(rng, [2, 2, 3, 2])
+        master_rows = sum(inst_p.sizes[2:])
         y = rng.normal(0, 1, master_rows)
-        recompute_reduced_costs(state, y, part, st)
-        best_costs(state, part)
+        recompute_reduced_costs(state, y, part, inst_p.strides)
+        best_costs(state)
         best, index = brute_force_pricing(inst_p, y)
         assert np.allclose(state.best, best, rtol=0.0, atol=1e-12)
         assert np.array_equal(state.best_index, index)
@@ -249,20 +244,19 @@ class TestBruteForceDifferential:
             inst = dyadic_instance(rng, sizes, dim=int(rng.integers(1, 4)))
             part = choose_partition(inst, ("any", "large", "small")[trial % 3])
             inst_p = inst.permuted(part.perm)
-            st = make_strides(inst_p.sizes)
-            y = rng.integers(-8, 9, sum(st.sizes[2:])) / 8.0
+            y = rng.integers(-8, 9, sum(inst_p.sizes[2:])) / 8.0
             best, index = brute_force_pricing(inst_p, y, exact=True)
             # head group empty, one measure, two measures
             for tail in (2, 3, 4):
                 monkeypatch.setattr(pricing, "tail_start", lambda sizes, dim: tail)
-                state = init_reduced_costs(inst_p, part, st)
+                state = init_reduced_costs(inst_p)
                 assert state.tail == tail
-                recompute_reduced_costs(state, y, part, st)
+                recompute_reduced_costs(state, y, part, inst_p.strides)
                 n_lo = state.zb.shape[1]
                 # tiles hold part of a row, one row, several rows, everything
                 for block in (1, n_lo, 3 * n_lo + 1, model.BLOCK):
                     monkeypatch.setattr(model, "BLOCK", block)
-                    best_costs(state, part)
+                    best_costs(state)
                     assert state.best.tolist() == best
                     assert state.best_index.tolist() == index
 
@@ -273,14 +267,13 @@ class TestBruteForceDifferential:
             inst = uniform_instance(rng, sizes, dim=int(rng.integers(1, 4)))
             part = choose_partition(inst, "large")
             inst_p = inst.permuted(part.perm)
-            st = make_strides(inst_p.sizes)
-            y = rng.normal(0, 0.5, sum(st.sizes[2:]))
+            y = rng.normal(0, 0.5, sum(inst_p.sizes[2:]))
             best, index = brute_force_pricing(inst_p, y)
             for tail in (2, 4, 5):  # head of 0, 2 or 3 measures
                 monkeypatch.setattr(pricing, "tail_start", lambda sizes, dim: tail)
-                state = init_reduced_costs(inst_p, part, st)
-                recompute_reduced_costs(state, y, part, st)
-                best_costs(state, part)
+                state = init_reduced_costs(inst_p)
+                recompute_reduced_costs(state, y, part, inst_p.strides)
+                best_costs(state)
                 assert np.allclose(state.best, best, rtol=0.0, atol=1e-12)
                 assert np.array_equal(state.best_index, index)
 
@@ -288,84 +281,84 @@ class TestBruteForceDifferential:
 class TestBestCosts:
     def test_rangewise_minimum(self):
         rng = np.random.default_rng(6)
-        _, part, st, state = setup(rng, [2, 1, 3])
+        _, part, state = setup(rng, [2, 1, 3])
         set_rows(state, [0.0, 0.0], [[1.5, 1.0, 2.0], [3.5, 4.0, 6.0]])
-        best_costs(state, part)
+        best_costs(state)
         assert np.array_equal(state.best, [1.0, 3.5])
         assert np.array_equal(state.best_index, [1, 3])
 
     def test_no_duplicates_is_identity(self, monkeypatch):
         rng = np.random.default_rng(7)
-        inst_p, part, st, state = setup(rng, [2, 3])
-        assert part.n_duplicates == 1
-        costs = cost_vector(inst_p, st, np.arange(st.total))
+        inst_p, part, state = setup(rng, [2, 3])
+        assert math.prod(inst_p.sizes[2:]) == 1
+        costs = cost_vector(inst_p, np.arange(inst_p.strides.total))
         for block in (4, model.BLOCK):  # two row tiles, then one
             monkeypatch.setattr(model, "BLOCK", block)
-            best_costs(state, part)
+            best_costs(state)
             assert np.allclose(state.best, costs, rtol=0.0, atol=1e-12)
             assert np.array_equal(state.best_index, np.arange(6))
 
     def test_brute_force_range_scan(self, monkeypatch):
         rng = np.random.default_rng(8)
-        inst_p, part, st, state = setup(rng, [3, 2, 2, 2])
-        assert (part.n_unique, part.n_duplicates, state.zb.shape[1]) == (6, 4, 4)
-        y = rng.normal(0, 1, sum(st.sizes[2:]))
-        recompute_reduced_costs(state, y, part, st)
+        inst_p, part, state = setup(rng, [3, 2, 2, 2])
+        assert (part.n_unique, math.prod(inst_p.sizes[2:]), state.zb.shape[1]) == (6, 4, 4)
+        y = rng.normal(0, 1, sum(inst_p.sizes[2:]))
+        recompute_reduced_costs(state, y, part, inst_p.strides)
         best, index = brute_force_pricing(inst_p, y)
         # tiles hold part of a row (1, 3), one row (4, 5) or several (9, 12, default)
         for block in (1, 3, 4, 5, 9, 12, model.BLOCK):
             monkeypatch.setattr(model, "BLOCK", block)
-            best_costs(state, part)
+            best_costs(state)
             assert np.allclose(state.best, best, rtol=0.0, atol=1e-12)
             assert np.array_equal(state.best_index, index)
 
     def test_argmin_lowest_index_on_ties(self, monkeypatch):
         rng = np.random.default_rng(9)
-        _, part, st, state = setup(rng, [2, 1, 2])
+        _, part, state = setup(rng, [2, 1, 2])
         set_rows(state, [0.0, 0.0], [[7.0, 7.0], [1.0, 1.0]])  # ties within rows
         for block in (1, 2, model.BLOCK):  # ties across tiles and within one
             monkeypatch.setattr(model, "BLOCK", block)
-            best_costs(state, part)
+            best_costs(state)
             assert np.array_equal(state.best, [7.0, 1.0])
             assert np.array_equal(state.best_index, [0, 2])
         # an empty tail: every entry is a row of its own, and ties are over d_hi
         monkeypatch.setattr(pricing, "tail_start", lambda sizes, dim: 3)
-        _, part, st, state = setup(rng, [2, 1, 2])
+        _, part, state = setup(rng, [2, 1, 2])
         assert state.zb.shape[1] == 1
         state.a[:] = [7.0, 7.0, 1.0, 1.0]
         state.zb[:] = 0.0
         for block in (1, 2, model.BLOCK):
             monkeypatch.setattr(model, "BLOCK", block)
-            best_costs(state, part)
+            best_costs(state)
             assert np.array_equal(state.best, [7.0, 1.0])
             assert np.array_equal(state.best_index, [0, 2])
 
     def test_temporaries_stay_within_one_block(self, monkeypatch):
         rng = np.random.default_rng(14)
-        _, part, st, state = setup(rng, [4] * 8)
-        assert (st.total, part.n_duplicates) == (65536, 4096)
+        inst_p, part, state = setup(rng, [4] * 8)
+        assert (inst_p.strides.total, math.prod(inst_p.sizes[2:])) == (65536, 4096)
         monkeypatch.setattr(model, "BLOCK", 1024)
         tracemalloc.start()
         try:
-            best_costs(state, part)
+            best_costs(state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # a tile is 8 KB (numpy may add a buffer of the same size); a
         # full-length temporary would be 512 KB
-        assert peak < 8 * st.total // 8
+        assert peak < 8 * inst_p.strides.total // 8
 
     @pytest.mark.parametrize("sizes", [[4] * 10, [2, 2, 3, 140_000]], ids=["rows", "columns"])
     def test_peak_is_one_tile_at_the_default_block(self, sizes):
         # 1024 x 1024 entries in tiles of whole rows; 12 rows of 140,000
         # entries, each split into two tiles
         rng = np.random.default_rng(17)
-        _, part, st, state = setup(rng, sizes)
+        _, part, state = setup(rng, sizes)
         n_e, n_lo = state.a.shape[0], state.zb.shape[1]
         assert n_e * n_lo >= 8 * model.BLOCK
         tracemalloc.start()
         try:
-            best_costs(state, part)
+            best_costs(state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -378,15 +371,15 @@ class TestSolvePricing:
         # init_reduced_costs builds the northwest corner of the pair's masses,
         # and each pricing pivots that basis on in place.
         rng = np.random.default_rng(15)
-        inst_p, part, st, state = setup(rng, [3, 4, 2], "large")
+        inst_p, part, state = setup(rng, [3, 4, 2], "large")
         basis = state.basis
         corner = northwest_corner(*(m.masses for m in inst_p.measures[:2]))
         assert (basis.cells, basis.flows) == (corner.cells, corner.flows)
         assert np.array_equal(basis.supplies, inst_p.measures[0].masses)
         assert np.array_equal(basis.demands, inst_p.measures[1].masses)
         for _ in range(3):
-            recompute_reduced_costs(state, rng.normal(0, 0.5, sum(st.sizes[2:])), part, st)
-            best_costs(state, part)
+            recompute_reduced_costs(state, rng.normal(0, 0.5, sum(inst_p.sizes[2:])), part, inst_p.strides)
+            best_costs(state)
             first = solve_pricing(state)
             again = solve_pricing(state)  # from the optimum the first left
             assert state.basis is basis and again.pivots == 0
@@ -394,10 +387,10 @@ class TestSolvePricing:
 
     def test_zero_costs_zero_objective(self):
         rng = np.random.default_rng(10)
-        inst_p, part, st, state = setup(rng, [2, 2, 2])
+        _, part, state = setup(rng, [2, 2, 2])
         state.a[:] = 0.0
         state.zb[:] = 0.0
-        best_costs(state, part)
+        best_costs(state)
         plan = solve_pricing(state)
         assert plan.objective == pytest.approx(0.0, abs=1e-12)
 
@@ -405,11 +398,11 @@ class TestSolvePricing:
         rng = np.random.default_rng(11)
         for _ in range(25):
             sizes = [int(rng.integers(2, 4)), int(rng.integers(2, 4)), 2, 2]
-            inst_p, part, st, state = setup(rng, sizes)
-            master_rows = sum(st.sizes[2:])
+            inst_p, part, state = setup(rng, sizes)
+            master_rows = sum(inst_p.sizes[2:])
             y = rng.normal(0, 0.5, master_rows)
-            recompute_reduced_costs(state, y, part, st)
-            best_costs(state, part)
+            recompute_reduced_costs(state, y, part, inst_p.strides)
+            best_costs(state)
             sup = inst_p.measures[0].masses
             dem = inst_p.measures[1].masses
             plan = solve_pricing(state)
@@ -422,8 +415,8 @@ class TestSolvePricing:
 
     def test_expand_column_places_mass_at_argmin_indices(self):
         rng = np.random.default_rng(12)
-        inst_p, part, st, state = setup(rng, [3, 2, 2])
-        best_costs(state, part)
+        inst_p, part, state = setup(rng, [3, 2, 2])
+        best_costs(state)
         plan = solve_pricing(state)
         p = expand_column(plan, state)
         assert p.mass.sum() == pytest.approx(1.0)
@@ -433,7 +426,7 @@ class TestSolvePricing:
         # pair-row feasibility: aggregated digit masses match both pair measures
         sums = [np.zeros(3), np.zeros(2)]
         for h, q in plan_items(p):
-            d = digits_of(h, st.sizes)
+            d = digits_of(h, inst_p.sizes)
             sums[0][d[0]] += q
             sums[1][d[1]] += q
         assert np.allclose(sums[0], inst_p.measures[0].masses, atol=1e-9)
@@ -441,7 +434,7 @@ class TestSolvePricing:
 
     def test_expand_column_drops_flows_at_most_mass_tol(self):
         rng = np.random.default_rng(14)
-        inst_p, part, st, state = setup(rng, [3, 2, 2])
+        _, part, state = setup(rng, [3, 2, 2])
         # cells (0, 0), (1, 1) and (2, 0) of the 3 x 2 pair
         flows = Plan(np.array([0, 3, 4]), np.array([1e-13, 1e-11, 0.5]))
         plan = TransportPlan(flows, objective=0.0, pivots=0)
@@ -452,17 +445,17 @@ class TestSolvePricing:
     def test_reduced_cost_consistency_of_expansion(self):
         # cost(p) minus dual credit equals the transport part of the objective
         rng = np.random.default_rng(13)
-        inst_p, part, st, state = setup(rng, [2, 3, 2, 2])
-        master_rows = sum(st.sizes[2:])
+        inst_p, part, state = setup(rng, [2, 3, 2, 2])
+        master_rows = sum(inst_p.sizes[2:])
         y = rng.normal(0, 0.3, master_rows)
-        recompute_reduced_costs(state, y, part, st)
-        best_costs(state, part)
+        recompute_reduced_costs(state, y, part, inst_p.strides)
+        best_costs(state)
         plan = solve_pricing(state)
         p = expand_column(plan, state)
-        offset = st.row_offsets[2]
-        cost_p = float(np.dot(p.mass, cost_vector(inst_p, st, p.index)))
+        offset = inst_p.strides.row_offsets[2]
+        cost_p = float(np.dot(p.mass, cost_vector(inst_p, p.index)))
         dual_credit = 0.0
         for h, q in plan_items(p):
-            for r in column_support(h, st)[2:]:
+            for r in column_support(h, inst_p.strides)[2:]:
                 dual_credit += q * y[r - offset]
         assert cost_p - dual_credit == pytest.approx(plan.objective, abs=1e-9)

@@ -414,6 +414,20 @@ class TestDegenerate:
         sol = solve(DenseLP(cost, A, b))
         assert sol.objective == pytest.approx(float(obj), abs=1e-9)
 
+    def test_bland_ties_drop_zero_level_artificials_first(self, monkeypatch):
+        # Found by a seeded search over small integer LPs (default_rng(634)):
+        # under Bland's rule from the start, a ratio-test tie pits the
+        # zero-level artificial of row 2 against a structural. Leaving
+        # structural-first kept that artificial basic to the end, basis
+        # (4, 3, -3); artificials-first, the one leaving order, ends on
+        # structurals only.
+        monkeypatch.setattr(simplex, "BLAND_AFTER", 0)
+        A = np.array([[2.0, 1, 1, -1, 1, 2], [0, 1, 1, 1, 0, 2], [1, 1, 1, 2, 2, 0]])
+        kern = Kernel(DenseColumns(A), np.array([1.0, 0.0, 2.0]))
+        sol = solve_columns(kern, np.array([0.0, 2, 1, -1, 0, 2]))
+        assert sol.objective == 0.0 and sol.x.tolist() == [0, 0, 0, 0, 1, 0]
+        assert kern.basic.tolist() == [0, 3, 4]
+
 
 class TestUnitColumns:
     def test_matches_dense_on_binary_structure(self):

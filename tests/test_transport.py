@@ -159,6 +159,41 @@ class TestExamples:
                              text=True, timeout=60, env=env, check=True).stdout
         assert out.splitlines() == ["costs must be finite"] * 2
 
+    def test_overflowing_costs_rejected(self):
+        # Finite costs near the largest float overflow the potentials, and the
+        # NaN of inf - inf used to keep the pivot loop going forever; so this
+        # too runs in a process of its own with a time limit, with warnings
+        # as errors. The basis the raise leaves must still solve ordinary
+        # costs to a cold solve's objective.
+        code = (
+            "import numpy as np\n"
+            "from wbary.model import ContractError\n"
+            "from wbary.transport import northwest_corner, solve_transportation\n"
+            "rng = np.random.default_rng(0)\n"
+            "m, k = (int(v) for v in rng.integers(2, 6, 2))\n"
+            "s, d = np.full(m, 1 / m), np.full(k, 1 / k)\n"
+            "basis = northwest_corner(s, d)\n"
+            "try:\n"
+            "    solve_transportation(rng.uniform(-1, 1, (m, k)) * 1.7e308, basis)\n"
+            "except ContractError as exc:\n"
+            "    print(exc)\n"
+            "# u_1 = c_10 - c_00 overflows and no cell enters: caught at exit\n"
+            "two = northwest_corner([0.5, 0.5], [0.5, 0.5])\n"
+            "try:\n"
+            "    solve_transportation([[-1.7e308, 0.0], [1.7e308, 0.0]], two)\n"
+            "except ContractError as exc:\n"
+            "    print(exc)\n"
+            "costs = rng.uniform(-1, 1, (m, k))\n"
+            "warm = solve_transportation(costs, basis).objective\n"
+            "cold = solve_transportation(costs, northwest_corner(s, d)).objective\n"
+            "print(m, k, abs(warm - cold) <= 1e-12)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                             capture_output=True, text=True, timeout=60, env=env,
+                             check=True).stdout
+        assert out.splitlines() == ["costs overflow the transport potentials"] * 2 + ["5 4 True"]
+
 
 class TestAgainstSimplex:
     def test_500_random_instances(self):
