@@ -124,6 +124,7 @@ def load_instance(path: str) -> Instance:
 def result_to_dict(result: SolveResult) -> dict:
     return {
         "objective": result.objective,
+        "lower_bound": result.lower_bound,
         "iterations": result.iterations,
         "pricing_calls": result.pricing_calls,
         "converged": result.converged,

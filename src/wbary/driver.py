@@ -17,8 +17,10 @@ duals all shift by a constant, so those duals need no normalisation. Each
 pricing but the first starts its transport simplex from the basis, held by
 the pricing state, that the one before it ended at: only the costs change,
 so that basis stays feasible. The loop stops when the master objective is
-within tol of the best bound, a certified gap, then re-solves the full LP
-over the generated supports for a basic optimum. One or two input measures
+within tol of the best bound, a certified gap, and the result reports that
+bound. A basic optimum follows: the master's own plan when the gap closed to
+rounding and the plan is a vertex, else the full LP over the generated
+supports re-solved cold. One or two input measures
 never enter the loop: a single measure is its own barycenter, and for two
 measures the whole problem is one balanced transportation problem. Every
 path turns its optimal plan into a SolveResult through the same helper.
@@ -108,6 +110,9 @@ class SolveResult:
     # tile of at most model.BLOCK entries and the basis matrix rebuilt at
     # each inversion, so it undercounts the true peak.
     peak_memory_bytes: int
+    # A certified lower bound on the optimum: the best Lagrangian bound of
+    # column generation, else the objective itself, an exact LP optimum.
+    lower_bound: float
     trace: list[TraceEntry] = field(default_factory=list)
     n_combinations: int = 0
     pricing_calls: int = 0  # transportation pricings; iterations counts master solves
@@ -124,9 +129,10 @@ def _result(
     w: Plan, inst_perm: Instance, perm: tuple[int, ...],
     wall_start: float, timings: dict[str, float], peak_memory_bytes: int,
     iterations: int = 0, converged: bool = True, trace: Sequence[TraceEntry] = (),
-    pricing_calls: int = 0,
+    pricing_calls: int = 0, lower_bound: float | None = None,
 ) -> SolveResult:
-    """The result of an optimal plan over the combinations of ``inst_perm``."""
+    """The result of a plan over the combinations of ``inst_perm``; without
+    a lower bound the plan is an exact LP optimum and bounds itself."""
     points, objective = master_mod.barycenter_points(w, inst_perm, perm)
     timings["total"] = time.perf_counter() - wall_start
     return SolveResult(
@@ -136,6 +142,7 @@ def _result(
         converged=converged,
         timings=timings,
         peak_memory_bytes=peak_memory_bytes,
+        lower_bound=objective if lower_bound is None else lower_bound,
         trace=list(trace),
         n_combinations=inst_perm.strides.total,
         pricing_calls=pricing_calls,
@@ -276,11 +283,11 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolveResult:
         master_mod.add_column(rm, p, a_p, cost)
         timings["setup-RM"] += time.perf_counter() - t0
 
-    w = master_mod.recover_solution(rm)
+    w = master_mod.recover_solution(rm, best_lb)
     return _result(
         w, inst_p, partition.perm, wall_start, timings,
         held + rm.kernel.cols.store.nbytes + rm.kernel.Binv.nbytes, iteration,
-        converged, trace, pricing_calls,
+        converged, trace, pricing_calls, best_lb,
     )
 
 

@@ -19,9 +19,14 @@ the master without the last row of each block. A redundant row keeps an
 artificial basic at level zero, and pivoting it out on a noise-sized element
 leaves the basis numerically singular.
 
-Once the master converges, the full LP over the union of the admitted
-columns' supports gives a basic optimum. ``full_lp`` is that LP over any set
-of combinations; the direct reference solve runs it over all of them.
+Once the master stops, ``recover_solution`` returns a basic optimum over the
+union of the admitted columns' supports. When the master objective meets the
+Lagrangian bound to rounding, the master's combined plan is optimal, and if
+it is also a vertex it is kept, its masses re-solved from the marginals (the
+primal half of Megiddo's basis identification, ORSA J. Comput. 1991).
+Otherwise the full LP over those combinations is solved cold. ``full_lp`` is
+that LP over any set of combinations; the direct reference solve runs it
+over all of them.
 """
 
 from __future__ import annotations
@@ -40,6 +45,11 @@ from .model import (
     digits,
     mean_costs,
 )
+
+
+# A master objective this close to a Lagrangian bound, relative to the
+# objective, is optimal up to rounding.
+CERTIFIED_GAP = 1e-12
 
 
 @dataclass
@@ -135,36 +145,69 @@ def _combine(state: MasterState) -> Plan:
     return Plan(support, np.bincount(inverse, weights=mass[keep]))
 
 
+def _unit_rows(index: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """The full LP's rows of some combinations of inst, one array per
+    measure, and its right-hand side: every measure's masses in turn.
+
+    Combination ``index[j]`` is a unit column with a one in its point's row
+    of each measure.
+    """
+    rows = digits(index, inst.strides)
+    rows += np.asarray(inst.strides.row_offsets[:-1])[:, None]
+    return rows, np.concatenate([m.masses for m in inst.measures])
+
+
 def full_lp(support: np.ndarray, inst: Instance) -> Plan:
     """Basic optimum of the full barycenter LP restricted to some combinations
     of inst, given by their flat indices.
 
-    Keeps every measure row; combination ``support[j]`` is a unit column with
-    a one in its point's row of each measure. Returns the entries with x above
-    MASS_TOL; raises simplex.NumericalError if the simplex ends without an
-    optimum.
+    Keeps every measure row. Returns the entries with x above MASS_TOL;
+    raises simplex.NumericalError if the simplex ends without an optimum.
     """
     cost = cost_vector(inst, support)  # its digits freed before rows
-    offsets = inst.strides.row_offsets
-    rows = digits(support, inst.strides)
-    rows += np.asarray(offsets[:-1])[:, None]
-    provider = simplex.UnitColumns(rows, nrows=offsets[-1])
-    rhs = np.concatenate([m.masses for m in inst.measures])
-    kernel = simplex.Kernel(provider, rhs)
+    rows, rhs = _unit_rows(support, inst)
+    kernel = simplex.Kernel(simplex.UnitColumns(rows, nrows=rhs.size), rhs)
     sol = simplex.solve_columns(kernel, cost)
     keep = sol.x > MASS_TOL
     return Plan(support[keep], sol.x[keep])
 
 
-def recover_solution(state: MasterState) -> Plan:
+def _vertex(w: Plan, inst: Instance) -> Plan | None:
+    """The plan with its masses solved afresh from the marginals, if the unit
+    columns of its combinations are linearly independent and every such mass
+    is above MASS_TOL; else None.
+
+    One least-squares solve over every measure row gives both the rank and
+    the masses, so they carry none of the master kernel's rounding.
+    """
+    rows, rhs = _unit_rows(w.index, inst)
+    A = np.zeros((rhs.size, w.index.size))
+    A[rows, np.arange(w.index.size)] = 1.0
+    mass, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
+    if rank < w.index.size or mass.min() <= MASS_TOL:
+        return None
+    return Plan(w.index, mass)
+
+
+def recover_solution(state: MasterState, lower_bound: float) -> Plan:
     """Basic optimum over the union of the admitted columns' supports.
 
-    The converged master weights combine into an optimal but dense plan; the
-    full LP over the same combinations gives a vertex with at most
-    sum |P_i| - n + 1 entries. Falls back to the combined weights when that
-    re-solve raises NumericalError, so a pivoting failure in the polish does
-    not end a converged solve.
+    The master weights combine into a plan over the same combinations. When
+    the master objective is within ``CERTIFIED_GAP`` of ``lower_bound``, a
+    valid bound on the full LP, that plan is optimal, and if its combinations
+    are independent it is a basic optimum, as the polish would return: it is
+    kept, its masses re-solved. Otherwise the full LP over those
+    combinations, solved cold, gives a vertex with at most sum |P_i| - n + 1
+    entries; it can lower the objective of a run that stopped at a real gap.
+    Falls back to the combined weights when that re-solve raises
+    NumericalError, so a pivoting failure in the polish does not end a
+    converged solve.
     """
+    gap = state.objective - lower_bound
+    if gap <= CERTIFIED_GAP * max(1.0, abs(state.objective)):
+        w = _vertex(_combine(state), state.inst)
+        if w is not None:
+            return w
     support = np.unique(np.concatenate([col.index for col in state.columns]))
     try:
         return full_lp(support, state.inst)

@@ -98,6 +98,8 @@ class TestSolveCommand:
         doc = json.loads(out_path.read_text())
         assert doc["converged"] is True
         assert abs(sum(p["mass"] for p in doc["barycenter"]) - 1.0) <= 1e-9
+        assert doc["lower_bound"] == doc["trace"][-1]["lb"]
+        assert doc["objective"] - doc["lower_bound"] <= 1e-6 + 1e-12
 
     def test_result_objective_self_consistent(self, tmp_path, capsys):
         path = gen_file(tmp_path, capsys)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import column_support, min_over_vertices
-from wbary import driver, model, pricing, simplex
+from wbary import driver, master, model, pricing, simplex
 from wbary.driver import STEP_LABELS, SolveConfig, solve, solve_direct
 from wbary.initial import two_approx
 from wbary.model import CapacityError, DiscreteMeasure, Instance, cost_vector
@@ -282,12 +282,28 @@ class TestCertificate:
                     assert res.converged
                     last = res.trace[-1]
                     assert last.rm_objective - last.lb <= tol
+                    # the result carries the bound; the basic optimum it
+                    # reports is at most the last master objective
+                    assert res.lower_bound == last.lb
+                    assert res.objective - res.lower_bound <= tol + 1e-12
+                    eps = master.CERTIFIED_GAP * max(1.0, abs(last.rm_objective))
+                    if last.rm_objective - last.lb <= eps:
+                        assert res.objective - res.lower_bound <= eps
                     # both starts price once more, at their seed duals
                     seeded = res.iterations + 1
                     assert res.pricing_calls >= seeded
                     misprices += res.pricing_calls > seeded
         # Some solve prices twice in one iteration: the misprice branch runs.
         assert misprices > 0
+
+    @pytest.mark.parametrize(
+        "sizes, how", [([4], solve), ([3, 4], solve), ([3, 2, 3], solve_direct)],
+        ids=["n1", "n2", "direct"],
+    )
+    def test_exact_routes_bound_themselves(self, sizes, how):
+        # one or two measures and solve_direct return an exact LP optimum
+        res = how(random_instance(2, sizes))
+        assert res.lower_bound == res.objective
 
     def test_seeded_first_bound(self):
         # Both starts price at their seed duals before the first master

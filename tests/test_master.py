@@ -173,7 +173,7 @@ class TestRecover:
         inst_p = inst.permuted(part.perm)
         p1 = greedy_vertex(inst_p)
         rm = init_rm(p1, inst_p)
-        w = recover_solution(rm)
+        w = recover_solution(rm, -np.inf)  # no bound: the polish
         points, objective = barycenter_points(w, inst_p, part.perm)
         assert objective == pytest.approx(0.0, abs=1e-12)
         got = {tuple(np.round(p.coords, 12)): p.mass for p in points}
@@ -185,7 +185,7 @@ class TestRecover:
         inst_p, part = build(rng, [3, 3, 2], uniform=False)
         p1 = greedy_vertex(inst_p)
         rm = init_rm(p1, inst_p)
-        w = recover_solution(rm)
+        w = recover_solution(rm, -np.inf)  # no bound: the polish
         assert satisfies_marginals(w, inst_p, inst_p.strides)
         # The points map back to the same plan through their assignments.
         points, _ = barycenter_points(w, inst_p, part.perm)
@@ -206,7 +206,7 @@ class TestRecover:
         inst_p = inst.permuted(part.perm)
         p1 = greedy_vertex(inst_p)
         rm = init_rm(p1, inst_p)
-        w = recover_solution(rm)
+        w = recover_solution(rm, -np.inf)  # no bound: the polish
         points, _ = barycenter_points(w, inst_p, part.perm)
         assert [p.mass for p in points] == [q for _, q in plan_items(w)]
         for p in points:
@@ -221,11 +221,15 @@ class TestRecover:
     def test_falls_back_to_combined_weights_when_polish_is_not_optimal(self, monkeypatch):
         inst, ref = fallback_instance()
 
+        polished = []
+
         def not_optimal(*args):
+            polished.append(args)
             raise simplex.NumericalError("phase one left artificial mass 0.5")
 
         monkeypatch.setattr(master, "full_lp", not_optimal)
         check_combined_fallback(monkeypatch, inst, ref)
+        assert len(polished) == 1
 
     def test_falls_back_when_the_polish_fails_while_pivoting(self, monkeypatch):
         # The polish runs the real kernel until its third pricing pass, which
@@ -259,8 +263,9 @@ class TestRecover:
 
 
 def fallback_instance():
-    """A three-measure instance and its direct solve."""
-    rng = np.random.default_rng(11)
+    """A three-measure instance whose converged run stops at a real gap, so
+    that recover_solution polishes, and its direct solve."""
+    rng = np.random.default_rng(2)
     ms = [
         DiscreteMeasure(rng.random((s, 2)), rng.dirichlet(np.ones(s))) for s in [3, 4, 3]
     ]
@@ -268,21 +273,28 @@ def fallback_instance():
     return inst, solve_direct(inst)
 
 
-def check_combined_fallback(monkeypatch, inst, ref):
-    """Solve inst and check that recover_solution returned the master's
-    combined column weights, and that the result still matches ref."""
+def recorded_solve(monkeypatch, inst, cfg=None):
+    """Solve inst; return the result and the master, bound and plan of its
+    one recover_solution call."""
     calls = []
     original = master.recover_solution
 
-    def recording(rm):
-        w = original(rm)
-        calls.append((rm, w))
+    def recording(rm, lower_bound):
+        w = original(rm, lower_bound)
+        calls.append((rm, lower_bound, w))
         return w
 
     monkeypatch.setattr(master, "recover_solution", recording)
-    res = solve(inst)
+    res = solve(inst, cfg)
+    (call,) = calls
+    return (res, *call)
+
+
+def check_combined_fallback(monkeypatch, inst, ref):
+    """Solve inst and check that recover_solution returned the master's
+    combined column weights, and that the result still matches ref."""
+    res, rm, _, w = recorded_solve(monkeypatch, inst)
     assert res.converged
-    (rm, w), = calls
     combined = {}
     for weight, col in zip(rm.mu, rm.columns):
         if weight > 1e-12:
@@ -297,3 +309,121 @@ def check_combined_fallback(monkeypatch, inst, ref):
             sums[p.assignment[i]] += p.mass
         assert np.abs(sums - m.masses).max() <= 1e-9
     assert abs(res.objective - ref.objective) <= SolveConfig().tol
+
+
+def gen_instance(seed, sizes, dim=2, uniform=True):
+    """The instance ``wbary gen`` writes for these arguments."""
+    rng = np.random.default_rng(seed)
+    ms = []
+    for s in sizes:
+        points = rng.random((s, dim))
+        if uniform:
+            mass = np.full(s, 1.0 / s)
+        else:
+            u = rng.uniform(0.2, 1.0, s)
+            mass = u / u.sum()
+        ms.append(DiscreteMeasure(points, mass))
+    return Instance(tuple(ms), np.full(len(sizes), 1.0 / len(sizes)))
+
+
+def certified(objective, lower_bound):
+    return objective - lower_bound <= master.CERTIFIED_GAP * max(1.0, abs(objective))
+
+
+def count_polishes(monkeypatch):
+    """Record every master.full_lp call; return the record and the original."""
+    original = master.full_lp
+    polished = []
+
+    def counting(*args):
+        polished.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(master, "full_lp", counting)
+    return polished, original
+
+
+def check_kept_vertex(monkeypatch, inst, cfg=None):
+    """Solve inst; if the master's gap closed to rounding, check that no
+    polish ran and that the kept vertex is the one the polish returns.
+    Returns whether the gap closed."""
+    polished, original = count_polishes(monkeypatch)
+    res, rm, lower_bound, w = recorded_solve(monkeypatch, inst, cfg)
+    assert res.converged
+    if not certified(rm.objective, lower_bound):
+        return False
+    assert polished == []
+    assert certified(res.objective, res.lower_bound)
+    support = np.unique(np.concatenate([col.index for col in rm.columns]))
+    ref = original(support, rm.inst)
+    assert np.array_equal(w.index, ref.index)  # both ascending
+    assert np.abs(w.mass - ref.mass).max() <= 1e-14
+    perm = tuple(range(rm.inst.n))
+    objective = barycenter_points(w, rm.inst, perm)[1]
+    assert abs(objective - barycenter_points(ref, rm.inst, perm)[1]) <= 1e-14
+    return True
+
+
+class TestCertifiedVertex:
+    """A master plan that meets the bound to rounding and is a vertex is the
+    polish's answer, so recover_solution keeps it and skips the polish."""
+
+    @pytest.mark.parametrize(
+        "seed, sizes",
+        [(0, [3] * 12), (2, [3] * 12), (0, [8] * 5), (1, [8] * 5), (2, [8] * 5)],
+        ids=["wide-0", "wide-2", "deep-0", "deep-1", "deep-2"],
+    )
+    def test_benchmark_instances_keep_the_polish_vertex(self, monkeypatch, seed, sizes):
+        assert check_kept_vertex(monkeypatch, gen_instance(seed, sizes))
+
+    def test_random_instances_keep_the_polish_vertex(self):
+        rng = np.random.default_rng(31)
+        kept = set()
+        for k in range(40):
+            sizes = rng.integers(2, 9, int(rng.integers(3, 7))).tolist()
+            dim, uniform = 1 + k % 3, k % 2 == 0
+            cfg = SolveConfig(start=("greedy", "2app")[k // 2 % 2])
+            with pytest.MonkeyPatch.context() as mp:
+                if check_kept_vertex(mp, gen_instance(k, sizes, dim, uniform), cfg):
+                    kept.add((k, dim, uniform))
+        assert len(kept) >= 20
+        assert {(dim, uniform) for _, dim, uniform in kept} == {
+            (dim, uniform) for dim in (1, 2, 3) for uniform in (True, False)
+        }
+
+    def test_vertex_test_refuses_dependent_or_zero_mass_combinations(self):
+        inst = gen_instance(5, [2, 2, 2])  # every marginal mass 0.5
+        # (0,0,0) and (1,1,1) are independent; their masses re-solve to 0.5
+        w = master._vertex(Plan(np.array([0, 7]), np.array([0.3, 0.7])), inst)
+        assert np.allclose(w.mass, 0.5, rtol=0, atol=1e-15)
+        # all eight combinations span six rows of rank four
+        assert master._vertex(Plan(np.arange(8), np.full(8, 0.125)), inst) is None
+        # (0,1,1) is independent of the other two but its mass solves to zero
+        assert master._vertex(Plan(np.array([0, 3, 7]), np.full(3, 0.5)), inst) is None
+
+    def test_certified_deep_run_solves_without_the_polish(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the polish ran on a certified vertex")
+
+        monkeypatch.setattr(master, "full_lp", refuse)
+        inst = gen_instance(3, [8] * 5)
+        res = solve(inst)
+        assert res.converged
+        assert certified(res.objective, res.lower_bound)
+        assert len(res.barycenter) <= sum(inst.sizes) - inst.n + 1
+        for i, m in enumerate(inst.measures):
+            sums = np.zeros(m.size)
+            for p in res.barycenter:
+                sums[p.assignment[i]] += p.mass
+            assert np.abs(sums - m.masses).max() <= 1e-12
+
+    def test_run_stopped_at_a_real_gap_polishes_once(self, monkeypatch):
+        # the mixed benchmark's first case stops at a gap of about 7.6e-7
+        polished, _ = count_polishes(monkeypatch)
+        inst = gen_instance(0, [8, 6, 5, 4, 3, 3, 3], uniform=False)
+        res, rm, lower_bound, _ = recorded_solve(
+            monkeypatch, inst, SolveConfig(start="2app", pair_variant="small")
+        )
+        assert res.converged
+        assert not certified(rm.objective, lower_bound)
+        assert len(polished) == 1

@@ -6,14 +6,14 @@ Covers the benchmark instances and their warm-up (bench/workloads.py) and one
 random instance for each of n = 1..4 measures, and two with many measures in
 1-D and 3-D, solved by ``solve`` with each case's settings (and with the
 2-approximation start for n >= 3) and by ``solve_direct``. Each record holds
-every field of the result but its timings: the objective, iteration and
-pricing counts, combination count, convergence flag, reported peak memory,
-trace length, the last trace entry's master objective, pricing objective and
-bound, and the barycenter. Floats are printed with ``repr``, so running it on
-two checkouts and diffing the output shows whether a change moved any result
-by as much as one bit. The tool imports the ``src`` and ``bench`` beside its
-own directory, so to compare with another checkout, copy this file into that
-checkout's ``tools/`` and run it there too:
+every field of the result but its timings: the objective, lower bound,
+iteration and pricing counts, combination count, convergence flag, reported
+peak memory, trace length, the last trace entry's master objective, pricing
+objective and bound, and the barycenter. Floats are printed with ``repr``,
+so running it on two checkouts and diffing the output shows whether a change
+moved any result by as much as one bit. The tool imports the ``src`` and
+``bench`` beside its own directory, so to compare with another checkout, copy
+this file into that checkout's ``tools/`` and run it there too:
 
     cp tools/result_digest.py ../base/tools/
     python3 tools/result_digest.py > new.jsonl
@@ -40,6 +40,8 @@ def record(r) -> dict:
     return {
         "objective": repr(r.objective),
         "objective_type": type(r.objective).__name__,
+        # None on a checkout from before results carried their bound
+        "lower_bound": repr(getattr(r, "lower_bound", None)),
         "iterations": r.iterations,
         "pricing_calls": r.pricing_calls,
         "n_combinations": r.n_combinations,
