@@ -174,17 +174,21 @@ def full_lp(support: np.ndarray, inst: Instance) -> Plan:
 
 def _vertex(w: Plan, inst: Instance) -> Plan | None:
     """The plan with its masses solved afresh from the marginals, if the unit
-    columns of its combinations are linearly independent and every such mass
-    is above MASS_TOL; else None.
+    columns of its combinations are linearly independent, meet the marginals
+    and give every entry a mass above MASS_TOL; else None.
 
-    One least-squares solve over every measure row gives both the rank and
-    the masses, so they carry none of the master kernel's rounding.
+    One least-squares solve over every measure row gives the rank, the
+    residual and the masses, so they carry none of the master kernel's
+    rounding. More than sum |P_i| - n + 1 combinations are never independent.
     """
     rows, rhs = _unit_rows(w.index, inst)
-    A = np.zeros((rhs.size, w.index.size))
-    A[rows, np.arange(w.index.size)] = 1.0
-    mass, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
-    if rank < w.index.size or mass.min() <= MASS_TOL:
+    k = w.index.size
+    if k > rhs.size - inst.n + 1:
+        return None
+    A = np.zeros((rhs.size, k))
+    A[rows, np.arange(k)] = 1.0
+    mass, resid, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
+    if rank < k or mass.min() <= MASS_TOL or resid[0] > (rhs.size * MASS_TOL) ** 2:
         return None
     return Plan(w.index, mass)
 
@@ -196,17 +200,18 @@ def recover_solution(state: MasterState, lower_bound: float) -> Plan:
     the master objective is within ``CERTIFIED_GAP`` of ``lower_bound``, a
     valid bound on the full LP, that plan is optimal, and if its combinations
     are independent it is a basic optimum, as the polish would return: it is
-    kept, its masses re-solved. Otherwise the full LP over those
-    combinations, solved cold, gives a vertex with at most sum |P_i| - n + 1
-    entries; it can lower the objective of a run that stopped at a real gap.
-    Falls back to the combined weights when that re-solve raises
-    NumericalError, so a pivoting failure in the polish does not end a
-    converged solve.
+    kept, its masses re-solved, once its own cost is also within the gap, so
+    that the certificate holds for the plan returned. Otherwise the full LP
+    over those combinations, solved cold, gives a vertex with at most
+    sum |P_i| - n + 1 entries; it can lower the objective of a run that
+    stopped at a real gap. Falls back to the combined weights when that
+    re-solve raises NumericalError, so a pivoting failure in the polish does
+    not end a converged solve.
     """
-    gap = state.objective - lower_bound
-    if gap <= CERTIFIED_GAP * max(1.0, abs(state.objective)):
+    gap = CERTIFIED_GAP * max(1.0, abs(state.objective))
+    if state.objective - lower_bound <= gap:
         w = _vertex(_combine(state), state.inst)
-        if w is not None:
+        if w is not None and w.mass @ cost_vector(state.inst, w.index) - lower_bound <= gap:
             return w
     support = np.unique(np.concatenate([col.index for col in state.columns]))
     try:

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,9 @@ from wbary.model import (
     cost_vector,
 )
 from wbary.pricing import choose_partition
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import WORKLOADS, Case, generate  # noqa: E402
 
 
 def build(rng, sizes, variant="any", uniform=True):
@@ -311,19 +317,12 @@ def check_combined_fallback(monkeypatch, inst, ref):
     assert abs(res.objective - ref.objective) <= SolveConfig().tol
 
 
-def gen_instance(seed, sizes, dim=2, uniform=True):
-    """The instance ``wbary gen`` writes for these arguments."""
-    rng = np.random.default_rng(seed)
-    ms = []
-    for s in sizes:
-        points = rng.random((s, dim))
-        if uniform:
-            mass = np.full(s, 1.0 / s)
-        else:
-            u = rng.uniform(0.2, 1.0, s)
-            mass = u / u.sum()
-        ms.append(DiscreteMeasure(points, mass))
-    return Instance(tuple(ms), np.full(len(sizes), 1.0 / len(sizes)))
+def bench_instance(case, dim=2):
+    """The instance of a benchmark case (bench/workloads.py), as `wbary gen`
+    writes it, and the settings the benchmark solves it with."""
+    data = generate(case, dim)
+    ms = tuple(DiscreteMeasure(p, m) for p, m in zip(data.points, data.masses))
+    return Instance(ms, data.weights), SolveConfig(start=case.start, pair_variant=case.pair)
 
 
 def certified(objective, lower_bound):
@@ -369,30 +368,28 @@ class TestCertifiedVertex:
     polish's answer, so recover_solution keeps it and skips the polish."""
 
     @pytest.mark.parametrize(
-        "seed, sizes",
-        [(0, [3] * 12), (2, [3] * 12), (0, [8] * 5), (1, [8] * 5), (2, [8] * 5)],
-        ids=["wide-0", "wide-2", "deep-0", "deep-1", "deep-2"],
+        "case", WORKLOADS["wide"] + WORKLOADS["deep"], ids=lambda case: case.key
     )
-    def test_benchmark_instances_keep_the_polish_vertex(self, monkeypatch, seed, sizes):
-        assert check_kept_vertex(monkeypatch, gen_instance(seed, sizes))
+    def test_benchmark_instances_keep_the_polish_vertex(self, monkeypatch, case):
+        assert check_kept_vertex(monkeypatch, *bench_instance(case))
 
     def test_random_instances_keep_the_polish_vertex(self):
         rng = np.random.default_rng(31)
         kept = set()
         for k in range(40):
-            sizes = rng.integers(2, 9, int(rng.integers(3, 7))).tolist()
-            dim, uniform = 1 + k % 3, k % 2 == 0
-            cfg = SolveConfig(start=("greedy", "2app")[k // 2 % 2])
+            sizes = tuple(rng.integers(2, 9, int(rng.integers(3, 7))).tolist())
+            dim, masses = 1 + k % 3, ("uniform", "random")[k % 2]
+            case = Case(sizes, masses, k, start=("greedy", "2app")[k // 2 % 2])
             with pytest.MonkeyPatch.context() as mp:
-                if check_kept_vertex(mp, gen_instance(k, sizes, dim, uniform), cfg):
-                    kept.add((k, dim, uniform))
+                if check_kept_vertex(mp, *bench_instance(case, dim)):
+                    kept.add((k, dim, masses))
         assert len(kept) >= 20
-        assert {(dim, uniform) for _, dim, uniform in kept} == {
-            (dim, uniform) for dim in (1, 2, 3) for uniform in (True, False)
+        assert {(dim, masses) for _, dim, masses in kept} == {
+            (dim, masses) for dim in (1, 2, 3) for masses in ("uniform", "random")
         }
 
     def test_vertex_test_refuses_dependent_or_zero_mass_combinations(self):
-        inst = gen_instance(5, [2, 2, 2])  # every marginal mass 0.5
+        inst, _ = bench_instance(Case((2, 2, 2), "uniform", 5))  # every mass 0.5
         # (0,0,0) and (1,1,1) are independent; their masses re-solve to 0.5
         w = master._vertex(Plan(np.array([0, 7]), np.array([0.3, 0.7])), inst)
         assert np.allclose(w.mass, 0.5, rtol=0, atol=1e-15)
@@ -400,14 +397,16 @@ class TestCertifiedVertex:
         assert master._vertex(Plan(np.arange(8), np.full(8, 0.125)), inst) is None
         # (0,1,1) is independent of the other two but its mass solves to zero
         assert master._vertex(Plan(np.array([0, 3, 7]), np.full(3, 0.5)), inst) is None
+        # (0,0,0) alone is independent, but no mass on it meets the marginals
+        assert master._vertex(Plan(np.array([0]), np.ones(1)), inst) is None
 
     def test_certified_deep_run_solves_without_the_polish(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the polish ran on a certified vertex")
 
         monkeypatch.setattr(master, "full_lp", refuse)
-        inst = gen_instance(3, [8] * 5)
-        res = solve(inst)
+        inst, cfg = bench_instance(Case((8,) * 5, "uniform", 3))  # deep-sized
+        res = solve(inst, cfg)
         assert res.converged
         assert certified(res.objective, res.lower_bound)
         assert len(res.barycenter) <= sum(inst.sizes) - inst.n + 1
@@ -420,9 +419,8 @@ class TestCertifiedVertex:
     def test_run_stopped_at_a_real_gap_polishes_once(self, monkeypatch):
         # the mixed benchmark's first case stops at a gap of about 7.6e-7
         polished, _ = count_polishes(monkeypatch)
-        inst = gen_instance(0, [8, 6, 5, 4, 3, 3, 3], uniform=False)
         res, rm, lower_bound, _ = recorded_solve(
-            monkeypatch, inst, SolveConfig(start="2app", pair_variant="small")
+            monkeypatch, *bench_instance(WORKLOADS["mixed"][0])
         )
         assert res.converged
         assert not certified(rm.objective, lower_bound)
