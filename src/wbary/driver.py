@@ -18,9 +18,9 @@ pricing but the first starts its transport simplex from the basis, held by
 the pricing state, that the one before it ended at: only the costs change,
 so that basis stays feasible. The loop stops when the master objective is
 within tol of the best bound, a certified gap, and the result reports that
-bound. A basic optimum follows: the master's own plan when the gap closed to
-rounding and the plan is a vertex, else the full LP over the generated
-supports re-solved cold. One or two input measures
+bound. A basic optimum follows, the full LP re-solved cold over the
+supports of the columns the master weights when the gap closed to rounding,
+else over every generated support. One or two input measures
 never enter the loop: a single measure is its own barycenter, and for two
 measures the whole problem is one balanced transportation problem. Every
 path turns its optimal plan into a SolveResult through the same helper.

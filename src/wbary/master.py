@@ -19,14 +19,13 @@ the master without the last row of each block. A redundant row keeps an
 artificial basic at level zero, and pivoting it out on a noise-sized element
 leaves the basis numerically singular.
 
-Once the master stops, ``recover_solution`` returns a basic optimum over the
-union of the admitted columns' supports. When the master objective meets the
-Lagrangian bound to rounding, the master's combined plan is optimal, and if
-it is also a vertex it is kept, its masses re-solved from the marginals (the
-primal half of Megiddo's basis identification, ORSA J. Comput. 1991).
-Otherwise the full LP over those combinations is solved cold. ``full_lp`` is
-that LP over any set of combinations; the direct reference solve runs it
-over all of them.
+Once the master stops, ``recover_solution`` returns a basic optimum of the
+full LP over the union of some columns' supports, solved cold by
+``full_lp``. When the master objective meets the Lagrangian bound to
+rounding, the master's combined plan is optimal and those are the columns
+it weights; otherwise they are every admitted column. ``full_lp`` is that LP
+over any set of combinations; the direct reference solve runs it over all
+of them.
 """
 
 from __future__ import annotations
@@ -145,75 +144,45 @@ def _combine(state: MasterState) -> Plan:
     return Plan(support, np.bincount(inverse, weights=mass[keep]))
 
 
-def _unit_rows(index: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """The full LP's rows of some combinations of inst, one array per
-    measure, and its right-hand side: every measure's masses in turn.
-
-    Combination ``index[j]`` is a unit column with a one in its point's row
-    of each measure.
-    """
-    rows = digits(index, inst.strides)
-    rows += np.asarray(inst.strides.row_offsets[:-1])[:, None]
-    return rows, np.concatenate([m.masses for m in inst.measures])
-
-
 def full_lp(support: np.ndarray, inst: Instance) -> Plan:
     """Basic optimum of the full barycenter LP restricted to some combinations
     of inst, given by their flat indices.
 
+    Combination ``support[j]`` is a unit column with a one in its point's row
+    of each measure; the right-hand side is every measure's masses in turn.
     Keeps every measure row. Returns the entries with x above MASS_TOL;
     raises simplex.NumericalError if the simplex ends without an optimum.
     """
     cost = cost_vector(inst, support)  # its digits freed before rows
-    rows, rhs = _unit_rows(support, inst)
+    rows = digits(support, inst.strides)
+    rows += np.asarray(inst.strides.row_offsets[:-1])[:, None]
+    rhs = np.concatenate([m.masses for m in inst.measures])
     kernel = simplex.Kernel(simplex.UnitColumns(rows, nrows=rhs.size), rhs)
     sol = simplex.solve_columns(kernel, cost)
     keep = sol.x > MASS_TOL
     return Plan(support[keep], sol.x[keep])
 
 
-def _vertex(w: Plan, inst: Instance) -> Plan | None:
-    """The plan with its masses solved afresh from the marginals, if the unit
-    columns of its combinations are linearly independent, meet the marginals
-    and give every entry a mass above MASS_TOL; else None.
-
-    One least-squares solve over every measure row gives the rank, the
-    residual and the masses, so they carry none of the master kernel's
-    rounding. More than sum |P_i| - n + 1 combinations are never independent.
-    """
-    rows, rhs = _unit_rows(w.index, inst)
-    k = w.index.size
-    if k > rhs.size - inst.n + 1:
-        return None
-    A = np.zeros((rhs.size, k))
-    A[rows, np.arange(k)] = 1.0
-    mass, resid, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
-    if rank < k or mass.min() <= MASS_TOL or resid[0] > (rhs.size * MASS_TOL) ** 2:
-        return None
-    return Plan(w.index, mass)
-
-
 def recover_solution(state: MasterState, lower_bound: float) -> Plan:
-    """Basic optimum over the union of the admitted columns' supports.
+    """Basic optimum of the full LP over the combinations of some columns.
 
-    The master weights combine into a plan over the same combinations. When
-    the master objective is within ``CERTIFIED_GAP`` of ``lower_bound``, a
-    valid bound on the full LP, that plan is optimal, and if its combinations
-    are independent it is a basic optimum, as the polish would return: it is
-    kept, its masses re-solved, once its own cost is also within the gap, so
-    that the certificate holds for the plan returned. Otherwise the full LP
-    over those combinations, solved cold, gives a vertex with at most
-    sum |P_i| - n + 1 entries; it can lower the objective of a run that
-    stopped at a real gap. Falls back to the combined weights when that
+    When the master objective is within ``CERTIFIED_GAP`` of ``lower_bound``,
+    a valid bound on the full LP, the master's combined plan is optimal, so
+    the LP over the columns it weights has the same optimum up to rounding;
+    it is solved over those few combinations. Otherwise it is solved over
+    every admitted column's, where it can lower the objective of a run that
+    stopped at a real gap. Either way the result is a vertex with at most
+    sum |P_i| - n + 1 entries. Falls back to the combined weights when that
     re-solve raises NumericalError, so a pivoting failure in the polish does
     not end a converged solve.
     """
-    gap = CERTIFIED_GAP * max(1.0, abs(state.objective))
-    if state.objective - lower_bound <= gap:
-        w = _vertex(_combine(state), state.inst)
-        if w is not None and w.mass @ cost_vector(state.inst, w.index) - lower_bound <= gap:
-            return w
-    support = np.unique(np.concatenate([col.index for col in state.columns]))
+    columns = state.columns
+    if state.objective - lower_bound <= CERTIFIED_GAP * max(1.0, abs(state.objective)):
+        # the columns _combine weighs: the basis also holds columns at
+        # rounding-level weights, which would make the LP two to four times
+        # larger
+        columns = [col for mu, col in zip(state.mu, columns) if mu > 1e-12]
+    support = np.unique(np.concatenate([col.index for col in columns]))
     try:
         return full_lp(support, state.inst)
     except simplex.NumericalError:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import plan_items, satisfies_marginals
+from oracles import column_support, plan_items, satisfies_marginals
 from wbary import master, simplex
 from wbary.driver import SolveConfig, solve, solve_direct
 from wbary.initial import greedy_vertex
@@ -342,16 +342,26 @@ def count_polishes(monkeypatch):
     return polished, original
 
 
-def check_kept_vertex(monkeypatch, inst, cfg=None):
-    """Solve inst; if the master's gap closed to rounding, check that no
-    polish ran and that the kept vertex is the one the polish returns.
-    Returns whether the gap closed."""
+def weighted_support(rm):
+    """The union of the supports of the columns the master weights above
+    rounding, as master._combine weighs them."""
+    return np.unique(
+        np.concatenate([c.index for mu, c in zip(rm.mu, rm.columns) if mu > 1e-12])
+    )
+
+
+def check_certified_resolve(monkeypatch, inst, cfg=None):
+    """Solve inst; if the master's gap closed to rounding, check that the one
+    re-solve ran over the weighted columns' supports only and returned the
+    vertex the cold polish over every generated support returns. Returns
+    whether the gap closed."""
     polished, original = count_polishes(monkeypatch)
     res, rm, lower_bound, w = recorded_solve(monkeypatch, inst, cfg)
     assert res.converged
     if not certified(rm.objective, lower_bound):
         return False
-    assert polished == []
+    ((resolved, _),) = polished
+    assert np.array_equal(resolved, weighted_support(rm))
     assert certified(res.objective, res.lower_bound)
     support = np.unique(np.concatenate([col.index for col in rm.columns]))
     ref = original(support, rm.inst)
@@ -364,14 +374,15 @@ def check_kept_vertex(monkeypatch, inst, cfg=None):
 
 
 class TestCertifiedVertex:
-    """A master plan that meets the bound to rounding and is a vertex is the
-    polish's answer, so recover_solution keeps it and skips the polish."""
+    """A master plan that meets the bound to rounding is optimal, so the LP
+    over the columns it weights has the polish's optimum; recover_solution
+    solves that LP instead of the one over every generated combination."""
 
     @pytest.mark.parametrize(
         "case", WORKLOADS["wide"] + WORKLOADS["deep"], ids=lambda case: case.key
     )
     def test_benchmark_instances_keep_the_polish_vertex(self, monkeypatch, case):
-        assert check_kept_vertex(monkeypatch, *bench_instance(case))
+        assert check_certified_resolve(monkeypatch, *bench_instance(case))
 
     def test_random_instances_keep_the_polish_vertex(self):
         rng = np.random.default_rng(31)
@@ -381,30 +392,71 @@ class TestCertifiedVertex:
             dim, masses = 1 + k % 3, ("uniform", "random")[k % 2]
             case = Case(sizes, masses, k, start=("greedy", "2app")[k // 2 % 2])
             with pytest.MonkeyPatch.context() as mp:
-                if check_kept_vertex(mp, *bench_instance(case, dim)):
+                if check_certified_resolve(mp, *bench_instance(case, dim)):
                     kept.add((k, dim, masses))
         assert len(kept) >= 20
         assert {(dim, masses) for _, dim, masses in kept} == {
             (dim, masses) for dim in (1, 2, 3) for masses in ("uniform", "random")
         }
 
-    def test_vertex_test_refuses_dependent_or_zero_mass_combinations(self):
+    def test_restricted_lp_keeps_only_a_vertex_that_meets_the_marginals(self):
         inst, _ = bench_instance(Case((2, 2, 2), "uniform", 5))  # every mass 0.5
+
+        def resolve(index):
+            return master.full_lp(np.array(index, dtype=np.int64), inst)
+
         # (0,0,0) and (1,1,1) are independent; their masses re-solve to 0.5
-        w = master._vertex(Plan(np.array([0, 7]), np.array([0.3, 0.7])), inst)
+        w = resolve([0, 7])
+        assert np.array_equal(w.index, [0, 7])
         assert np.allclose(w.mass, 0.5, rtol=0, atol=1e-15)
-        # all eight combinations span six rows of rank four
-        assert master._vertex(Plan(np.arange(8), np.full(8, 0.125)), inst) is None
-        # (0,1,1) is independent of the other two but its mass solves to zero
-        assert master._vertex(Plan(np.array([0, 3, 7]), np.full(3, 0.5)), inst) is None
-        # (0,0,0) alone is independent, but no mass on it meets the marginals
-        assert master._vertex(Plan(np.array([0]), np.ones(1)), inst) is None
+        # all eight combinations span six rows of rank four: a basic plan
+        w = resolve(range(8))
+        assert w.index.size <= 4
+        assert satisfies_marginals(w, inst, inst.strides, tol=1e-15)
+        # (0,1,1) is independent of the other two but the marginals give it
+        # no mass
+        w = resolve([0, 3, 7])
+        assert np.array_equal(w.index, [0, 7])
+        assert np.allclose(w.mass, 0.5, rtol=0, atol=1e-15)
+        # (0,0,0) alone cannot meet the marginals
+        with pytest.raises(simplex.NumericalError):
+            resolve([0])
 
-    def test_certified_deep_run_solves_without_the_polish(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the polish ran on a certified vertex")
+    def test_solved_master_at_its_own_objective_gives_a_vertex(self, monkeypatch):
+        # The first mixed case stops at a real gap; taking the master
+        # objective as the bound re-solves over its weighted columns only.
+        _, rm, _, _ = recorded_solve(
+            monkeypatch, *bench_instance(WORKLOADS["mixed"][0])
+        )
+        assert np.count_nonzero(rm.mu > 1e-12) >= 2
+        polished, _ = count_polishes(monkeypatch)
+        w = recover_solution(rm, rm.objective)
+        ((support, _),) = polished
+        assert np.array_equal(support, weighted_support(rm))
+        A = np.zeros((sum(rm.inst.sizes), w.index.size))
+        for j, h in enumerate(w.index.tolist()):
+            A[list(column_support(h, rm.inst.strides)), j] = 1.0
+        assert np.linalg.matrix_rank(A) == w.index.size
+        assert satisfies_marginals(w, rm.inst, rm.inst.strides, tol=1e-12)
+        cost = w.mass @ cost_vector(rm.inst, w.index)
+        assert cost <= rm.objective + master.CERTIFIED_GAP
 
-        monkeypatch.setattr(master, "full_lp", refuse)
+    def test_certified_deep_run_resolves_only_the_weighted_columns(self, monkeypatch):
+        original_lp, original_recover = master.full_lp, master.recover_solution
+        masters = []
+
+        def recording(rm, lower_bound):
+            masters.append(rm)
+            return original_recover(rm, lower_bound)
+
+        def weighted_only(support, inst):
+            (rm,) = masters
+            if not np.isin(support, weighted_support(rm)).all():
+                raise AssertionError("a certified run re-solved unweighted columns")
+            return original_lp(support, inst)
+
+        monkeypatch.setattr(master, "recover_solution", recording)
+        monkeypatch.setattr(master, "full_lp", weighted_only)
         inst, cfg = bench_instance(Case((8,) * 5, "uniform", 3))  # deep-sized
         res = solve(inst, cfg)
         assert res.converged

@@ -15,7 +15,9 @@ covered either.
 On the real line the comonotone coupling is optimal, which gives an exact
 oracle at any size (oracles.quantile_barycenter). It is checked against
 HiGHS, and column generation is held to it on measures on a random line in
-1-D, 2-D and 3-D, offset by at most 10 from the origin.
+1-D, 2-D and 3-D, offset by at most 10 from the origin, and at C7's size of
+about 1.26e7 combinations in 1-D, where only the bound and the stopping gap
+are asserted.
 """
 
 import numpy as np
@@ -208,3 +210,15 @@ def test_collinear_instances_reach_the_quantile_optimum(cfg, dim):
         for p, (_, q, x) in zip(got, want):
             assert abs(p.mass - q) <= 1e-12
             assert np.abs(p.coords - (x * u + offset)).max() <= 1e-12
+
+
+def test_column_generation_holds_the_quantile_bound_at_c7_size():
+    # C7's sizes, about 1.26e7 combinations, in 1-D with random masses. This
+    # seed stops at a gap of 8.4e-7, so the cold polish runs, and it ends
+    # 1.2e-9 above the exact optimum: within tol, but not exact.
+    t, masses, weights, _, _, inst = line_case(820, [4] * 11 + [3], 1, False)
+    objective = quantile_barycenter(t, masses, weights)[0]
+    res = solve(inst, SolveConfig(pair_variant="large"))
+    assert res.converged
+    assert res.lower_bound <= objective + 1e-12
+    assert res.objective - objective <= res.objective - res.lower_bound + 1e-12
