@@ -8,9 +8,17 @@ The 2-approximation first solves a relocation LP whose support is restricted
 to the union of the input support points (its cost is at most twice optimal)
 and hands over its plans, one (S, |P_i|) array per measure; the repair then
 sweeps each support point's plan rows, splitting its mass into combinations
-that send their whole mass to one point per measure. Each column of the
-relocation LP has 2 or n nonzeros, so it is built in compressed sparse column
-form and solved without a dense constraint matrix.
+that send their whole mass to one point per measure.
+
+The relocation LP is solved in its combination form by column generation.
+A column pairs a candidate s with one point j_i per measure, costs
+sum_i lambda_i |s - x_i(j_i)|^2 and holds a 1 in each of those points'
+marginal rows: a ``simplex.UnitColumns`` column. Splitting each candidate's
+plan rows into combinations maps the transport form's plans onto these
+columns, and both forms have the dual feasible set {v : sum_i max_j (v_i(j)
+- lambda_i |s - x_i(j)|^2) <= 0 for every s}, so they share their optimum and
+the duals of the marginal rows. Pricing is exact and separable: one argmin
+per measure for each candidate.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .model import MASS_TOL, ContractError, Instance, Plan
+from .model import MASS_TOL, ContractError, Instance, Plan, digits
 
 
 def _sweep(rows, sizes: tuple[int, ...]) -> Plan:
@@ -109,71 +117,81 @@ def _candidate_points(inst: Instance) -> np.ndarray:
 
 
 def relocation_bytes(sizes) -> int:
-    """Bytes two_approx allocates for the relocation LP of measures with these
-    sizes, measure 0 first, over at most S = sum(sizes) candidate points.
+    """Bytes of array data two_approx allocates for the relocation LP of
+    measures with these sizes, over at most S = sum(sizes) candidate points.
 
-    The LP has (n - 1) S + S rows and S sparse columns per point of each
-    measure, with n nonzeros for measure 0 and 2 for the others. Counted: the
-    simplex basis over those rows, indptr with the row, value and column of
-    each nonzero, and the cost vector and solution over S * S variables.
+    Counted: the S x S cost table and plans, a candidate-by-point block of
+    pricing temporaries, the simplex basis over S rows, and the column store:
+    per column n int64 rows up to three times over (while the store doubles
+    or a pricing product gathers its duals) and eight floats (cost and owner
+    twice while they grow, level and the kernel's buffers). The store is
+    charged for S * S columns, as many as the transport form has variables.
+    Nothing bounds the number of pricing passes, so the charge does not bound
+    a run that generates more columns.
     """
     n, S = len(sizes), sum(sizes)
-    nnz = S * (n * sizes[0] + 2 * (S - sizes[0]))
-    return simplex.kernel_bytes(n * S) + 8 * (S * S + 1) + 24 * nnz + 16 * S * S
+    return (
+        16 * S * S + 16 * S * max(sizes) + simplex.kernel_bytes(S)
+        + 8 * (3 * n + 8) * S * S
+    )
+
+
+def _price(table: np.ndarray, duals: np.ndarray, offsets) -> tuple[np.ndarray, ...]:
+    """Each candidate's cheapest column at these duals: its rows, one per
+    measure as an (n, S) array, and its reduced cost, summed in measure order."""
+    picks = []
+    reduced = np.zeros(table.shape[0])
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        r = table[:, lo:hi] - duals[lo:hi]
+        picks.append(lo + r.argmin(axis=1))
+        reduced += r.min(axis=1)
+    return np.array(picks), reduced
 
 
 def two_approx(inst: Instance) -> ApproxBarycenter:
     """Best measure supported on the union of input points, with transport.
 
-    The z variable of each candidate point is eliminated by identifying it
-    with that point's outflow into the first measure.
+    Starts from the greedy vertex's combinations, each at its cheapest
+    candidate, which is feasible. Each pass appends every candidate whose
+    cheapest column prices in below -OPT_TOL and re-solves from the last
+    basis. It stops when none does, or when a re-solve takes no pivot, so a
+    column that prices in only by rounding is not appended forever.
     """
     cand = _candidate_points(inst)
-    S = len(cand)
-    n = inst.n
-    sizes = inst.sizes
-
-    # Variables y[i][s][j], measure-major, then candidate, then point.
-    cost = []
+    offsets = np.asarray(inst.strides.row_offsets)
+    # table[s, offsets[i] + j] = lambda_i |cand_s - x_i(j)|^2
+    blocks = []
     for lam, m in zip(inst.lambdas, inst.measures):
         d = cand[:, None, :] - m.points[None, :, :]
-        cost.append(lam * np.einsum("sjk,sjk->sj", d, d).ravel())
-    cost = np.concatenate(cost)
+        blocks.append(lam * np.einsum("sjk,sjk->sj", d, d))
+    table = np.concatenate(blocks, axis=1)
 
-    # Rows: the coupling row (i - 1) S + s of candidate s for each measure
-    # i >= 1, then one marginal row per point of each measure. A measure-0
-    # column has -1 in every coupling row of its candidate, any other column
-    # +1 in its own; every column has +1 in its marginal row.
-    nrows = (n - 1) * S + sum(sizes)
-    marginal = (n - 1) * S + np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    rows, vals, nnz = [], [], []
-    for i in range(n):
-        s = np.repeat(np.arange(S), sizes[i])
-        j = np.tile(np.arange(sizes[i]), S)
-        if i == 0:
-            coupling = [(t - 1) * S + s for t in range(1, n)]
-            signs = [-1.0] * (n - 1) + [1.0]
-        else:
-            coupling = [(i - 1) * S + s]
-            signs = [1.0, 1.0]
-        rows.append(np.column_stack(coupling + [marginal[i] + j]).ravel())
-        vals.append(np.tile(signs, S * sizes[i]))
-        nnz.append(np.full(S * sizes[i], len(signs)))
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(nnz))])
-    cols = simplex.SparseColumns(
-        indptr, np.concatenate(rows), np.concatenate(vals), nrows
-    )
-    rhs = np.concatenate([np.zeros((n - 1) * S)] + [m.masses for m in inst.measures])
+    rows = digits(greedy_vertex(inst).index, inst.strides) + offsets[:-1, None]
+    at_each = table[:, rows].sum(axis=1)  # (S, k), summed in measure order
+    owner = at_each.argmin(axis=0)
+    costs = at_each[owner, np.arange(rows.shape[1])]
+    rhs = np.concatenate([m.masses for m in inst.measures])
+    kern = simplex.Kernel(simplex.UnitColumns(rows, nrows=rhs.size), rhs)
+    sol = simplex.solve_columns(kern, costs)
+    while True:
+        picks, reduced = _price(table, sol.duals, offsets)
+        enter = np.flatnonzero(reduced < -simplex.OPT_TOL)
+        if not enter.size:
+            break
+        new = picks[:, enter]
+        kern.cols.append(new)
+        owner = np.concatenate((owner, enter))
+        costs = np.concatenate((costs, table[enter, new].sum(axis=0)))
+        sol = simplex.solve_columns(kern, costs)
+        if sol.pivots == 0:
+            break
 
-    sol = simplex.solve_columns(simplex.Kernel(cols, rhs), cost)
-
-    blocks = np.split(sol.x, np.cumsum([S * size for size in sizes])[:-1])
-    plans = [x.reshape(S, size) for x, size in zip(blocks, sizes)]
-    mass = plans[0].sum(axis=1)
+    flows = np.zeros_like(table)  # flows[s, offsets[i] + j]: s to point j of i
+    np.add.at(flows, (owner, kern.cols.rows), sol.x)
+    mass = np.bincount(owner, weights=sol.x, minlength=len(cand))
     keep = np.flatnonzero(mass > MASS_TOL)
-    return ApproxBarycenter(
-        cand[keep], mass[keep], [p[keep] for p in plans], sol.duals[(n - 1) * S :]
-    )
+    plans = np.split(flows[keep], offsets[1:-1], axis=1)
+    return ApproxBarycenter(cand[keep], mass[keep], plans, sol.duals)
 
 
 def repair_to_vertex(apx: ApproxBarycenter, inst: Instance) -> Plan:

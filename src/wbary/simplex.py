@@ -6,17 +6,17 @@ its right-hand sides masses, zeros or the convexity 1. Columns are accessed
 through a three-method provider protocol (``apply_yT(y)`` is y^T A,
 ``direction(Binv, j)`` is Binv times column j, formed from its nonzeros, and
 ``columns(js)`` gathers columns densely), so the same pivoting kernel works on
-three column stores: DenseColumns, an in-memory dense matrix that columns can
-be appended to (the restricted master); UnitColumns, implicitly generated 0/1
-columns with one 1 per measure (the polish and the direct LP); and
-SparseColumns, a compressed sparse column matrix (the 2-approximation's
-relocation LP, whose columns have 2 or n nonzeros).
+two column stores: DenseColumns, an in-memory dense matrix (the restricted
+master), and UnitColumns, 0/1 columns with one 1 per measure, kept as their
+row indices (the 2-approximation's relocation LP, the polish and the direct
+LP). Columns can be appended to either store.
 
 A Kernel holds the columns, the basis and its inverse. Phase one runs the
 first time a kernel is solved. A kernel that returned an optimum keeps its
-basis and inverse, so columns appended to a DenseColumns store after that
-enter as nonbasic at zero, the basis stays feasible, and the next solve runs
-phase two only. This is how the restricted master is re-solved.
+basis and inverse, so columns appended to its store after that enter as
+nonbasic at zero, the basis stays feasible, and the next solve runs phase
+two only. This is how the restricted master and the relocation LP are
+re-solved.
 
 Redundant rows are tolerated: artificial variables that cannot be pivoted out
 after phase one stay basic at level zero and are encoded in the basis with
@@ -131,12 +131,30 @@ class UnitColumns:
     """Columns holding a single 1 in each of a fixed number of rows.
 
     ``rows[i, j]`` is the i-th row index of column j; all coefficients are 1.
+    A given int64 row array is used without a copy. Appended columns go to an
+    int64 store whose width doubles when it is too narrow; ``rows`` is the
+    view of its filled columns.
     """
 
     def __init__(self, rows: np.ndarray, nrows: int):
-        self.rows = rows
+        self.store = np.asarray(rows, dtype=np.int64)
         self.nrows = nrows
-        self.ncols = rows.shape[1]
+        self.ncols = self.store.shape[1]
+        self.rows = self.store
+
+    def append(self, rows: np.ndarray):
+        """Append the columns of rows, one row index per measure each."""
+        k = rows.shape[1]
+        if self.ncols + k > self.store.shape[1]:
+            wider = np.empty(
+                (self.store.shape[0], max(self.ncols + k, 2 * self.ncols)),
+                dtype=np.int64,
+            )
+            wider[:, : self.ncols] = self.rows
+            self.store = wider
+        self.store[:, self.ncols : self.ncols + k] = rows
+        self.ncols += k
+        self.rows = self.store[:, : self.ncols]
 
     def apply_yT(self, y: np.ndarray) -> np.ndarray:
         # y[rows[0]] + y[rows[1]] + ... in that order (-0.0 + t is t): numpy
@@ -153,43 +171,6 @@ class UnitColumns:
     def columns(self, js: np.ndarray) -> np.ndarray:
         cols = np.zeros((self.nrows, len(js)))
         cols[self.rows[:, js], np.arange(len(js))] = 1.0
-        return cols
-
-
-class SparseColumns:
-    """Columns in compressed sparse column form.
-
-    Column j holds ``vals[indptr[j]:indptr[j + 1]]`` in the rows
-    ``rows[indptr[j]:indptr[j + 1]]``; no row appears twice in one column.
-    """
-
-    def __init__(
-        self, indptr: np.ndarray, rows: np.ndarray, vals: np.ndarray, nrows: int
-    ):
-        self.indptr = indptr
-        self.rows = rows
-        self.vals = vals
-        self.nrows = nrows
-        self.ncols = len(indptr) - 1
-        self.col_of = np.repeat(np.arange(self.ncols), np.diff(indptr))
-
-    def apply_yT(self, y: np.ndarray) -> np.ndarray:
-        return np.bincount(
-            self.col_of, weights=y[self.rows] * self.vals, minlength=self.ncols
-        )
-
-    def direction(self, Binv: np.ndarray, j: int) -> np.ndarray:
-        lo, hi = self.indptr[j], self.indptr[j + 1]
-        return Binv[:, self.rows[lo:hi]] @ self.vals[lo:hi]
-
-    def columns(self, js: np.ndarray) -> np.ndarray:
-        lo = self.indptr[js]
-        counts = self.indptr[js + 1] - lo
-        # entry k of the gathered columns sits at lo[c] + (k - first[c])
-        first = np.cumsum(counts) - counts
-        at = np.arange(counts.sum()) + np.repeat(lo - first, counts)
-        cols = np.zeros((self.nrows, len(js)))
-        cols[self.rows[at], np.repeat(np.arange(len(js)), counts)] = self.vals[at]
         return cols
 
 

@@ -11,7 +11,7 @@ import pytest
 from oracles import column_support, min_over_vertices
 from wbary import driver, master, model, pricing, simplex
 from wbary.driver import STEP_LABELS, SolveConfig, solve, solve_direct
-from wbary.initial import two_approx
+from wbary.initial import relocation_bytes, two_approx
 from wbary.model import CapacityError, DiscreteMeasure, Instance, cost_vector
 
 
@@ -429,7 +429,7 @@ class TestMemoryAccounting:
             raise AssertionError("simplex run over the cap")
 
         monkeypatch.setattr(driver, "MEMORY_CAP", 1_000_000)
-        five = random_instance(12, [8] * 5)
+        sizes = (2, 2, 66)
         with monkeypatch.context() as mp:
             mp.setattr(simplex, "solve_columns", refuse)
             # the polish's B, its inverse and a rank-one temporary over 304
@@ -439,11 +439,17 @@ class TestMemoryAccounting:
                 solve(random_instance(12, [2, 2, 300]), small_pair)
             with pytest.raises(CapacityError):
                 solve_direct(random_instance(12, [2, 300]))
-            # the relocation LP: a basis over 200 rows and 1600 sparse columns
-            # with their costs and solution, 1.10 MB
-            with pytest.raises(CapacityError):
-                solve(five, SolveConfig(start="2app"))
-        assert solve(five).converged
+            # the relocation LP's cost table, plans, basis over 70 rows and
+            # column store, beside the pricing state, one tile of all 264
+            # combinations and the polish's basis: 1.06 MB
+            need = (
+                pricing.state_bytes(sizes, 2) + 8 * 264 + 24 * 70**2
+                + relocation_bytes(sizes)
+            )
+            relocated = SolveConfig(start="2app", pair_variant="small")
+            with pytest.raises(CapacityError, match=f"{need} bytes"):
+                solve(random_instance(12, sizes), relocated)
+        assert solve(random_instance(12, sizes), small_pair).converged
 
     def test_a_measure_beyond_2_16_points_goes_to_the_tail(self, monkeypatch):
         def refuse(*args, **kwargs):

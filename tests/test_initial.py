@@ -11,7 +11,7 @@ from oracles import (
     plan_items,
     satisfies_marginals,
 )
-from wbary import simplex
+from wbary import initial, simplex
 from wbary.driver import solve_direct
 from wbary.initial import (
     ApproxBarycenter,
@@ -35,6 +35,20 @@ def random_instance(rng, sizes, dim=2, uniform=False):
         ms.append(DiscreteMeasure(rng.random((s, dim)), mass))
     u = rng.uniform(0.2, 1.0, len(sizes))
     return Instance(tuple(ms), u / u.sum())
+
+
+def record_solves(monkeypatch):
+    """Record every simplex solve as (kernel, cost, solution); returns the list."""
+    original = simplex.solve_columns
+    seen = []
+
+    def record(kern, cost):
+        sol = original(kern, cost)
+        seen.append((kern, np.asarray(cost), sol))
+        return sol
+
+    monkeypatch.setattr(simplex, "solve_columns", record)
+    return seen
 
 
 def support_columns_rank(w, strides):
@@ -123,28 +137,62 @@ class TestTwoApprox:
         assert peak <= relocation_bytes(inst.sizes)
 
     def test_relocation_duals_are_optimal(self, monkeypatch):
-        # Strong duality, and no relocation column prices in at the duals;
-        # two_approx keeps those of the marginal rows.
-        original = simplex.solve_columns
-        seen = []
-
-        def record(kern, cost):
-            sol = original(kern, cost)
-            seen.append((kern, np.asarray(cost), sol))
-            return sol
-
-        monkeypatch.setattr(simplex, "solve_columns", record)
+        # Strong duality at the last solve, and no column of the full
+        # relocation LP prices in at its duals: every input point as the
+        # candidate with every combination, its cost from the raw points.
+        # two_approx keeps the duals of the marginal rows, the LP's only rows.
+        seen = record_solves(monkeypatch)
         rng = np.random.default_rng(31)
         for _ in range(10):
             sizes = rng.integers(2, 6, size=int(rng.integers(3, 6))).tolist()
             inst = random_instance(rng, sizes)
             apx = two_approx(inst)
-            kern, cost, sol = seen.pop()
+            kern, cost, sol = seen[-1]
             assert abs(sol.duals @ kern.b - sol.objective) <= 1e-9
             assert (cost - kern.cols.apply_yT(sol.duals)).min() >= -simplex.OPT_TOL
             masses = np.concatenate([m.masses for m in inst.measures])
-            assert np.array_equal(apx.duals, sol.duals[kern.m - masses.size :])
+            assert np.array_equal(apx.duals, sol.duals)
             assert abs(apx.duals @ masses - sol.objective) <= 1e-9
+            combos = np.indices(sizes).reshape(len(sizes), -1)
+            duals = np.split(apx.duals, np.cumsum(sizes)[:-1])
+            for s in np.concatenate([m.points for m in inst.measures]):
+                reduced = sum(
+                    lam * ((m.points[j] - s) ** 2).sum(axis=1) - v[j]
+                    for lam, m, v, j in zip(inst.lambdas, inst.measures, duals, combos)
+                )
+                assert reduced.min() >= -simplex.OPT_TOL
+
+    def test_optimal_start_ends_after_one_solve(self, monkeypatch):
+        # identical measures and a single measure: the greedy start costs
+        # nothing, so no column prices in at the first solve's duals
+        seen = record_solves(monkeypatch)
+        pts = np.array([[0.0, 0.0], [1.0, 0.5], [0.3, 2.0], [0.7, 0.1]])
+        m = DiscreteMeasure(pts, np.array([0.4, 0.1, 0.25, 0.25]))
+        for ms in ((m, m, m), (m,)):
+            inst = Instance(ms, np.full(len(ms), 1 / len(ms)))
+            seen.clear()
+            two_approx(inst)
+            assert len(seen) == 1
+
+    def test_zero_pivot_pass_ends_the_loop(self, monkeypatch):
+        # a pricing that offers every candidate's start column again, claiming
+        # it prices in: appended twice, it makes the re-solve take no pivot,
+        # which ends the loop where pricing alone would append it forever
+        seen = record_solves(monkeypatch)
+        pts = np.array([[0.0, 0.0], [1.0, 0.5], [0.3, 2.0]])
+        m = DiscreteMeasure(pts, np.array([0.5, 0.25, 0.25]))
+        inst = Instance((m, m, m), np.full(3, 1 / 3))
+
+        def existing(table, duals, offsets):
+            S = table.shape[0]
+            return offsets[:-1, None] + np.arange(S), np.full(S, -1.0)
+
+        monkeypatch.setattr(initial, "_price", existing)
+        apx = two_approx(inst)
+        kern, _, sol = seen[-1]
+        assert len(seen) == 2 and sol.pivots == 0
+        assert np.array_equal(kern.cols.rows[:, 3:], kern.cols.rows[:, :3])
+        assert approx_transport_cost(apx, inst) == pytest.approx(0.0, abs=1e-12)
 
     def test_ratio_within_factor_two(self):
         rng = np.random.default_rng(29)

@@ -23,7 +23,6 @@ from wbary.simplex import (
     DenseColumns,
     Kernel,
     NumericalError,
-    SparseColumns,
     UnitColumns,
     solve_columns,
 )
@@ -305,7 +304,7 @@ class TestKeptInverse:
 
 
 class TestProviderProducts:
-    @pytest.mark.parametrize("provider", ["dense", "unit", "sparse"])
+    @pytest.mark.parametrize("provider", ["dense", "unit"])
     def test_products_match_the_dense_matrix(self, provider):
         rng = np.random.default_rng(32)
         for _ in range(20):
@@ -314,15 +313,12 @@ class TestProviderProducts:
                 keep = rng.random((m, k)) < 0.5
                 dense = np.where(keep, rng.uniform(-2.0, 2.0, (m, k)), 0.0)
                 cols = DenseColumns(dense)
-            elif provider == "unit":
+            else:
                 rows = np.stack([rng.permutation(m)[: min(m, 3)] for _ in range(k)], 1)
                 cols = UnitColumns(rows, nrows=m)
                 dense = np.zeros((m, k))
                 for j in range(k):
                     dense[rows[:, j], j] = 1.0
-            else:
-                indptr, rows, vals, dense = random_csc(rng, m, k)
-                cols = SparseColumns(indptr, rows, vals, m)
             Binv = rng.uniform(-1.0, 1.0, size=(m, m))
             for j in range(k):
                 w = cols.direction(Binv, j)
@@ -463,9 +459,32 @@ class TestUnitColumns:
                 assert got.shape == (ncols,)
                 assert np.array_equal(got.view(np.int64), acc.view(np.int64)), (n, ncols)
 
+    def test_append_equals_a_fresh_store_over_the_concatenated_rows(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 20))
+            blocks = [
+                rng.integers(0, m, (n, int(rng.integers(0, 6))))
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            cols = UnitColumns(blocks[0], nrows=m)
+            assert cols.rows is blocks[0]
+            for block in blocks[1:]:
+                cols.append(block)
+            fresh = UnitColumns(np.concatenate(blocks, axis=1), nrows=m)
+            assert cols.ncols == fresh.ncols
+            js = np.arange(cols.ncols)
+            assert np.array_equal(cols.columns(js), fresh.columns(js))
+            y = rng.normal(0.0, 1.0, m)
+            assert np.array_equal(cols.apply_yT(y), fresh.apply_yT(y))
+            Binv = rng.uniform(-1.0, 1.0, (m, m))
+            for j in js:
+                assert np.array_equal(cols.direction(Binv, j), fresh.direction(Binv, j))
+
 
 def relocation_lp(inst):
-    """The 2-approximation's LP, built independently of wbary.initial.
+    """The 2-approximation's LP in its transport form, built independently of
+    wbary.initial, which solves it in its combination form.
 
     Variables y[i][s, j] (measure-major, then candidate s, then point j) move
     mass from candidate s, a distinct input point in order of first
@@ -542,37 +561,24 @@ class TestLongRunsVsHighs:
 
     @pytest.mark.parametrize("sizes", [(8, 6, 5, 4, 3, 3, 3), (10, 8, 6, 5, 4, 3, 3)])
     def test_relocation_lp_inverts_once_per_row_count_of_pivots(self, sizes, monkeypatch):
-        # The relocation LPs of the mixed workload, on the instance permuted
-        # for the small pair as solve runs them: more than REFACTOR_EVERY rows,
-        # so the interval is the row count. Their pivot counts are pinned, as
-        # in test_500_random_instances.
+        # The transport form of the mixed workload's relocation LPs, built
+        # independently, on the instance permuted for the small pair as solve
+        # runs them: more than REFACTOR_EVERY rows, so the interval is the row
+        # count. Their pivot counts are pinned, as in
+        # test_500_random_instances.
         inst = random_masses_instance(sizes, 0)
         inst = inst.permuted(choose_partition(inst, "small").perm)
+        c, A, b = relocation_lp(inst)
+        kern = Kernel(DenseColumns(A), b)
         calls = count_inversions(monkeypatch)
         forced = count_forced_inversions(monkeypatch)
-        kern, _, sol = relocation_kernel(inst, monkeypatch)
+        sol = solve_columns(kern, c)
         assert kern.m > simplex.REFACTOR_EVERY
         assert sol.pivots == {8: 495, 10: 655}[sizes[0]]
         assert len(calls) <= math.ceil(sol.pivots / kern.m) + len(forced)
         assert len(calls) < sol.pivots // simplex.REFACTOR_EVERY
-        c, A, b = relocation_lp(inst)
         ref = highs_optimum(c, A, b)
         assert abs(sol.objective - ref) <= 1e-9 * (1 + abs(ref))
-
-
-def random_csc(rng, nrows, ncols):
-    """CSC arrays of a random matrix with some empty columns, and the matrix."""
-    dense = np.zeros((nrows, ncols))
-    indptr, rows, vals = [0], [], []
-    for j in range(ncols):
-        nnz = 0 if rng.random() < 0.2 else int(rng.integers(1, nrows + 1))
-        r = np.sort(rng.choice(nrows, size=nnz, replace=False))
-        v = rng.uniform(-2.0, 2.0, size=nnz)
-        dense[r, j] = v
-        rows.extend(r)
-        vals.extend(v)
-        indptr.append(len(rows))
-    return np.array(indptr), np.array(rows, dtype=np.int64), np.array(vals), dense
 
 
 def shared_points_instance(rng):
@@ -586,49 +592,7 @@ def shared_points_instance(rng):
     return Instance(tuple(measures), np.full(len(measures), 1.0 / len(measures)))
 
 
-def relocation_kernel(inst, monkeypatch):
-    """The kernel two_approx solves, with its cost vector and solution."""
-    seen = []
-
-    def record(kern, cost):
-        sol = solve_columns(kern, cost)
-        seen.append((kern, np.asarray(cost), sol))
-        return sol
-
-    with monkeypatch.context() as mp:
-        mp.setattr(simplex, "solve_columns", record)
-        two_approx(inst)
-    (found,) = seen
-    return found
-
-
-class TestSparseColumns:
-    def test_matches_dense_on_random_data(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            nrows, ncols = (int(v) for v in rng.integers(1, 12, size=2))
-            indptr, rows, vals, dense = random_csc(rng, nrows, ncols)
-            cols = SparseColumns(indptr, rows, vals, nrows)
-            for j in range(ncols):
-                assert np.array_equal(cols.columns(np.array([j]))[:, 0], dense[:, j])
-            js = rng.integers(0, ncols, size=int(rng.integers(0, 2 * ncols)))
-            assert np.array_equal(cols.columns(js), dense[:, js])
-            y = rng.uniform(-1.0, 1.0, size=nrows)
-            assert np.abs(cols.apply_yT(y) - y @ dense).max(initial=0.0) <= 1e-12
-
-    @pytest.mark.parametrize("sizes", [(8, 6, 5, 4, 3, 3, 3), (10, 8, 6, 5, 4, 3, 3)])
-    def test_relocation_provider_equals_independent_matrix(self, sizes, monkeypatch):
-        inst = random_masses_instance(sizes, 0)
-        kern, cost, _ = relocation_kernel(inst, monkeypatch)
-        c, A, b = relocation_lp(inst)
-        assert isinstance(kern.cols, SparseColumns)
-        assert kern.cols.nrows == A.shape[0] and kern.cols.ncols == A.shape[1]
-        for j in range(A.shape[1]):
-            assert np.array_equal(kern.cols.columns(np.array([j]))[:, 0], A[:, j])
-        assert np.array_equal(kern.cols.columns(np.arange(A.shape[1])), A)
-        assert np.array_equal(cost, c)
-        assert np.array_equal(kern.b, b)
-
+class TestRelocationVsHighs:
     def test_shared_points_match_highs(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
@@ -656,7 +620,8 @@ class TestRankOneUpdate:
             assert np.array_equal(full + 0.0, rows_only + 0.0)
 
     def test_relocation_lp_peak_memory(self):
-        # the dense constraint matrix alone would be 273 x 1521 doubles, 3.3 MB
+        # the transport form's dense constraint matrix alone would be
+        # 273 x 1521 doubles, 3.3 MB
         inst = random_masses_instance((10, 8, 6, 5, 4, 3, 3), 0)
         tracemalloc.start()
         try:
