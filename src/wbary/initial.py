@@ -10,7 +10,8 @@ and hands over its plans, one (S, |P_i|) array per measure; the repair then
 sweeps each support point's plan rows, splitting its mass into combinations
 that send their whole mass to one point per measure.
 
-The relocation LP is solved in its combination form by column generation.
+The relocation LP is solved in its combination form by column generation
+(``simplex.generate``).
 A column pairs a candidate s with one point j_i per measure, costs
 sum_i lambda_i |s - x_i(j_i)|^2 and holds a 1 in each of those points'
 marginal rows: a ``simplex.UnitColumns`` column. Splitting each candidate's
@@ -78,13 +79,17 @@ class ApproxBarycenter:
     measure i; each plan's rows sum to ``mass`` and its columns to that
     measure's masses. two_approx also keeps the relocation LP's duals of the
     marginal rows, one per point of each measure in measure order: a dual
-    point to price at before the first master solve.
+    point to price at before the first master solve. Its ``plan`` gives each
+    combination the total mass of the relocation LP's columns over it: a
+    feasible plan of the full LP that costs no more, since a combination's
+    weighted mean is its cheapest support point.
     """
 
     support: np.ndarray  # (S, dim)
     mass: np.ndarray  # (S,)
     plans: list[np.ndarray]  # one (S, size_i) array per measure
     duals: np.ndarray | None = None  # (sum of sizes,)
+    plan: Plan | None = None
 
     def validate(self, inst: Instance):
         tol = 1e-9
@@ -121,18 +126,16 @@ def relocation_bytes(sizes) -> int:
     measures with these sizes, over at most S = sum(sizes) candidate points.
 
     Counted: the S x S cost table and plans, a candidate-by-point block of
-    pricing temporaries, the simplex basis over S rows, and the column store:
-    per column n int64 rows up to three times over (while the store doubles
-    or a pricing product gathers its duals) and eight floats (cost and owner
-    twice while they grow, level and the kernel's buffers). The store is
-    charged for S * S columns, as many as the transport form has variables.
-    Nothing bounds the number of pricing passes, so the charge does not bound
-    a run that generates more columns.
+    pricing temporaries, the simplex basis over S rows, and the column store
+    (``simplex.unit_store_bytes``, with the owner array in place of an
+    index). The store is charged for S * S columns, as many as the transport
+    form has variables. Nothing bounds the number of pricing passes, so the
+    charge does not bound a run that generates more columns.
     """
     n, S = len(sizes), sum(sizes)
     return (
         16 * S * S + 16 * S * max(sizes) + simplex.kernel_bytes(S)
-        + 8 * (3 * n + 8) * S * S
+        + simplex.unit_store_bytes(n, S * S)
     )
 
 
@@ -152,10 +155,8 @@ def two_approx(inst: Instance) -> ApproxBarycenter:
     """Best measure supported on the union of input points, with transport.
 
     Starts from the greedy vertex's combinations, each at its cheapest
-    candidate, which is feasible. Each pass appends every candidate whose
-    cheapest column prices in below -OPT_TOL and re-solves from the last
-    basis. It stops when none does, or when a re-solve takes no pivot, so a
-    column that prices in only by rounding is not appended forever.
+    candidate, which is feasible, and runs ``simplex.generate``: each pass
+    appends every candidate whose cheapest column prices in below -OPT_TOL.
     """
     cand = _candidate_points(inst)
     offsets = np.asarray(inst.strides.row_offsets)
@@ -172,26 +173,31 @@ def two_approx(inst: Instance) -> ApproxBarycenter:
     costs = at_each[owner, np.arange(rows.shape[1])]
     rhs = np.concatenate([m.masses for m in inst.measures])
     kern = simplex.Kernel(simplex.UnitColumns(rows, nrows=rhs.size), rhs)
-    sol = simplex.solve_columns(kern, costs)
-    while True:
+
+    def price(sol):
+        nonlocal owner
         picks, reduced = _price(table, sol.duals, offsets)
         enter = np.flatnonzero(reduced < -simplex.OPT_TOL)
         if not enter.size:
-            break
+            return None
         new = picks[:, enter]
-        kern.cols.append(new)
         owner = np.concatenate((owner, enter))
-        costs = np.concatenate((costs, table[enter, new].sum(axis=0)))
-        sol = simplex.solve_columns(kern, costs)
-        if sol.pivots == 0:
-            break
+        return new, table[enter, new].sum(axis=0)
 
+    sol, _ = simplex.generate(kern, costs, price)
     flows = np.zeros_like(table)  # flows[s, offsets[i] + j]: s to point j of i
     np.add.at(flows, (owner, kern.cols.rows), sol.x)
     mass = np.bincount(owner, weights=sol.x, minlength=len(cand))
     keep = np.flatnonzero(mass > MASS_TOL)
     plans = np.split(flows[keep], offsets[1:-1], axis=1)
-    return ApproxBarycenter(cand[keep], mass[keep], plans, sol.duals)
+    # each combination's columns above MASS_TOL, merged
+    used = sol.x > MASS_TOL
+    combos = np.ravel_multi_index(
+        tuple(kern.cols.rows[:, used] - offsets[:-1, None]), inst.sizes
+    )
+    index, merged = np.unique(combos, return_inverse=True)
+    plan = Plan(index, np.bincount(merged, weights=sol.x[used]))
+    return ApproxBarycenter(cand[keep], mass[keep], plans, sol.duals, plan)
 
 
 def repair_to_vertex(apx: ApproxBarycenter, inst: Instance) -> Plan:

@@ -8,15 +8,17 @@ through a three-method provider protocol (``apply_yT(y)`` is y^T A,
 ``columns(js)`` gathers columns densely), so the same pivoting kernel works on
 two column stores: DenseColumns, an in-memory dense matrix (the restricted
 master), and UnitColumns, 0/1 columns with one 1 per measure, kept as their
-row indices (the 2-approximation's relocation LP, the polish and the direct
-LP). Columns can be appended to either store.
+row indices (the 2-approximation's relocation LP, the unit route's LP over
+single combinations, the polish and the direct LP). Columns can be appended
+to either store, and ``generate`` runs column generation over a store that
+appends.
 
 A Kernel holds the columns, the basis and its inverse. Phase one runs the
 first time a kernel is solved. A kernel that returned an optimum keeps its
 basis and inverse, so columns appended to its store after that enter as
 nonbasic at zero, the basis stays feasible, and the next solve runs phase
-two only. This is how the restricted master and the relocation LP are
-re-solved.
+two only. This is how the restricted master, the relocation LP and the
+unit route's LP are re-solved.
 
 Redundant rows are tolerated: artificial variables that cannot be pivoted out
 after phase one stay basic at level zero and are encoded in the basis with
@@ -172,6 +174,15 @@ class UnitColumns:
         cols = np.zeros((self.nrows, len(js)))
         cols[self.rows[:, js], np.arange(len(js))] = 1.0
         return cols
+
+
+def unit_store_bytes(n: int, columns: int) -> int:
+    """Bytes charged for this many unit columns of n rows each in a Kernel:
+    the n int64 rows up to three times over (while the store doubles, or
+    while apply_yT gathers the duals at them) and eight floats per column
+    (cost and index twice while they grow, level and the kernel's
+    buffers)."""
+    return 8 * (3 * n + 8) * columns
 
 
 def kernel_bytes(rows: int) -> int:
@@ -356,3 +367,24 @@ def solve_columns(kern: Kernel, cost) -> LPSolution:
     struct = kern.basic >= 0
     x[kern.basic[struct]] = xB[struct]
     return LPSolution(x, y, float(cost @ x), kern.pivots - start)
+
+
+def generate(kern: Kernel, cost, price) -> tuple[LPSolution, np.ndarray]:
+    """Column generation over a kernel whose store can append columns.
+
+    Each pass solves the kernel, from its kept basis after the first, and
+    calls price(sol), which returns the rows and costs of the columns to
+    append, or None to stop. The loop also stops when a re-solve takes no
+    pivot, so a column that prices in only by rounding is not appended
+    forever. Returns the last solution and the costs of every column.
+    """
+    cost = np.asarray(cost, dtype=float)
+    sol = solve_columns(kern, cost)
+    while (new := price(sol)) is not None:
+        rows, more = new
+        kern.cols.append(rows)
+        cost = np.concatenate((cost, more))
+        sol = solve_columns(kern, cost)
+        if sol.pivots == 0:
+            break
+    return sol, cost

@@ -249,8 +249,10 @@ class TestLoopBehavior:
         # store doubles ten times, and B^-1 is kept across the solves and
         # re-inverted every refactor_interval(m) pivots, here m, or on a
         # failed residual check.
+        # The small pair holds 4 of 204 points, so solve would take the unit
+        # route; the paper's route keeps the master under test.
         inst = random_instance(12, [2, 2, 200])
-        res = solve(inst, SolveConfig(pair_variant="small"))
+        res = driver.solve_master(inst, SolveConfig(pair_variant="small"))
         assert res.converged
         assert res.iterations > 512
         assert abs(res.objective - solve_direct(inst).objective) <= 1e-9
@@ -260,6 +262,9 @@ class TestCertificate:
     """The trace's lower bound is a valid, monotone certificate of the gap."""
 
     def test_bounds_over_twenty_instances_and_six_variants(self):
+        # The paper's route throughout: with the small pair some of these
+        # instances would take the unit route, which neither smooths nor
+        # seeds its pricing.
         tol = SolveConfig().tol
         misprices = 0
         for seed in range(20):
@@ -269,7 +274,9 @@ class TestCertificate:
             optimum = solve_direct(inst).objective
             for start in ("greedy", "2app"):
                 for pair in ("any", "large", "small"):
-                    res = solve(inst, SolveConfig(start=start, pair_variant=pair))
+                    res = driver.solve_master(
+                        inst, SolveConfig(start=start, pair_variant=pair)
+                    )
                     lbs = [t.lb for t in res.trace]
                     # 1e-12 of rounding: at a closed gap the bound and the
                     # objectives agree to a few ulps (up to 6e-16 seen)
@@ -346,6 +353,118 @@ class TestCertificate:
             res = solve(inst, SolveConfig(start=start, pair_variant="small"))
             assert len(priced_at) == res.pricing_calls >= res.iterations + 1
             assert np.array_equal(priced_at[0], seed)
+
+
+def pair_light(inst, variant):
+    """Whether solve takes the unit route: the pricing pair holds fewer than
+    a third of all support points."""
+    pair = pricing.choose_partition(inst, variant).pair
+    return 3 * sum(inst.sizes[i] for i in pair) < sum(inst.sizes)
+
+
+def count_transport(monkeypatch):
+    """Count the transport solves that pricing runs; returns the counter."""
+    calls = []
+    original = pricing.solve_transportation
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pricing, "solve_transportation", counting)
+    return calls
+
+
+class TestUnitRoute:
+    """Column generation over single combinations, taken when the pricing
+    pair holds fewer than a third of all support points."""
+
+    def test_pair_light_instances_match_direct(self):
+        rng = np.random.default_rng(36)
+        runs = {variant: 0 for variant in pricing.PAIR_VARIANTS}
+        for k in range(60):
+            # the large pair is light only among many measures of similar sizes
+            shape = ((1, 7), int(rng.integers(4, 8))) if k < 40 else ((2, 4), 8)
+            sizes = rng.integers(*shape[0], shape[1]).tolist()
+            if np.prod(sizes) > 20_000:
+                continue
+            inst = random_instance(3600 + k, sizes, dim=1 + k % 3, uniform=k % 4 == 0)
+            variants = [v for v in pricing.PAIR_VARIANTS if pair_light(inst, v)]
+            if not variants:
+                continue
+            ref = solve_direct(inst).objective
+            for variant in variants:
+                for start in driver.START_VARIANTS:
+                    res = solve(inst, SolveConfig(start=start, pair_variant=variant))
+                    assert res.converged
+                    assert abs(res.objective - ref) <= 1e-12 * max(1.0, abs(ref)), (
+                        sizes, start, variant, res.objective - ref
+                    )
+                    assert res.lower_bound <= ref + 1e-12
+                    assert len(res.barycenter) <= sum(sizes) - len(sizes) + 1
+                runs[variant] += 1
+        assert min(runs.values()) >= 5, runs
+
+    def test_route_follows_the_pairs_share_of_the_points(self, monkeypatch):
+        # [2, 2, 3, 3, 3]: the small pair holds 4 of 13 points, 3 * 4 < 13;
+        # dropping a point from the last measure makes it 4 of 12, and the
+        # large pair holds 6 of 13. Only the paper's route prices by
+        # transport.
+        calls = count_transport(monkeypatch)
+        for sizes, variant, units in [
+            ([2, 2, 3, 3, 3], "small", True),
+            ([2, 2, 3, 3, 2], "small", False),
+            ([2, 2, 3, 3, 3], "large", False),
+        ]:
+            inst = random_instance(37, sizes)
+            calls.clear()
+            res = solve(inst, SolveConfig(pair_variant=variant))
+            assert res.converged
+            assert abs(res.objective - solve_direct(inst).objective) <= 1e-12
+            if units:
+                assert not calls
+                assert res.pricing_calls == res.iterations == len(res.trace)
+            else:
+                assert len(calls) == res.pricing_calls >= res.iterations + 1
+
+    def test_relocation_plan_seeds_the_route(self, monkeypatch):
+        # The 2-approximation start hands over the relocation LP's plan over
+        # combinations, a feasible plan that costs at most the relocation
+        # LP's optimum; the route's first LP is over its combinations.
+        inst = random_instance(38, [3, 2, 4, 3, 3, 4])
+        inst_p = inst.permuted(pricing.choose_partition(inst, "small").perm)
+        apx = two_approx(inst_p)
+        kernels = []
+        original = simplex.generate
+
+        def recorded(kern, cost, price):
+            kernels.append((kern.cols.rows[:, : kern.cols.ncols].copy(), cost))
+            return original(kern, cost, price)
+
+        monkeypatch.setattr(simplex, "generate", recorded)
+        res = solve(inst, SolveConfig(start="2app", pair_variant="small"))
+        (_, (rows, cost)) = kernels  # the relocation LP's, then the route's
+        offsets = np.asarray(inst_p.strides.row_offsets[:-1])[:, None]
+        assert np.array_equal(
+            rows, model.digits(apx.plan.index, inst_p.strides) + offsets
+        )
+        relocation = sum(
+            lam * (np.asarray(plan) * ((apx.support[:, None, :] - m.points) ** 2).sum(-1)).sum()
+            for lam, m, plan in zip(inst_p.lambdas, inst_p.measures, apx.plans)
+        )
+        assert apx.plan.mass @ cost <= relocation + 1e-12
+        assert abs(res.objective - solve_direct(inst).objective) <= 1e-12
+
+    def test_two_approximation_on_a_tall_small_pair_converges(self):
+        # [2, 2, 400] with the 2-approximation start and the small pair: the
+        # paper's master fails its ratio test on this start (basic solution
+        # went negative, after about 1100 master solves), and solve takes
+        # the unit route, which converges in a few passes.
+        inst = random_instance(12, (2, 2, 400))
+        res = solve(inst, SolveConfig(start="2app", pair_variant="small"))
+        assert res.converged
+        ref = solve_direct(inst).objective
+        assert abs(res.objective - ref) <= 1e-12 * max(1.0, ref)
 
 
 class TestMemoryAccounting:
@@ -460,8 +579,14 @@ class TestMemoryAccounting:
         # a tail of the last measure: 280,000 head rows against 70,000 columns
         assert pricing.state_bytes((2, 2, 70_000, 70_000), 1) == 10_640_064
         skewed = random_instance(12, [2, 2, 70_000, 70_000], dim=1)
-        # what the cap refuses is the dense basis over all 140,004 points
-        need = 10_640_064 + 8 * model.BLOCK + 24 * 140_004**2
+        # what the cap refuses is the dense basis over all 140,004 points, and
+        # the unit route's column store for its start and one pass that admits
+        # all four pair cells: n = 4 int64 rows three times over and eight
+        # floats per column
+        need = (
+            10_640_064 + 8 * model.BLOCK + 24 * 140_004**2
+            + 8 * (3 * 4 + 8) * (140_004 + 4)
+        )
         with pytest.raises(CapacityError, match=f"{need} bytes"):
             solve(skewed, SolveConfig(pair_variant="any"))
 
@@ -491,8 +616,13 @@ class TestMemoryAccounting:
         monkeypatch.setattr(driver, "cost_vector", past_the_check)  # two measures
         inst = random_instance(11, [4] * 9)
         assert 4**9 >= model.BLOCK
-        # the pricing state and the polish's dense matrices, without the tile
-        held = pricing.state_bytes(inst.sizes, inst.dim) + simplex.kernel_bytes(36)
+        # the pricing state, and the unit route's dense matrices over 36 rows
+        # and column store for its start and one pass that admits all 16 pair
+        # cells, without the tile
+        held = (
+            pricing.state_bytes(inst.sizes, inst.dim) + simplex.kernel_bytes(36)
+            + simplex.unit_store_bytes(9, 36 + 16)
+        )
         tile = 8 * model.BLOCK
         monkeypatch.setattr(driver, "MEMORY_CAP", held)
         with pytest.raises(CapacityError, match=f"{held + tile} bytes"):

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import column_support, plan_items, satisfies_marginals
 from wbary import master, simplex
-from wbary.driver import SolveConfig, solve, solve_direct
+from wbary.driver import SolveConfig, solve, solve_direct, solve_master
 from wbary.initial import greedy_vertex
 from wbary.master import (
     add_column,
@@ -280,8 +280,9 @@ def fallback_instance():
 
 
 def recorded_solve(monkeypatch, inst, cfg=None):
-    """Solve inst; return the result and the master, bound and plan of its
-    one recover_solution call."""
+    """Solve inst by the paper's route; return the result and the master,
+    bound and plan of its one recover_solution call. solve would take the
+    unit route, with no master, on the wide and mixed benchmark instances."""
     calls = []
     original = master.recover_solution
 
@@ -291,7 +292,7 @@ def recorded_solve(monkeypatch, inst, cfg=None):
         return w
 
     monkeypatch.setattr(master, "recover_solution", recording)
-    res = solve(inst, cfg)
+    res = solve_master(inst, cfg)
     (call,) = calls
     return (res, *call)
 

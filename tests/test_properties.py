@@ -15,9 +15,9 @@ covered either.
 On the real line the comonotone coupling is optimal, which gives an exact
 oracle at any size (oracles.quantile_barycenter). It is checked against
 HiGHS, and column generation is held to it on measures on a random line in
-1-D, 2-D and 3-D, offset by at most 10 from the origin, and at C7's size of
-about 1.26e7 combinations in 1-D, where only the bound and the stopping gap
-are asserted.
+1-D, 2-D and 3-D, offset by at most 10 from the origin, on cases that take
+the unit route under every pricing pair, and at C7's size of about 1.26e7
+combinations in 1-D, which takes the unit route too.
 """
 
 import numpy as np
@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from oracles import barycenter_lp_arrays, highs_optimum, quantile_barycenter
 from wbary.driver import SolveConfig, solve, solve_direct
 from wbary.model import DiscreteMeasure, Instance
+from wbary.pricing import choose_partition
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=6)
 
@@ -212,13 +213,46 @@ def test_collinear_instances_reach_the_quantile_optimum(cfg, dim):
             assert np.abs(p.coords - (x * u + offset)).max() <= 1e-12
 
 
+# Collinear cases whose pricing pair, under every variant, holds fewer than
+# a third of the points: solve takes the unit route with each of them.
+UNIT_LINE_CASES = (
+    ([4] * 7, False), ([3] * 9, False), ([2] * 15, False), ([3] * 8, True),
+    ([4, 3, 3, 3, 3, 3, 3, 3], False), ([5, 4, 3, 3, 3, 3, 3, 2, 2], False),
+)
+
+
+@VARIANTS
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_unit_route_reaches_the_quantile_optimum(cfg, dim):
+    for k, (sizes, uniform) in enumerate(UNIT_LINE_CASES):
+        t, masses, weights, u, offset, inst = line_case(850 + k, sizes, dim, uniform)
+        pair = choose_partition(inst, cfg.pair_variant).pair
+        assert 3 * sum(sizes[i] for i in pair) < sum(sizes)
+        objective, mean, mass, assignment = quantile_barycenter(t, masses, weights)
+        res = solve(inst, cfg)
+        assert res.converged
+        assert res.pricing_calls == res.iterations  # no seed pricing, no misprice
+        assert res.lower_bound <= objective + 1e-12
+        assert abs(res.objective - objective) <= 1e-12
+        if uniform:
+            continue
+        got = sorted(res.barycenter, key=lambda p: p.assignment)
+        want = sorted(zip(assignment, mass, mean))
+        assert [p.assignment for p in got] == [a for a, _, _ in want]
+        for p, (_, q, x) in zip(got, want):
+            assert abs(p.mass - q) <= 1e-12
+            assert np.abs(p.coords - (x * u + offset)).max() <= 1e-12
+
+
 def test_column_generation_holds_the_quantile_bound_at_c7_size():
-    # C7's sizes, about 1.26e7 combinations, in 1-D with random masses. This
-    # seed stops at a gap of 8.4e-7, so the cold polish runs, and it ends
-    # 1.2e-9 above the exact optimum: within tol, but not exact.
+    # C7's sizes, about 1.26e7 combinations, in 1-D with random masses. The
+    # large pair holds 8 of 47 points, so solve takes the unit route, which
+    # prices until the gap closes to rounding and so ends at the exact
+    # optimum, not merely within tol of it.
     t, masses, weights, _, _, inst = line_case(820, [4] * 11 + [3], 1, False)
     objective = quantile_barycenter(t, masses, weights)[0]
     res = solve(inst, SolveConfig(pair_variant="large"))
     assert res.converged
     assert res.lower_bound <= objective + 1e-12
     assert res.objective - objective <= res.objective - res.lower_bound + 1e-12
+    assert abs(res.objective - objective) <= 1e-12

@@ -15,7 +15,7 @@ from oracles import (
     transport_lp_arrays,
 )
 from wbary import master, simplex
-from wbary.driver import SolveConfig, solve as solve_cg
+from wbary.driver import SolveConfig, solve as solve_cg, solve_master
 from wbary.initial import two_approx
 from wbary.model import DiscreteMeasure, Instance
 from wbary.pricing import choose_partition
@@ -296,7 +296,9 @@ class TestKeptInverse:
 
         monkeypatch.setattr(master, "solve_rm", recorded)
         calls = count_inversions(monkeypatch)
-        res = solve_cg(inst, SolveConfig(pair_variant="small"))
+        # the small pair holds 4 of 64 points, so solve would take the unit
+        # route; the paper's route keeps the master under test
+        res = solve_master(inst, SolveConfig(pair_variant="small"))
         assert res.converged
         master_inversions = sum(k is kernels[0] for k in calls)
         assert len(kernels) == res.iterations > 40
