@@ -14,9 +14,11 @@ negative reduced cost enters, so one pass adds many columns (Luebbecke &
 Desrosiers 2005). As the masses of each measure sum to one,
 L(y) = y . b + min over combinations of the reduced cost bounds the optimum.
 The route prices on until the objective meets the best bound to rounding or
-no new combination prices in, and its LP's basic optimum is the result; the
-greedy start gives it the greedy vertex's combinations, the 2-approximation
-start those of the relocation LP's plan.
+no new combination prices in, and its LP's basic optimum is the result.
+
+Both routes take the same start vertex: the greedy vertex, or, for the
+2-approximation, the relocation LP's basic columns, each combination with
+its column's mass (``initial.repair_to_vertex``).
 
 The paper's route alternates master re-solves with transportation pricing.
 It prices at smoothed duals pi = alpha * pi_hat + (1 - alpha) * y (Wentges
@@ -61,7 +63,7 @@ from . import model
 from . import pricing as pricing_mod
 from . import simplex
 from .master import CERTIFIED_GAP, BarycenterPoint
-from .model import MASS_TOL, CapacityError, Instance, Plan, cost_vector, digits
+from .model import MASS_TOL, CapacityError, Instance, Plan, cost_vector
 from .initial import greedy_vertex, relocation_bytes, repair_to_vertex, two_approx
 from .transport import northwest_corner, solve_transportation
 
@@ -261,7 +263,7 @@ def _column_generation(
         center = np.zeros(sum(inst_p.sizes[2:]))
     else:
         apx = two_approx(inst_p)
-        start = apx.plan if units else repair_to_vertex(apx, inst_p)
+        start = repair_to_vertex(apx, inst_p)
         center = apx.duals[inst_p.sizes[0] + inst_p.sizes[1] :]
     timings["init"] = time.perf_counter() - t0
     if units:
@@ -296,14 +298,9 @@ def _unit_route(
     """
     strides = inst_p.strides
     s0, s1 = inst_p.sizes[:2]
-    offsets = np.asarray(strides.row_offsets[:-1])[:, None]
     t0 = time.perf_counter()
     index = start.index  # the generated combinations, one per column
-    b = np.concatenate([m.masses for m in inst_p.measures])
-    kern = simplex.Kernel(
-        simplex.UnitColumns(digits(index, strides) + offsets, nrows=b.size), b
-    )
-    cost = cost_vector(inst_p, index)
+    kern, cost = master_mod.unit_lp(index, inst_p)
     timings["setup-RM"] += time.perf_counter() - t0
     trace: list[TraceEntry] = []
     best_lb = -math.inf
@@ -321,7 +318,7 @@ def _unit_route(
         t2 = time.perf_counter()
         timings["calc-best-costs"] += t2 - t1
         rc = (state.best.reshape(s0, s1) - y[:s0, None] - y[s0 : s0 + s1]).ravel()
-        best_lb = max(best_lb, float(y @ b) + float(rc.min()))
+        best_lb = max(best_lb, float(y @ kern.b) + float(rc.min()))
         trace.append(TraceEntry(len(trace) + 1, sol.objective,
                                 best_lb - sol.objective, best_lb))
         closed = sol.objective - best_lb <= CERTIFIED_GAP * max(1.0, abs(sol.objective))
@@ -331,7 +328,7 @@ def _unit_route(
             cells = cells[~np.isin(cells, index)]
             if cells.size:
                 index = np.concatenate((index, cells))
-                new = digits(cells, strides) + offsets, cost_vector(inst_p, cells)
+                new = master_mod.unit_columns(cells, inst_p)
         mark = time.perf_counter()
         timings["solve-pricing"] += mark - t2
         return new

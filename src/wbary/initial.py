@@ -1,25 +1,26 @@
-"""Feasible starting vertices for the restricted master problem.
+"""Feasible starting vertices for the column generation routes.
 
-Both constructions end in one minimum-remaining-mass sweep: a pointer walks
-each of n nonnegative vectors, and each step places the smallest entry at the
-pointers on their combination. The greedy start sweeps the measures' masses,
-which yields a vertex of the full transport polytope with a small support.
-The 2-approximation first solves a relocation LP whose support is restricted
-to the union of the input support points (its cost is at most twice optimal)
-and hands over its plans, one (S, |P_i|) array per measure; the repair then
-sweeps each support point's plan rows, splitting its mass into combinations
-that send their whole mass to one point per measure.
+The greedy start sweeps the measures' masses by minimum remaining mass: a
+pointer walks each measure's masses, and each step places the smallest entry
+at the pointers on their combination. That yields a vertex of the full
+transport polytope with a small support.
 
-The relocation LP is solved in its combination form by column generation
-(``simplex.generate``).
-A column pairs a candidate s with one point j_i per measure, costs
+The 2-approximation (Borgwardt) solves a relocation LP whose support is
+restricted to the union of the input support points; its cost is at most
+twice optimal. The LP is solved in the combination form of Anderes,
+Borgwardt & Miller (2016) by column generation (``simplex.generate``). A
+column pairs a candidate s with one point j_i per measure, costs
 sum_i lambda_i |s - x_i(j_i)|^2 and holds a 1 in each of those points'
-marginal rows: a ``simplex.UnitColumns`` column. Splitting each candidate's
-plan rows into combinations maps the transport form's plans onto these
-columns, and both forms have the dual feasible set {v : sum_i max_j (v_i(j)
-- lambda_i |s - x_i(j)|^2) <= 0 for every s}, so they share their optimum and
-the duals of the marginal rows. Pricing is exact and separable: one argmin
-per measure for each candidate.
+marginal rows: a ``simplex.UnitColumns`` column. The LP's dual feasible set
+is {v : sum_i max_j (v_i(j) - lambda_i |s - x_i(j)|^2) <= 0 for every s},
+and pricing is exact and separable: one argmin per measure for each
+candidate.
+
+The LP's basic columns are linearly independent, so no two of them hold the
+same combination, and they meet the marginal rows of the full barycenter LP.
+Giving each such combination its column's mass is therefore a vertex of the
+full LP, the start both routes take, and it costs no more than the
+relocation LP: a combination's weighted mean is its cheapest support point.
 """
 
 from __future__ import annotations
@@ -29,85 +30,56 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .model import MASS_TOL, ContractError, Instance, Plan, digits
-
-
-def _sweep(rows, sizes: tuple[int, ...]) -> Plan:
-    """The minimum-remaining-mass sweep of each (vectors, total) in rows, with
-    one vector per measure, as one plan in first-placement order.
-
-    Each pointer skips entries at most MASS_TOL but never passes its vector's
-    last entry; each step places the smallest entry at the pointers on their
-    combination. A row's sweep stops once total - MASS_TOL is placed, or when
-    that smallest entry is at most MASS_TOL (sub-tolerance drift from LP
-    rounding). A combination placed twice holds the sum of both masses.
-    """
-    w: dict[int, float] = {}
-    for vectors, total in rows:
-        remaining = [np.array(v, dtype=float) for v in vectors]
-        pointers = [0] * len(remaining)
-        placed = 0.0
-        while placed < total - MASS_TOL:
-            for i, r in enumerate(remaining):
-                while r[pointers[i]] <= MASS_TOL and pointers[i] + 1 < len(r):
-                    pointers[i] += 1
-            mass = min(r[p] for r, p in zip(remaining, pointers))
-            if mass <= MASS_TOL:
-                break
-            h = int(np.ravel_multi_index(pointers, sizes))
-            w[h] = w.get(h, 0.0) + mass
-            placed += mass
-            for r, p in zip(remaining, pointers):
-                r[p] -= mass
-    return Plan(np.array(list(w), dtype=np.int64), np.array(list(w.values())))
+from .model import MASS_TOL, Instance, Plan, digits
 
 
 def greedy_vertex(inst: Instance) -> Plan:
-    """Feasible vertex built by the minimum-remaining-mass sweep.
+    """Feasible vertex built by the minimum-remaining-mass sweep, as a plan
+    in placement order.
 
+    Each pointer skips masses at most MASS_TOL but never passes its measure's
+    last point; each step places the smallest mass at the pointers on their
+    combination. The sweep stops once 1 - MASS_TOL is placed, or when that
+    smallest mass is at most MASS_TOL (sub-tolerance drift of the masses).
     The support size L always satisfies max_i |P_i| <= L <= sum_i |P_i| - n + 1
     and the chosen columns are linearly independent.
     """
-    return _sweep([([m.masses for m in inst.measures], 1.0)], inst.sizes)
+    remaining = [m.masses.astype(float) for m in inst.measures]
+    pointers = [0] * len(remaining)
+    index, masses = [], []
+    placed = 0.0
+    while placed < 1.0 - MASS_TOL:
+        for i, r in enumerate(remaining):
+            while r[pointers[i]] <= MASS_TOL and pointers[i] + 1 < len(r):
+                pointers[i] += 1
+        mass = min(r[p] for r, p in zip(remaining, pointers))
+        if mass <= MASS_TOL:
+            break
+        index.append(int(np.ravel_multi_index(pointers, inst.sizes)))
+        masses.append(mass)
+        placed += mass
+        for r, p in zip(remaining, pointers):
+            r[p] -= mass
+    return Plan(np.array(index, dtype=np.int64), np.array(masses))
 
 
 @dataclass
 class ApproxBarycenter:
-    """A feasible measure supported on the original input points.
+    """The relocation LP's optimum, a measure supported on input points.
 
-    ``plans[i][s, j]`` is the mass support point s sends to point j of
-    measure i; each plan's rows sum to ``mass`` and its columns to that
-    measure's masses. two_approx also keeps the relocation LP's duals of the
-    marginal rows, one per point of each measure in measure order: a dual
-    point to price at before the first master solve. Its ``plan`` gives each
-    combination the total mass of the relocation LP's columns over it: a
-    feasible plan of the full LP that costs no more, since a combination's
-    weighted mean is its cheapest support point.
+    Column k sends ``mass[k]`` from candidate ``support[owner[k]]`` to the
+    points of combination ``index[k]``, one per measure; the columns are
+    those above MASS_TOL, in ascending combination order, and no two share
+    a combination. ``duals`` are the LP's duals of the marginal rows, one
+    per point of each measure in measure order: a dual point to price at
+    before the first master solve.
     """
 
-    support: np.ndarray  # (S, dim)
-    mass: np.ndarray  # (S,)
-    plans: list[np.ndarray]  # one (S, size_i) array per measure
-    duals: np.ndarray | None = None  # (sum of sizes,)
-    plan: Plan | None = None
-
-    def validate(self, inst: Instance):
-        tol = 1e-9
-        if abs(self.mass.sum() - 1.0) > tol:
-            raise ContractError("approximate barycenter mass does not sum to 1")
-        if [p.shape for p in self.plans] != [(len(self.mass), s) for s in inst.sizes]:
-            raise ContractError("plans do not match the support and the measures")
-        for i, (plan, m) in enumerate(zip(self.plans, inst.measures)):
-            out = plan.sum(axis=1)
-            bad = np.flatnonzero(np.abs(out - self.mass) > tol)
-            if bad.size:
-                s = bad[0]
-                raise ContractError(
-                    f"support point {s} sends {out[s]} into measure {i}, "
-                    f"holds {self.mass[s]}"
-                )
-            if np.abs(plan.sum(axis=0) - m.masses).max() > tol:
-                raise ContractError(f"measure {i} marginals violated")
+    support: np.ndarray  # (S, dim) candidate points
+    duals: np.ndarray  # (sum of sizes,)
+    owner: np.ndarray  # (k,) candidate of each column
+    index: np.ndarray  # (k,) int64 flat combination, ascending
+    mass: np.ndarray  # (k,)
 
 
 def _candidate_points(inst: Instance) -> np.ndarray:
@@ -125,16 +97,18 @@ def relocation_bytes(sizes) -> int:
     """Bytes of array data two_approx allocates for the relocation LP of
     measures with these sizes, over at most S = sum(sizes) candidate points.
 
-    Counted: the S x S cost table and plans, a candidate-by-point block of
-    pricing temporaries, the simplex basis over S rows, and the column store
+    Counted: the S x S cost table, a candidate-by-point block of pricing
+    temporaries, the simplex basis over S rows, and the column store
     (``simplex.unit_store_bytes``, with the owner array in place of an
     index). The store is charged for S * S columns, as many as the transport
-    form has variables. Nothing bounds the number of pricing passes, so the
-    charge does not bound a run that generates more columns.
+    form has variables; that charge also covers the costs of the greedy
+    vertex's at most S combinations at every candidate, gathered before the
+    store exists. Nothing bounds the number of pricing passes, so the charge
+    does not bound a run that generates more columns.
     """
     n, S = len(sizes), sum(sizes)
     return (
-        16 * S * S + 16 * S * max(sizes) + simplex.kernel_bytes(S)
+        8 * S * S + 16 * S * max(sizes) + simplex.kernel_bytes(S)
         + simplex.unit_store_bytes(n, S * S)
     )
 
@@ -185,27 +159,17 @@ def two_approx(inst: Instance) -> ApproxBarycenter:
         return new, table[enter, new].sum(axis=0)
 
     sol, _ = simplex.generate(kern, costs, price)
-    flows = np.zeros_like(table)  # flows[s, offsets[i] + j]: s to point j of i
-    np.add.at(flows, (owner, kern.cols.rows), sol.x)
-    mass = np.bincount(owner, weights=sol.x, minlength=len(cand))
-    keep = np.flatnonzero(mass > MASS_TOL)
-    plans = np.split(flows[keep], offsets[1:-1], axis=1)
-    # each combination's columns above MASS_TOL, merged
-    used = sol.x > MASS_TOL
-    combos = np.ravel_multi_index(
+    used = np.flatnonzero(sol.x > MASS_TOL)
+    index = np.ravel_multi_index(
         tuple(kern.cols.rows[:, used] - offsets[:-1, None]), inst.sizes
     )
-    index, merged = np.unique(combos, return_inverse=True)
-    plan = Plan(index, np.bincount(merged, weights=sol.x[used]))
-    return ApproxBarycenter(cand[keep], mass[keep], plans, sol.duals, plan)
+    order = np.argsort(index)
+    used = used[order]
+    return ApproxBarycenter(cand, sol.duals, owner[used], index[order], sol.x[used])
 
 
 def repair_to_vertex(apx: ApproxBarycenter, inst: Instance) -> Plan:
-    """Split each approximate support point into whole-mass combinations.
-
-    Sweeps every support point's plan rows, lowest point index first in each
-    measure; the mass of each step lands at the weighted mean of its
-    combination, which never increases the transport cost.
-    """
-    apx.validate(inst)
-    return _sweep(zip(zip(*apx.plans), apx.mass), inst.sizes)
+    """The start of column generation from the relocation LP: each of its
+    columns' combinations with the column's mass, a vertex of the full LP of
+    inst that costs no more than the relocation LP."""
+    return Plan(apx.index, apx.mass)

@@ -144,21 +144,34 @@ def _combine(state: MasterState) -> Plan:
     return Plan(support, np.bincount(inverse, weights=mass[keep]))
 
 
+def unit_columns(index: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """The full barycenter LP's columns of some combinations of inst, given
+    by their flat indices: each one's rows, its point's row of each measure
+    among all measures' points as an (n, k) array, and its cost."""
+    cost = cost_vector(inst, index)  # its digits freed before rows
+    rows = digits(index, inst.strides)
+    rows += np.asarray(inst.strides.row_offsets[:-1])[:, None]
+    return rows, cost
+
+
+def unit_lp(index: np.ndarray, inst: Instance) -> tuple[simplex.Kernel, np.ndarray]:
+    """The full barycenter LP restricted to some combinations of inst, as a
+    kernel over their unit columns (``unit_columns``) with every measure's
+    masses in turn as its right-hand side, and the columns' costs. Keeps
+    every measure row."""
+    rows, cost = unit_columns(index, inst)
+    rhs = np.concatenate([m.masses for m in inst.measures])
+    return simplex.Kernel(simplex.UnitColumns(rows, nrows=rhs.size), rhs), cost
+
+
 def full_lp(support: np.ndarray, inst: Instance) -> Plan:
     """Basic optimum of the full barycenter LP restricted to some combinations
-    of inst, given by their flat indices.
+    of inst, given by their flat indices (``unit_lp``).
 
-    Combination ``support[j]`` is a unit column with a one in its point's row
-    of each measure; the right-hand side is every measure's masses in turn.
-    Keeps every measure row. Returns the entries with x above MASS_TOL;
-    raises simplex.NumericalError if the simplex ends without an optimum.
+    Returns the entries with x above MASS_TOL; raises simplex.NumericalError
+    if the simplex ends without an optimum.
     """
-    cost = cost_vector(inst, support)  # its digits freed before rows
-    rows = digits(support, inst.strides)
-    rows += np.asarray(inst.strides.row_offsets[:-1])[:, None]
-    rhs = np.concatenate([m.masses for m in inst.measures])
-    kernel = simplex.Kernel(simplex.UnitColumns(rows, nrows=rhs.size), rhs)
-    sol = simplex.solve_columns(kernel, cost)
+    sol = simplex.solve_columns(*unit_lp(support, inst))
     keep = sol.x > MASS_TOL
     return Plan(support[keep], sol.x[keep])
 

@@ -239,15 +239,33 @@ def satisfies_marginals(w, inst, strides, tol=1e-9):
 
 
 def approx_transport_cost(apx, inst):
-    """Weighted transport cost of a 2-approximation's plans into every measure."""
+    """Weighted transport cost of a 2-approximation: each column's mass sent
+    from its candidate point to its combination's point in every measure."""
+    sizes = [m.size for m in inst.measures]
     cost = 0.0
-    for i, plan in enumerate(apx.plans):
-        pts = inst.measures[i].points
-        for s, row in enumerate(plan):
-            for j, q in enumerate(row):
-                diff = apx.support[s] - pts[j]
-                cost += inst.lambdas[i] * q * float(diff @ diff)
+    for s, h, q in zip(apx.owner.tolist(), apx.index.tolist(), apx.mass.tolist()):
+        for lam, m, j in zip(inst.lambdas, inst.measures, digits_of(h, sizes)):
+            diff = apx.support[s] - m.points[j]
+            cost += lam * q * float(diff @ diff)
     return cost
+
+
+def plan_cost(w, inst):
+    """Transport cost of a plan, each combination at its weighted mean."""
+    points = [m.points for m in inst.measures]
+    return sum(
+        q * combination_cost(digits_of(h, inst.sizes), points, inst.lambdas)
+        for h, q in plan_items(w)
+    )
+
+
+def unit_rank(w, strides):
+    """Rank of the full constraint matrix's columns of a plan's combinations;
+    equal to their number when the plan is a vertex."""
+    cols = np.zeros((strides.row_offsets[-1], len(w.index)))
+    for jcol, (h, _) in enumerate(plan_items(w)):
+        cols[list(column_support(h, strides)), jcol] = 1.0
+    return np.linalg.matrix_rank(cols)
 
 
 def brute_force_pricing(inst_perm, y, exact=False):

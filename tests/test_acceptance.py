@@ -17,14 +17,16 @@ from oracles import (
     barycenter_lp_arrays,
     column_support,
     highs_optimum,
+    plan_cost,
     plan_items,
     satisfies_marginals,
     solve as lp_solve,
     transport_lp_arrays,
+    unit_rank,
 )
 from wbary import driver
 from wbary.driver import STEP_LABELS, SolveConfig, solve, solve_direct
-from wbary.initial import greedy_vertex, two_approx
+from wbary.initial import greedy_vertex, repair_to_vertex, two_approx
 from wbary.model import (
     CapacityError,
     DiscreteMeasure,
@@ -148,15 +150,21 @@ def test_criterion_4_relocation_cost_within_factor_two():
         sizes = rng.integers(2, 5 if n == 3 else 4, size=n).tolist()
         inst = make_instance(40_000 + trial, sizes, uniform=(trial % 4 == 0))
         apx = two_approx(inst)
-        apx.validate(inst)
         cost = approx_transport_cost(apx, inst)
         opt = solve_direct(inst).objective
         assert cost >= opt - 1e-9, (sizes, cost, opt)
         assert cost <= 2.0 * opt + 1e-9, (sizes, cost, opt)
+        # the start both routes take from it: distinct, independent
+        # combinations that meet the marginals and cost no more
+        w = repair_to_vertex(apx, inst)
+        assert np.all(np.diff(w.index) > 0), sizes
+        assert unit_rank(w, inst.strides) == w.index.size, sizes
+        assert satisfies_marginals(w, inst, inst.strides), sizes
+        assert plan_cost(w, inst) <= cost + 1e-9, sizes
         if opt > 1e-12:
             ratios.append(cost / opt)
     print(
-        f"\nC4 PASS: 200 instances, cost ratio in [1, 2] "
+        f"\nC4 PASS: 200 instances, cost ratio in [1, 2], vertex start within it "
         f"(max observed {max(ratios):.4f})"
     )
 

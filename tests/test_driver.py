@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import column_support, min_over_vertices
+from oracles import approx_transport_cost, column_support, min_over_vertices
 from wbary import driver, master, model, pricing, simplex
 from wbary.driver import STEP_LABELS, SolveConfig, solve, solve_direct
 from wbary.initial import relocation_bytes, two_approx
@@ -428,9 +428,9 @@ class TestUnitRoute:
                 assert len(calls) == res.pricing_calls >= res.iterations + 1
 
     def test_relocation_plan_seeds_the_route(self, monkeypatch):
-        # The 2-approximation start hands over the relocation LP's plan over
-        # combinations, a feasible plan that costs at most the relocation
-        # LP's optimum; the route's first LP is over its combinations.
+        # The 2-approximation start hands over the relocation LP's basic
+        # columns, a vertex that costs at most the relocation LP's optimum;
+        # the route's first LP is over their combinations.
         inst = random_instance(38, [3, 2, 4, 3, 3, 4])
         inst_p = inst.permuted(pricing.choose_partition(inst, "small").perm)
         apx = two_approx(inst_p)
@@ -445,26 +445,28 @@ class TestUnitRoute:
         res = solve(inst, SolveConfig(start="2app", pair_variant="small"))
         (_, (rows, cost)) = kernels  # the relocation LP's, then the route's
         offsets = np.asarray(inst_p.strides.row_offsets[:-1])[:, None]
-        assert np.array_equal(
-            rows, model.digits(apx.plan.index, inst_p.strides) + offsets
-        )
-        relocation = sum(
-            lam * (np.asarray(plan) * ((apx.support[:, None, :] - m.points) ** 2).sum(-1)).sum()
-            for lam, m, plan in zip(inst_p.lambdas, inst_p.measures, apx.plans)
-        )
-        assert apx.plan.mass @ cost <= relocation + 1e-12
+        assert np.array_equal(rows, model.digits(apx.index, inst_p.strides) + offsets)
+        assert apx.mass @ cost <= approx_transport_cost(apx, inst_p) + 1e-12
         assert abs(res.objective - solve_direct(inst).objective) <= 1e-12
 
     def test_two_approximation_on_a_tall_small_pair_converges(self):
         # [2, 2, 400] with the 2-approximation start and the small pair: the
-        # paper's master fails its ratio test on this start (basic solution
-        # went negative, after about 1100 master solves), and solve takes
-        # the unit route, which converges in a few passes.
+        # paper's master fails its ratio test on this start (the next test),
+        # and solve takes the unit route, which converges in a few passes.
         inst = random_instance(12, (2, 2, 400))
         res = solve(inst, SolveConfig(start="2app", pair_variant="small"))
         assert res.converged
         ref = solve_direct(inst).objective
         assert abs(res.objective - ref) <= 1e-12 * max(1.0, ref)
+
+    @pytest.mark.xfail(strict=True, raises=simplex.NumericalError)
+    def test_paper_route_on_a_tall_small_pair_with_the_relocation_start(self):
+        # The master's ratio-test fault of ROADMAP.md item 4, replayed: the
+        # paper's route on the same case fails with basic solution went
+        # negative (about -0.875, after about 1.6 s). A pass means the fault
+        # is gone; then drop the mark and hold the result to solve_direct.
+        inst = random_instance(12, (2, 2, 400))
+        driver.solve_master(inst, SolveConfig(start="2app", pair_variant="small"))
 
 
 class TestMemoryAccounting:
@@ -558,9 +560,9 @@ class TestMemoryAccounting:
                 solve(random_instance(12, [2, 2, 300]), small_pair)
             with pytest.raises(CapacityError):
                 solve_direct(random_instance(12, [2, 300]))
-            # the relocation LP's cost table, plans, basis over 70 rows and
-            # column store, beside the pricing state, one tile of all 264
-            # combinations and the polish's basis: 1.06 MB
+            # the relocation LP's cost table, basis over 70 rows and column
+            # store, beside the pricing state, one tile of all 264
+            # combinations and the polish's basis: 1.02 MB
             need = (
                 pricing.state_bytes(sizes, 2) + 8 * 264 + 24 * 70**2
                 + relocation_bytes(sizes)

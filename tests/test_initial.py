@@ -5,23 +5,17 @@ import pytest
 
 from oracles import (
     approx_transport_cost,
-    column_support,
-    combination_cost,
     digits_of,
+    plan_cost,
     plan_items,
     satisfies_marginals,
+    unit_rank,
 )
 from wbary import initial, simplex
 from wbary.driver import solve_direct
-from wbary.initial import (
-    ApproxBarycenter,
-    greedy_vertex,
-    relocation_bytes,
-    repair_to_vertex,
-    two_approx,
-)
+from wbary.initial import greedy_vertex, relocation_bytes, repair_to_vertex, two_approx
 from wbary.master import init_rm
-from wbary.model import ContractError, DiscreteMeasure, Instance
+from wbary.model import MASS_TOL, DiscreteMeasure, Instance
 
 
 def random_instance(rng, sizes, dim=2, uniform=False):
@@ -49,14 +43,6 @@ def record_solves(monkeypatch):
 
     monkeypatch.setattr(simplex, "solve_columns", record)
     return seen
-
-
-def support_columns_rank(w, strides):
-    rows = strides.row_offsets[-1]
-    cols = np.zeros((rows, len(w.index)))
-    for jcol, (h, _) in enumerate(plan_items(w)):
-        cols[list(column_support(h, strides)), jcol] = 1.0
-    return np.linalg.matrix_rank(cols)
 
 
 class TestGreedy:
@@ -105,7 +91,7 @@ class TestGreedy:
             L = len(w.index)
             assert max(sizes) <= L <= sum(sizes) - n + 1
             assert satisfies_marginals(w, inst, st)
-            assert support_columns_rank(w, st) == L  # vertex property
+            assert unit_rank(w, st) == L  # vertex property
 
 
 class TestTwoApprox:
@@ -113,7 +99,7 @@ class TestTwoApprox:
         m = DiscreteMeasure(np.arange(6.0).reshape(3, 2), np.array([0.2, 0.3, 0.5]))
         inst = Instance((m,), np.array([1.0]))
         apx = two_approx(inst)
-        apx.validate(inst)
+        assert satisfies_marginals(repair_to_vertex(apx, inst), inst, inst.strides)
         assert approx_transport_cost(apx, inst) == pytest.approx(0.0, abs=1e-12)
         assert len(apx.mass) == 3
 
@@ -122,7 +108,7 @@ class TestTwoApprox:
         m = DiscreteMeasure(pts, np.array([0.5, 0.25, 0.25]))
         inst = Instance((m, m, m), np.full(3, 1 / 3))
         apx = two_approx(inst)
-        apx.validate(inst)
+        assert satisfies_marginals(repair_to_vertex(apx, inst), inst, inst.strides)
         assert approx_transport_cost(apx, inst) == pytest.approx(0.0, abs=1e-10)
         assert len(apx.mass) == 3
 
@@ -199,7 +185,7 @@ class TestTwoApprox:
         for _ in range(20):
             inst = random_instance(rng, rng.integers(2, 4, size=3).tolist())
             apx = two_approx(inst)
-            apx.validate(inst)
+            assert satisfies_marginals(repair_to_vertex(apx, inst), inst, inst.strides)
             opt = solve_direct(inst).objective
             cost = approx_transport_cost(apx, inst)
             assert cost >= opt - 1e-9
@@ -208,6 +194,8 @@ class TestTwoApprox:
 
 class TestRepair:
     def test_repair_preserves_feasibility_and_never_costs_more(self):
+        # the start is distinct, independent combinations that meet the
+        # marginals and cost at most the relocation LP
         rng = np.random.default_rng(31)
         for _ in range(25):
             n = int(rng.integers(2, 5))
@@ -215,12 +203,11 @@ class TestRepair:
             st = inst.strides
             apx = two_approx(inst)
             w = repair_to_vertex(apx, inst)
+            assert np.unique(w.index).size == w.index.size
+            assert unit_rank(w, st) == w.index.size
             assert w.mass.sum() == pytest.approx(1.0, abs=1e-9)
             assert satisfies_marginals(w, inst, st)
-            repaired_cost = sum(
-                q * _combo_cost(h, st, inst) for h, q in plan_items(w)
-            )
-            assert repaired_cost <= approx_transport_cost(apx, inst) + 1e-9
+            assert plan_cost(w, inst) <= approx_transport_cost(apx, inst) + 1e-9
 
     def test_single_measure_repair(self):
         m = DiscreteMeasure(np.arange(6.0).reshape(3, 2), np.array([0.2, 0.3, 0.5]))
@@ -233,7 +220,7 @@ class TestRepair:
         ]
 
     def test_support_of_repair_stays_small(self):
-        # Three measures with 10/10/11 equal-mass points: the repaired support
+        # Three measures with 10/10/11 equal-mass points: the start's support
         # must stay within the generic vertex bound sum sizes - n + 1 = 29.
         rng = np.random.default_rng(5)
         inst = random_instance(rng, [10, 10, 11], uniform=True)
@@ -243,59 +230,30 @@ class TestRepair:
         assert satisfies_marginals(w, inst, st)
         assert len(w.index) <= 29
 
-    def test_one_full_point_repairs_to_the_greedy_vertex(self):
-        # one support point holding all the mass, whose plans are the
-        # measures' masses: the repair runs the greedy sweep
-        rng = np.random.default_rng(37)
-        for _ in range(50):
-            n = int(rng.integers(1, 6))
-            inst = random_instance(rng, rng.integers(1, 6, size=n).tolist())
-            apx = ApproxBarycenter(
-                support=np.zeros((1, 2)),
-                mass=np.array([1.0]),
-                plans=[m.masses[None, :] for m in inst.measures],
-            )
-            repaired = repair_to_vertex(apx, inst)
-            greedy = greedy_vertex(inst)
-            assert np.array_equal(repaired.index, greedy.index)
-            assert np.array_equal(repaired.mass, greedy.mass)
-
-    def test_combinations_placed_twice_merge(self):
-        # two half-mass support points with the same half plans place every
-        # combination twice: the repair holds each once with both masses
+    def test_start_columns_are_basic_and_distinct(self, monkeypatch):
+        # The start is the relocation LP's columns above MASS_TOL, all basic
+        # at its last solve, in ascending combination order: independent
+        # unit columns, so no two share a combination, and the master
+        # accepts them as its first vertex. Their candidates carry the LP's
+        # optimal cost.
+        seen = record_solves(monkeypatch)
         rng = np.random.default_rng(41)
-        for _ in range(20):
+        for _ in range(40):
             n = int(rng.integers(3, 6))
             inst = random_instance(rng, rng.integers(1, 6, size=n).tolist())
-            apx = ApproxBarycenter(
-                support=np.zeros((2, 2)),
-                mass=np.array([0.5, 0.5]),
-                plans=[np.vstack([m.masses / 2, m.masses / 2]) for m in inst.measures],
+            apx = two_approx(inst)
+            kern, _, sol = seen[-1]
+            used = np.flatnonzero(sol.x > MASS_TOL)
+            assert np.isin(used, kern.basic).all()
+            offsets = np.asarray(inst.strides.row_offsets[:-1])[:, None]
+            combos = np.ravel_multi_index(
+                tuple(kern.cols.rows[:, used] - offsets), inst.sizes
             )
-            repaired = repair_to_vertex(apx, inst)
-            greedy = greedy_vertex(inst)
-            assert np.unique(repaired.index).size == repaired.index.size
-            assert np.array_equal(repaired.index, greedy.index)
-            assert np.array_equal(repaired.mass, greedy.mass)
-            init_rm(repaired, inst)  # raises on a vertex off the master rows
-
-    @pytest.mark.parametrize("plan, match", [
-        ([[0.5, 0.0]], "support point 0 sends"),  # sends only half the held mass
-        ([[1.0, 0.0]], "marginals violated"),  # the measure holds 0.5 at each point
-        ([[1.0]], "plans do not match"),  # one column for two points
-    ], ids=["row-sum", "marginal", "shape"])
-    def test_inconsistent_plans_rejected(self, plan, match):
-        m = DiscreteMeasure(np.zeros((2, 2)), np.array([0.5, 0.5]))
-        inst = Instance((m,), np.array([1.0]))
-        bad = ApproxBarycenter(
-            support=np.zeros((1, 2)),
-            mass=np.array([1.0]),
-            plans=[np.array(plan)],
-        )
-        with pytest.raises(ContractError, match=match):
-            repair_to_vertex(bad, inst)
-
-
-def _combo_cost(h, strides, inst):
-    points = [m.points for m in inst.measures]
-    return combination_cost(digits_of(h, strides.sizes), points, inst.lambdas)
+            order = np.argsort(combos)
+            w = repair_to_vertex(apx, inst)
+            assert np.all(np.diff(w.index) > 0)
+            assert np.array_equal(w.index, combos[order])
+            assert np.array_equal(w.mass, sol.x[used[order]])
+            cost = approx_transport_cost(apx, inst)
+            assert abs(cost - sol.objective) <= 1e-12 * max(1.0, sol.objective)
+            init_rm(w, inst)  # raises on a vertex off the master rows

@@ -424,10 +424,10 @@ class TestCertifiedVertex:
             resolve([0])
 
     def test_solved_master_at_its_own_objective_gives_a_vertex(self, monkeypatch):
-        # The first mixed case stops at a real gap; taking the master
+        # The second mixed case stops at a real gap; taking the master
         # objective as the bound re-solves over its weighted columns only.
         _, rm, _, _ = recorded_solve(
-            monkeypatch, *bench_instance(WORKLOADS["mixed"][0])
+            monkeypatch, *bench_instance(WORKLOADS["mixed"][1])
         )
         assert np.count_nonzero(rm.mu > 1e-12) >= 2
         polished, _ = count_polishes(monkeypatch)
@@ -470,10 +470,10 @@ class TestCertifiedVertex:
             assert np.abs(sums - m.masses).max() <= 1e-12
 
     def test_run_stopped_at_a_real_gap_polishes_once(self, monkeypatch):
-        # the mixed benchmark's first case stops at a gap of about 7.6e-7
+        # the mixed benchmark's second case stops at a gap of about 3.0e-8
         polished, _ = count_polishes(monkeypatch)
         res, rm, lower_bound, _ = recorded_solve(
-            monkeypatch, *bench_instance(WORKLOADS["mixed"][0])
+            monkeypatch, *bench_instance(WORKLOADS["mixed"][1])
         )
         assert res.converged
         assert not certified(rm.objective, lower_bound)

@@ -5,7 +5,10 @@
 Covers the benchmark instances and their warm-up (bench/workloads.py) and one
 random instance for each of n = 1..4 measures, and two with many measures in
 1-D and 3-D, solved by ``solve`` with each case's settings (and with the
-2-approximation start for n >= 3) and by ``solve_direct``. Each record holds
+2-approximation start for n >= 3) and by ``solve_direct``. The ``mixed``
+instances, which ``solve`` sends down the unit route, are also solved by
+``driver.solve_master``, so the paper's route with the 2-approximation start
+has a record on a benchmark instance. Each record holds
 every field of the result but its timings: the objective, lower bound,
 iteration and pricing counts, combination count, convergence flag, reported
 peak memory, trace length, the last trace entry's master objective, pricing
@@ -72,10 +75,13 @@ def main():
             d.weights,
         )
         cfg = wbary.SolveConfig(start=case.start, pair_variant=case.pair)
-        for how in ("solve", "solve_direct"):
+        hows = ["solve", "solve_direct"] + (["solve_master"] if name == "mixed" else [])
+        for how in hows:
             try:
-                r = wbary.solve(inst, cfg) if how == "solve" else wbary.solve_direct(inst)
-                out = record(r)
+                if how == "solve_direct":
+                    out = record(wbary.solve_direct(inst))
+                else:
+                    out = record(getattr(wbary.driver, how)(inst, cfg))
             except wbary.CapacityError as e:
                 out = {"error": type(e).__name__}
             print(json.dumps({"case": f"{name} {case.key}", "by": how, **out}))
